@@ -1,7 +1,9 @@
-"""Resource budgets for brute-force enumerations.
+"""Resource budgets for the brute-force oracles.
 
-Every exhaustive search in this package is metered by the number of
-candidate generator-image tuples it would visit, not by group order: a
+The production path (closed-form hom, aut, surjection and extension counts)
+enumerates no group elements and takes no budget. Only the oracles that
+check it do: each exhaustive search is metered by the number of candidate
+generator-image tuples it would visit, not by group order, because a
 cyclic group of order 2**20 admits a 20-element image search while
 (Z/2)**10 admits 2**100, so order is the wrong resource measure.
 

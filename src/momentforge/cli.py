@@ -54,6 +54,14 @@ def _int_list(text: str, name: str) -> tuple[int, ...]:
         raise InputError(f"{name} must be a comma-separated integer list: {exc}") from exc
 
 
+def _per_type(text: str, name: str, types: int) -> tuple[int, ...]:
+    """Comma-separated depths, one per basis type; a single value applies to all."""
+    values = _int_list(text, name)
+    if len(values) == 1 and types > 1:
+        values = values * types
+    return values
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -120,10 +128,7 @@ def _cmd_invert(args) -> int:
     table = MomentTable.from_json_obj(_load_json(args.file))
     if args.order is not None:
         table = table.reorder(_int_list(args.order, "--order"))
-    r_max = _int_list(args.rmax, "--rmax")
-    if len(r_max) == 1 and len(table.basis) > 1:
-        r_max = r_max * len(table.basis)
-    bracket = multi_invert_zero(table, r_max)
+    bracket = multi_invert_zero(table, _per_type(args.rmax, "--rmax", len(table.basis)))
     _emit(_bracket_obj(bracket, args.pretty), args.pretty)
     return 0
 
@@ -137,9 +142,7 @@ def _table_and_basis(args) -> tuple[ModuleMomentTable, TypeBasis]:
 def _cmd_localize(args) -> int:
     table, basis = _table_and_basis(args)
     M = _parse_group(args.group)
-    k_bound = _int_list(args.kbound, "--kbound")
-    if len(k_bound) == 1 and len(basis) > 1:
-        k_bound = k_bound * len(basis)
+    k_bound = _per_type(args.kbound, "--kbound", len(basis))
     moments = localized_moments(table, M, basis, k_bound)
     _emit(moments.to_json_obj(), args.pretty)
     return 0
@@ -148,9 +151,7 @@ def _cmd_localize(args) -> int:
 def _cmd_reconstruct(args) -> int:
     table, basis = _table_and_basis(args)
     M = _parse_group(args.group)
-    r_max = _int_list(args.rmax, "--rmax")
-    if len(r_max) == 1 and len(basis) > 1:
-        r_max = r_max * len(basis)
+    r_max = _per_type(args.rmax, "--rmax", len(basis))
     bracket = reconstruct_probability(table, M, basis, r_max)
     _emit(_bracket_obj(bracket, args.pretty), args.pretty)
     return 0
@@ -201,7 +202,6 @@ def _cmd_verify(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="momentforge", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="parallelism bound (>=1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="inversion coefficient c_k for a simple type")
@@ -267,8 +267,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise InputError("--threads must be >= 1")
         return args.fn(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,24 @@
-"""Finite abelian groups in canonical form, plus every brute-force oracle.
+"""Finite abelian groups in canonical form, their closed-form counts, and
+the brute-force oracles those counts are checked against.
 
 A group is stored per prime as a weakly decreasing partition of cyclic
 exponents, so Z/4 x Z/2 x Z/3 is {2: (2, 1), 3: (1,)}. The canonical form
 is unique per isomorphism class, which lets groups serve as dict keys for
 measures and moment tables.
 
-Oracles here enumerate homomorphisms as generator-image tuples (an image
-is any element killed by the generator order) and decide surjectivity by
-image size |A| / |kernel|. They are deliberately dumb; the closed-form
-counts elsewhere in the package are validated against them.
+Production counts are closed forms on these partitions: hom_count,
+aut_count, and the Hall numbers g^lambda_{mu,(1^m)}(p) of Macdonald,
+Symmetric Functions and Hall Polynomials, ch. II (4.6), from which
+sur_count, extension_pair_count and candidate_middles follow. None of them
+enumerates group elements, so none is metered by a Budget.
+
+Beside each closed form sits its oracle (hom_count_bruteforce,
+aut_bruteforce, sur_bruteforce, kernel_pair_count,
+extension_pair_count_direct, count_surjective_matrices). Oracles enumerate
+homomorphisms as generator-image tuples (an image is any element killed by
+the generator order) and decide surjectivity by image size
+|A| / |kernel|. They are deliberately dumb, metered by a Budget, and used
+only to check the closed forms.
 """
 
 from __future__ import annotations
@@ -24,8 +34,8 @@ import numpy as np
 
 from .budget import Budget, resolve
 from .errors import ConsistencyError, InputError
-from .qseries import SimpleType
-from .surjcount import MultiIndex, TypeBasis, sur_single
+from .qseries import q_binomial
+from .surjcount import MultiIndex, TypeBasis
 
 _CHUNK_ENTRIES = 4_000_000  # target size for vectorized evaluation chunks
 
@@ -142,10 +152,7 @@ class FinAbGroup:
 
     def conjugate(self, p: int) -> tuple[int, ...]:
         """Conjugate partition at p: entry j counts parts >= j+1."""
-        parts = self.partition(p)
-        if not parts:
-            return ()
-        return tuple(sum(1 for a in parts if a > j) for j in range(parts[0]))
+        return _conjugate(self.partition(p))
 
     @property
     def is_trivial(self) -> bool:
@@ -303,13 +310,12 @@ def _iter_hom_chunks(ta: _Table, tb: _Table, choices: list[np.ndarray], total: i
 
 def hom_count(A: FinAbGroup, B: FinAbGroup) -> int:
     """|Hom(A, B)| = prod_p prod_{i,j} p**min(lambda_i(A), lambda_j(B))."""
-    out = 1
-    for p, parts_a in A.components:
-        parts_b = B.partition(p)
-        for i in parts_a:
-            for j in parts_b:
-                out *= p ** min(i, j)
-    return out
+    return prod(p ** _hom_exponent(parts, B.partition(p)) for p, parts in A.components)
+
+
+def _hom_exponent(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    """log_p |Hom(A, B)| for p-groups A, B of types alpha, beta."""
+    return sum(min(i, j) for i in alpha for j in beta)
 
 
 def hom_count_bruteforce(A: FinAbGroup, B: FinAbGroup, budget: Budget | None = None) -> int:
@@ -347,6 +353,74 @@ def _aut_count_p(p: int, parts: tuple[int, ...]) -> int:
     return out
 
 
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugate partition: entry j counts parts >= j+1."""
+    return tuple(sum(1 for a in parts if a > j) for j in range(parts[0] if parts else 0))
+
+
+@lru_cache(maxsize=65536)
+def _hall_number(p: int, lam: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
+    """Hall number g^lam_{mu,(1^m)}(p): the number of subgroups H of a
+    p-group G of type lam with H elementary of rank m and G/H of type mu.
+
+    Macdonald, Symmetric Functions and Hall Polynomials, ch. II (4.6): with
+    lam', mu' the conjugate partitions and n(lam) = sum_j C(lam'_j, 2),
+
+        g = p**(n(lam) - n(mu) - C(m, 2))
+            * prod_j [lam'_j - lam'_{j+1} choose lam'_j - mu'_j]_{1/p},
+
+    nonzero exactly when lam/mu is a vertical m-strip. By duality of finite
+    abelian groups it also counts subgroups of type mu with quotient (1^m).
+    """
+    lc, mc = _conjugate(lam), _conjugate(mu)
+    if sum(lam) - sum(mu) != m or len(mc) > len(lc):
+        return 0
+    mc += (0,) * (len(lc) - len(mc))
+    exponent = sum(c * (c - 1) for c in lc) // 2 - sum(c * (c - 1) for c in mc) // 2
+    exponent -= m * (m - 1) // 2
+    out = 1
+    for j, (l, u) in enumerate(zip(lc, mc)):
+        free = l - (lc[j + 1] if j + 1 < len(lc) else 0)
+        k = l - u
+        if not 0 <= k <= free:
+            return 0
+        # [free choose k]_{1/p} = p**(-k(free - k)) [free choose k]_p
+        exponent -= k * (free - k)
+        out *= q_binomial(free, k, p)
+    return out * p**exponent
+
+
+def _blocks(parts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(part, multiplicity) per block of equal parts, largest part first."""
+    return [(a, parts.count(a)) for a in sorted(set(parts), reverse=True)]
+
+
+def _strips_below(beta: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every gamma with beta/gamma a vertical strip: in each block of equal
+    parts, the last j parts drop by one."""
+    blocks = _blocks(beta)
+    for js in itertools.product(*(range(c + 1) for _, c in blocks)):
+        gamma: list[int] = []
+        for (a, c), j in zip(blocks, js):
+            gamma += [a] * (c - j) + [a - 1] * j
+        yield tuple(g for g in gamma if g)
+
+
+def _strips_above(mu: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
+    """Every lam with lam/mu a vertical m-strip: in each block of equal
+    parts the first j parts grow by one, and the rest of the m boxes start
+    new parts of size 1."""
+    blocks = _blocks(mu)
+    for js in itertools.product(*(range(min(c, m) + 1) for _, c in blocks)):
+        new = m - sum(js)
+        if new < 0:
+            continue
+        lam: list[int] = []
+        for (a, c), j in zip(blocks, js):
+            lam += [a + 1] * j + [a] * (c - j)
+        yield tuple(lam) + (1,) * new
+
+
 def aut_bruteforce(A: FinAbGroup, budget: Budget | None = None) -> int:
     """|Aut(A)| by enumerating endomorphisms and keeping the bijective ones."""
     budget = resolve(budget)
@@ -381,15 +455,20 @@ def _sur_bruteforce_cached(A: FinAbGroup, B: FinAbGroup, budget: Budget) -> int:
     return count
 
 
-def sur_count(A: FinAbGroup, B: FinAbGroup, budget: Budget | None = None) -> int:
-    """|Sur(A, B)| with cheap certified short cuts.
+def sur_count(A: FinAbGroup, B: FinAbGroup) -> int:
+    """|Sur(A, B)| in closed form, one Sylow part at a time.
 
     Quotients of A can only shrink conjugate partitions, so a failed
-    domination check forces 0 without enumeration. Semisimple targets see
-    only A modulo its radical, so the matrix formula applies to the ranks.
-    Everything else falls through to sur_bruteforce. Equality with the
-    brute-force count on the full desk-scale range is part of the test
-    suite.
+    domination check forces 0. Otherwise Moebius inversion on the subgroup
+    lattice of B_p: P. Hall's Moebius function mu(H, B_p) is
+    (-1)**k p**C(k, 2) when B_p/H is elementary of rank k and 0 otherwise,
+    so with beta the type of B_p
+
+        Sur(A_p, B_p) = sum over vertical k-strips beta/gamma of
+            (-1)**k p**C(k, 2) g^beta_{gamma,(1^k)}(p) |Hom(A_p, C_gamma)|,
+
+    where g is the Hall number of Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. II (4.6). sur_bruteforce is the oracle for it.
     """
     if B.is_trivial:
         return 1
@@ -399,12 +478,21 @@ def sur_count(A: FinAbGroup, B: FinAbGroup, budget: Budget | None = None) -> int
         ca, cb = A.conjugate(p), B.conjugate(p)
         if len(cb) > len(ca) or any(b > a for a, b in zip(ca, cb)):
             return 0
-    if B.is_semisimple:
-        out = 1
-        for p in B.primes:
-            out *= sur_single(SimpleType.abelian(p), A.rank(p), B.rank(p))
-        return out
-    return sur_bruteforce(A, B, budget)
+    return prod(_sur_p(p, A.partition(p), B.partition(p)) for p in B.primes)
+
+
+@lru_cache(maxsize=65536)
+def _sur_p(p: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    out = 0
+    for gamma in _strips_below(beta):
+        k = sum(beta) - sum(gamma)
+        out += (
+            (-1) ** k
+            * p ** (k * (k - 1) // 2)
+            * _hall_number(p, beta, gamma, k)
+            * p ** _hom_exponent(alpha, gamma)
+        )
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -524,156 +612,24 @@ class ExtensionTable:
         return sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
 
 
-class _SpanTables:
-    """Subgroup lattice of a small group with a tabulated join operation.
-
-    join[s, x] is the id of the subgroup generated by subgroup s and
-    element x; size[s] is its order. Lets surjection searches out of very
-    large sources track only the span of generator images in the small
-    target.
-    """
-
-    __slots__ = ("group", "join", "size", "_coords", "_moduli", "_strides")
-
-    def __init__(self, group: FinAbGroup, budget: Budget):
-        n = group.order
-        budget.check_candidates(n * n, f"subgroup lattice for {group}")
-        t = _table(group)
-        self.group = group
-        self._coords = t.coords
-        self._moduli = t.moduli
-        if len(t.moduli):
-            strides = np.ones(len(t.moduli), dtype=np.int64)
-            for c in range(len(t.moduli) - 2, -1, -1):
-                strides[c] = strides[c + 1] * t.moduli[c + 1]
-            self._strides = strides
-            diff = (t.coords[:, None, :] - t.coords[None, :, :]) % t.moduli
-            sub_idx = diff @ strides  # sub_idx[z, y] = index of z - y
-            add_idx = ((t.coords[:, None, :] + t.coords[None, :, :]) % t.moduli) @ strides
-        else:
-            self._strides = np.zeros(0, dtype=np.int64)
-            sub_idx = np.zeros((1, 1), dtype=np.int64)
-            add_idx = np.zeros((1, 1), dtype=np.int64)
-
-        masks: list[np.ndarray] = []
-        ids: dict[bytes, int] = {}
-
-        def register(mask: np.ndarray) -> int:
-            key = mask.tobytes()
-            got = ids.get(key)
-            if got is None:
-                got = ids[key] = len(masks)
-                masks.append(mask)
-            return got
-
-        zero = np.zeros(n, dtype=bool)
-        zero[0] = True
-        register(zero)
-        join_rows: list[np.ndarray] = []
-        s = 0
-        while s < len(masks):
-            mask = masks[s]
-            row = np.empty(n, dtype=np.int64)
-            for x in range(n):
-                joined = mask.copy()
-                y = x
-                while y:  # <S, x> = union of the cosets S + k*x
-                    joined |= mask[sub_idx[:, y]]
-                    y = int(add_idx[y, x])
-                row[x] = register(joined)
-            join_rows.append(row)
-            s += 1
-        self.join = np.stack(join_rows)
-        self.size = np.array([int(m.sum()) for m in masks], dtype=np.int64)
-
-    def scale_idx(self, c: int) -> np.ndarray:
-        """Index map y -> c*y."""
-        if not len(self._moduli):
-            return np.zeros(1, dtype=np.int64)
-        return ((self._coords * c) % self._moduli) @ self._strides
-
-
-@lru_cache(maxsize=128)
-def _span_tables(group: FinAbGroup, budget: Budget) -> _SpanTables:
-    return _SpanTables(group, budget)
-
-
-@lru_cache(maxsize=16384)
-def _embedded_kernel_surjections(
-    Mp: FinAbGroup, M: FinAbGroup, N: FinAbGroup, budget: Budget
-) -> int:
-    """#{pi: M' ->> M with ker pi isomorphic to N}, for semisimple N with
-    |M'| = |N||M|.
-
-    Works prime by prime and never builds an element table of M': a
-    candidate map is described by its generator images in the small target,
-    and both conditions are span sizes there. With |M'| = |N||M| fixed,
-    surjectivity already forces |ker| = |N|; the kernel is then elementary
-    iff the p-torsion of M' covers it, i.e. the image of the p-torsion is
-    small enough.
-    """
-    count = 1
-    for p in Mp.primes:
-        lam = Mp.partition(p)
-        M_p = FinAbGroup.from_dict({p: M.partition(p)}) if M.rank(p) else FinAbGroup.trivial()
-        a = N.rank(p)
-        count *= _local_kernel_surjections(p, lam, M_p, a, budget)
-        if count == 0:
-            return 0
-    return count
-
-
-def _local_kernel_surjections(
-    p: int, lam: tuple[int, ...], M_p: FinAbGroup, a: int, budget: Budget
-) -> int:
-    r = len(lam)
-    n_m = M_p.order
-    mid_order = p ** sum(lam)
-    if mid_order != p**a * n_m:
-        return 0
-    tm = _table(M_p)
-    spans = _span_tables(M_p, budget)
-    choices = [np.flatnonzero(tm.torsion_mask(p ** l)) for l in lam]
-    total = prod(len(ch) for ch in choices)
-    budget.check_candidates(total, f"extension span search onto {M_p} at p={p}")
-    # p-torsion of M' is generated by p**(l-1) times the generators
-    scaled_choices = [spans.scale_idx(p ** (l - 1))[ch] for l, ch in zip(lam, choices)]
-    tor_order = p**r
-    target = p**a
-    local = 0
-    rows = max(1, _CHUNK_ENTRIES // max(1, 2 * max(1, r)))
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = np.unravel_index(idx, tuple(len(ch) for ch in choices)) if r else ()
-        ids = np.zeros(stop - start, dtype=np.int64)
-        tor_ids = np.zeros(stop - start, dtype=np.int64)
-        for i in range(r):
-            ids = spans.join[ids, choices[i][digits[i]]]
-            tor_ids = spans.join[tor_ids, scaled_choices[i][digits[i]]]
-        surjective = spans.size[ids] == n_m
-        elementary = spans.size[tor_ids] * target == tor_order
-        local += int((surjective & elementary).sum())
-    return local
-
-
-def extension_pair_count(
-    N: FinAbGroup, middle: FinAbGroup, M: FinAbGroup, budget: Budget | None = None
-) -> int:
+def extension_pair_count(N: FinAbGroup, middle: FinAbGroup, M: FinAbGroup) -> int:
     """Number of pairs (iota: N into M', pi: M' ->> M) with im iota = ker pi.
 
-    For each surjection whose kernel is isomorphic to N, the embeddings
-    hitting exactly that kernel are the |Aut(N)| isomorphisms onto it.
+    Such a pair is a subgroup H of M' with H isomorphic to N and M'/H to M,
+    plus one of the |Aut(N)| isomorphisms N -> H and one of the |Aut(M)|
+    isomorphisms M'/H -> M. Subgroups split over Sylow parts, and for
+    elementary N the subgroups at p are counted by the Hall number
+    g^lam_{mu,(1^m)}(p) of Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. II (4.6), with lam, mu the p-types of M', M and
+    m = rank_p(N). So the count is |Aut N| |Aut M| prod_p g.
+    extension_pair_count_direct is the oracle for it.
     """
     if not N.is_semisimple:
         raise InputError(f"N must be semisimple, got {N}")
-    if middle.order != N.order * M.order:
-        return 0
-    if N.is_trivial:
-        # a surjection with zero kernel is an isomorphism
-        return aut_count(M) if middle == M else 0
-    budget = resolve(budget)
-    return aut_count(N) * _embedded_kernel_surjections(middle, M, N, budget)
+    out = aut_count(N) * aut_count(M)
+    for p in sorted(set(middle.primes) | set(N.primes) | set(M.primes)):
+        out *= _hall_number(p, middle.partition(p), M.partition(p), N.rank(p))
+    return out
 
 
 def extension_pair_count_direct(
@@ -723,9 +679,7 @@ def extension_pair_count_direct(
     return out
 
 
-def extension_class_count(
-    N: FinAbGroup, M: FinAbGroup, middle: FinAbGroup, budget: Budget | None = None
-) -> Fraction:
+def extension_class_count(N: FinAbGroup, M: FinAbGroup, middle: FinAbGroup) -> Fraction:
     """Number of isomorphism classes of exact sequences 0->N->M'->M->0 with
     the given middle: pair count times |Hom(M, N)| / |Aut(M')|.
 
@@ -734,7 +688,7 @@ def extension_class_count(
     count under Aut(M') is as stated. Must come out a nonnegative integer;
     anything else is an internal inconsistency.
     """
-    pairs = extension_pair_count(N, middle, M, budget)
+    pairs = extension_pair_count(N, middle, M)
     entry = Fraction(pairs * hom_count(M, N), aut_count(middle))
     if entry.denominator != 1:
         raise ConsistencyError(
@@ -744,31 +698,27 @@ def extension_class_count(
     return entry
 
 
-def extension_table(
-    N: FinAbGroup, M: FinAbGroup, budget: Budget | None = None
-) -> ExtensionTable:
+def extension_table(N: FinAbGroup, M: FinAbGroup) -> ExtensionTable:
     """Class counts of exact sequences 0 -> N -> M' -> M -> 0 over all middles."""
-    if not N.is_semisimple:
-        raise InputError(f"N must be semisimple, got {N}")
-    order = N.order * M.order
-    primes = sorted(set(N.primes) | set(M.primes))
-    entries: dict[FinAbGroup, Fraction] = {}
-    for middle in enumerate_groups(primes, order):
-        if middle.order != order:
-            continue
-        entry = extension_class_count(N, M, middle, budget)
-        if entry:
-            entries[middle] = entry
+    entries = {mid: extension_class_count(N, M, mid) for mid in candidate_middles(N, M)}
     return ExtensionTable(sub=N, quot=M, entries=entries)
 
 
 def candidate_middles(N: FinAbGroup, M: FinAbGroup) -> list[FinAbGroup]:
-    """All groups of order |N||M| on the combined prime support."""
-    order = N.order * M.order
+    """Every M' with an exact sequence 0 -> N -> M' -> M -> 0, sorted.
+
+    For elementary N these are the groups whose partition at each prime p
+    is M's plus a vertical strip of rank_p(N) boxes: exactly where the Hall
+    number in extension_pair_count is nonzero.
+    """
+    if not N.is_semisimple:
+        raise InputError(f"N must be semisimple, got {N}")
     primes = sorted(set(N.primes) | set(M.primes))
-    if not primes:
-        return [FinAbGroup.trivial()]
-    return [G for G in enumerate_groups(primes, order) if G.order == order]
+    per_prime = [
+        [(p, lam) for lam in _strips_above(M.partition(p), N.rank(p))] for p in primes
+    ]
+    middles = [FinAbGroup(comps) for comps in itertools.product(*per_prime)]
+    return sorted(middles, key=FinAbGroup.sort_key)
 
 
 # --------------------------------------------------------------------------

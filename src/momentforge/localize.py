@@ -15,7 +15,6 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .budget import Budget
 from .errors import InputError
 from .finab import (
     FinAbGroup,
@@ -143,14 +142,16 @@ def localized_moments(
     M: FinAbGroup,
     basis: TypeBasis,
     k_bound: Sequence[int],
-    budget: Budget | None = None,
 ) -> MomentTable:
     """Moments of the localized measure at M, one per multi-index k <= k_bound.
 
     The k-th localized moment is the extension-class sum
     sum_{M'} classCount(N_k, M', M) * table(M') / |Hom(M, N_k)| over middles
-    of exact sequences 0 -> N_k -> M' -> M -> 0. Completeness is checked
-    eagerly: a missing candidate middle is a hard error naming it.
+    of exact sequences 0 -> N_k -> M' -> M -> 0. Those middles are exactly
+    the candidate_middles: M plus a vertical strip at each prime, each with
+    a positive class count. Completeness is checked eagerly for them and
+    only them: a missing one is a hard error naming it, while groups of
+    that order with no such sequence are never looked up.
     """
     ps = _basis_primes(basis)
     k_bound = check_index(basis, k_bound, "k_bound")
@@ -178,24 +179,23 @@ def localized_moments(
         for mid in middles:
             v = table(mid)
             if v:
-                total += extension_class_count(target, M, mid, budget) * v
+                total += extension_class_count(target, M, mid) * v
         values[k] = total / denom
     return MomentTable(basis, k_bound, values)
 
 
-def mu_local_direct(
-    mu: Measure, M: FinAbGroup, N: FinAbGroup, budget: Budget | None = None
-) -> Fraction:
+def mu_local_direct(mu: Measure, M: FinAbGroup, N: FinAbGroup) -> Fraction:
     """Mass the localized measure at M puts on N, by brute force.
 
     Integrates, over the support of mu, the number of surjections
-    pi: X ->> M whose kernel semisimplifies to N. Oracle for the pipeline.
+    pi: X ->> M whose kernel semisimplifies to N. Oracle for the pipeline;
+    its enumeration is metered by the Budget from the environment.
     """
     if not N.is_semisimple:
         raise InputError(f"N must be semisimple, got {N}")
     out = Fraction(0)
     for X, mass in mu.items():
-        profile = surjection_kernel_profile(X, M, budget)
+        profile = surjection_kernel_profile(X, M)
         count = profile.get(N, 0)
         if count:
             out += mass * count
@@ -207,10 +207,9 @@ def reconstruct_probability(
     M: FinAbGroup,
     basis: TypeBasis,
     r_max: Sequence[int],
-    budget: Budget | None = None,
 ) -> Bracket:
     """Certified bracket for the mass at M of any nonnegative measure with
     the given moments: invert the localized moments, then divide by |Aut(M)|."""
-    moments = localized_moments(table, M, basis, r_max, budget)
+    moments = localized_moments(table, M, basis, r_max)
     bracket = multi_invert_zero(moments, r_max)
     return bracket.scale(Fraction(1, aut_count(M)))

@@ -83,11 +83,15 @@ class SimpleType:
     def from_json_obj(cls, obj: dict) -> "SimpleType":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InputError(f"bad simple-type JSON: {obj!r}")
-        if obj["kind"] == ABELIAN:
-            return cls.abelian(int(obj["h"]))
-        if obj["kind"] == NONABELIAN:
-            return cls.nonabelian(int(obj["aut"]))
-        raise InputError(f"bad simple-type kind in JSON: {obj['kind']!r}")
+        kind = obj["kind"]
+        if kind not in (ABELIAN, NONABELIAN):
+            raise InputError(f"bad simple-type kind in JSON: {kind!r}")
+        field = "h" if kind == ABELIAN else "aut"
+        try:
+            value = int(obj[field])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad simple-type JSON {obj!r}: {exc!r}") from exc
+        return cls(kind=kind, **{field: value})
 
 
 def q_pochhammer(h: int, k: int) -> int:

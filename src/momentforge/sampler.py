@@ -14,11 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budget import Budget
 from .errors import InputError
 from .finab import FinAbGroup, Measure, aut_count, enumerate_groups, is_prime, sur_count
 from .inversion import Bracket
@@ -123,11 +122,6 @@ def sample_cokernel(config: SamplerConfig, index: int = 0) -> FinAbGroup:
     return FinAbGroup.from_dict({config.p: parts} if parts else {})
 
 
-def iter_samples(config: SamplerConfig) -> Iterator[FinAbGroup]:
-    for i in range(config.count):
-        yield sample_cokernel(config, i)
-
-
 def sample_measure(config: SamplerConfig, count: int | None = None) -> Measure:
     """Empirical measure of the first `count` draws (default config.count)."""
     count = config.count if count is None else count
@@ -139,9 +133,7 @@ def sample_measure(config: SamplerConfig, count: int | None = None) -> Measure:
     return Measure({g: Fraction(c, count) for g, c in tally.items()})
 
 
-def empirical_moments(
-    mu: Measure, targets: Iterable[FinAbGroup], budget: Budget | None = None
-) -> ModuleMomentTable:
+def empirical_moments(mu: Measure, targets: Iterable[FinAbGroup]) -> ModuleMomentTable:
     """Moment table of a finitely supported measure at the given targets:
     value(T) = sum_X mu(X) * Sur(X, T), exactly."""
     targets = list(dict.fromkeys(targets))
@@ -149,7 +141,7 @@ def empirical_moments(
         raise InputError("empirical_moments needs at least one target")
     primes = sorted({p for t in targets for p in t.primes} | {p for g in mu.support() for p in g.primes})
     values = {
-        t: sum((mass * sur_count(X, t, budget) for X, mass in mu.items()), Fraction(0))
+        t: sum((mass * sur_count(X, t) for X, mass in mu.items()), Fraction(0))
         for t in targets
     }
     bound = complete_order_bound(primes, set(values))
@@ -172,7 +164,6 @@ def convergence_report(
     counts: Sequence[int],
     targets: Sequence[FinAbGroup],
     r_max: int,
-    budget: Budget | None = None,
 ) -> list[dict]:
     """One record per (sample count, target): empirical frequency, the
     bracket reconstructed from empirical moments, and the limit reference.
@@ -207,9 +198,9 @@ def convergence_report(
     records: list[dict] = []
     for t in counts:
         mu = sample_measure(config, t)
-        table = empirical_moments(mu, moment_targets, budget)
+        table = empirical_moments(mu, moment_targets)
         for M in targets:
-            bracket = reconstruct_probability(table, M, basis, (r_max,), budget)
+            bracket = reconstruct_probability(table, M, basis, (r_max,))
             records.append(
                 {
                     "t": t,

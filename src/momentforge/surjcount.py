@@ -50,6 +50,8 @@ class TypeBasis:
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "TypeBasis":
+        if not isinstance(obj, list):
+            raise InputError(f"basis JSON must be a list of simple types, got {obj!r}")
         return cls(SimpleType.from_json_obj(entry) for entry in obj)
 
 

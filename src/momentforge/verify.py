@@ -235,7 +235,7 @@ def check_extension_sum_identity(
                         continue
                     cc = classes.get(mid)
                     if cc is None:
-                        cc = classes[mid] = extension_class_count(N, M, mid, budget)
+                        cc = classes[mid] = extension_class_count(N, M, mid)
                     if cc:
                         rhs += cc * sur_bruteforce(X, mid, budget)
                 rhs /= denom
@@ -258,7 +258,6 @@ def check_end_to_end(
     support_order: int = 72,
     target_order: int = 24,
     support_size: int = 12,
-    budget: Budget | None = None,
 ) -> tuple[bool, str]:
     """Exact moments of a synthetic measure reconstruct every mass as a
     width-zero bracket once the truncation clears the support."""
@@ -270,10 +269,10 @@ def check_end_to_end(
         max(g.rank(3) for g in mu.support()) + 1,
     )
     table_bound = target_order * 2 ** r_max[0] * 3 ** r_max[1]
-    table = empirical_moments(mu, enumerate_groups({2, 3}, table_bound), budget)
+    table = empirical_moments(mu, enumerate_groups({2, 3}, table_bound))
     checked = 0
     for M in enumerate_groups({2, 3}, target_order):
-        br = reconstruct_probability(table, M, basis, r_max, budget)
+        br = reconstruct_probability(table, M, basis, r_max)
         truth = mu.mass(M)
         if br.lower != truth or br.upper != truth:
             return False, f"reconstruction at {M}: bracket {br}, true mass {truth}"
@@ -308,7 +307,7 @@ def check_sur_smart_vs_bruteforce(budget: Budget | None = None) -> tuple[bool, s
     checked = 0
     for A in groups:
         for B in groups:
-            if sur_count(A, B, budget) != sur_bruteforce(A, B, budget):
+            if sur_count(A, B) != sur_bruteforce(A, B, budget):
                 return False, f"smart/brute surjection mismatch at {A} -> {B}"
             checked += 1
     return True, f"{checked} smart surjection counts match brute force"
@@ -335,7 +334,7 @@ def run_all(seed: int, quick: bool = False, budget: Budget | None = None) -> lis
         (
             "end-to-end exact reconstruction",
             lambda: check_end_to_end(
-                seed, e2e_support, e2e_target, support_size=5 if quick else 12, budget=budget
+                seed, e2e_support, e2e_target, support_size=5 if quick else 12
             ),
         ),
     ]

@@ -139,26 +139,45 @@ def test_exit_codes(tmp_path, capsys):
 def test_budget_env_override(monkeypatch):
     # a tiny budget turns a legitimate brute-force count into a refusal
     monkeypatch.setenv("MOMENTFORGE_BUDGET", '{"max_candidates": 1, "max_order": 1}')
-    mu = Measure({FinAbGroup.from_orders(8): Fraction(1)})
-    from momentforge.sampler import empirical_moments as em
     from momentforge.errors import BudgetExceededError
+    from momentforge.finab import sur_bruteforce
 
     with pytest.raises(BudgetExceededError):
-        em(mu, enumerate_groups([2], 8))
+        sur_bruteforce(FinAbGroup.from_orders(8), FinAbGroup.from_orders(8))
 
 
-def test_budget_exit_code(monkeypatch, tmp_path, capsys):
-    # nonzero-moment middles force a class-count search whose candidate
-    # space exceeds a unit budget, so the CLI reports exit code 3
+def test_localize_ignores_budget(monkeypatch, tmp_path, capsys):
+    # extension-class counts are closed forms, so a unit budget that would
+    # refuse any enumeration leaves the output unchanged
     table = ModuleMomentTable([2], 4, {g: 1 for g in enumerate_groups([2], 4)})
     path = tmp_path / "ones.json"
     path.write_text(table.dumps())
+    argv = ("localize", "--file", str(path), "--group", '{"2":[1]}', "--kbound", "1")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
     monkeypatch.setenv("MOMENTFORGE_BUDGET", '{"max_candidates": 1}')
-    code, _, err = run(
-        capsys, "localize", "--file", str(path), "--group", '{"2":[1]}',
-        "--kbound", "1",
-    )
+    code, budgeted, _ = run(capsys, *argv)
+    assert code == 0 and budgeted == plain
+
+
+def test_budget_exit_code(monkeypatch, capsys):
+    from momentforge import cli
+    from momentforge.errors import BudgetExceededError
+
+    def refuse(args):
+        raise BudgetExceededError("enumeration: 9 candidate tuples exceed the budget of 1")
+
+    monkeypatch.setattr(cli, "_cmd_coeffs", refuse)
+    code, _, err = run(capsys, "coeffs", "--abelian", "2", "--k", "1")
     assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "basis", ['[{"kind":"abelian","h":"x"}]', '[{"kind":"abelian"}]', "5"]
+)
+def test_sur_bad_basis_is_input_error(basis, capsys):
+    code, _, err = run(capsys, "sur", "--basis", basis, "--e", "1", "--k", "1")
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_quick(capsys):
@@ -176,10 +195,3 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     code, out, err = run(capsys, "verify", "--seed", "3", "--quick")
     assert code == 2
     assert any(l.startswith("FAIL") for l in out.splitlines())
-
-
-def test_threads_flag_validated(capsys):
-    code, _, err = run(capsys, "--threads", "0", "coeffs", "--abelian", "2", "--k", "0")
-    assert code == 1
-    code, out, _ = run(capsys, "--threads", "4", "coeffs", "--abelian", "2", "--k", "0")
-    assert code == 0 and out.strip() == "1"

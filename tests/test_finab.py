@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from momentforge.budget import Budget
 from momentforge.errors import BudgetExceededError, InputError
@@ -10,6 +10,7 @@ from momentforge.finab import (
     Measure,
     aut_bruteforce,
     aut_count,
+    candidate_middles,
     count_surjective_matrices,
     enumerate_groups,
     extension_class_count,
@@ -37,6 +38,31 @@ group_st = st.builds(
     FinAbGroup.from_dict,
     st.dictionaries(st.sampled_from([2, 3, 5, 7]), partition, max_size=3),
 )
+# differential tests against the oracles: groups of order <= 64, and
+# enumerations of at most ORACLE_HOMS candidate tuples, so each example
+# costs milliseconds
+small_group_st = st.sampled_from(enumerate_groups({2, 3}, 64))
+ORACLE_HOMS = 50_000
+
+
+def sequence_ends_st(max_order):
+    """(N, M) with N elementary and |N||M| <= max_order."""
+    elementary = st.builds(
+        lambda r2, r3: FinAbGroup.from_dict({2: [1] * r2, 3: [1] * r3}),
+        st.integers(0, 3),
+        st.integers(0, 2),
+    ).filter(lambda N: N.order <= max_order)
+    return elementary.flatmap(
+        lambda N: st.tuples(
+            st.just(N), st.sampled_from(enumerate_groups({2, 3}, max_order // N.order))
+        )
+    )
+
+
+def middles_of_order(N, M):
+    primes = set(N.primes) | set(M.primes)
+    order = N.order * M.order
+    return [G for G in enumerate_groups(primes, order) if G.order == order]
 
 
 class TestCanonicalForm:
@@ -148,6 +174,12 @@ class TestSurjectionOracles:
             for b in pool:
                 assert sur_count(a, b) == sur_bruteforce(a, b), (a, b)
 
+    @given(small_group_st, small_group_st)
+    @settings(max_examples=200, deadline=None)
+    def test_sur_count_matches_bruteforce_property(self, a, b):
+        assume(hom_count(a, b) <= ORACLE_HOMS)
+        assert sur_count(a, b) == sur_bruteforce(a, b)
+
     def test_budget_error_names_the_pair(self):
         with pytest.raises(BudgetExceededError, match="surjection enumeration"):
             sur_bruteforce(
@@ -249,6 +281,25 @@ class TestExtensions:
         ]
         for N, mid, M in cases:
             assert extension_pair_count(N, mid, M) == extension_pair_count_direct(N, mid, M)
+
+    @given(sequence_ends_st(64), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_count_matches_direct_property(self, ends, data):
+        N, M = ends
+        mid = data.draw(st.sampled_from(middles_of_order(N, M)))
+        assume(hom_count(N, mid) <= ORACLE_HOMS and hom_count(mid, M) <= ORACLE_HOMS)
+        assert extension_pair_count(N, mid, M) == extension_pair_count_direct(N, mid, M)
+
+    @given(sequence_ends_st(32))
+    @settings(max_examples=25, deadline=None)
+    def test_candidate_middles_are_the_nonzero_middles(self, ends):
+        # exactness here is what makes a "lacks middles" error name only
+        # middles the localized sum needs
+        N, M = ends
+        nonzero = {
+            G for G in middles_of_order(N, M) if extension_pair_count_direct(N, G, M)
+        }
+        assert set(candidate_middles(N, M)) == nonzero
 
     def test_orbit_stabilizer_consistency(self):
         # classCount * |Aut(M')| == P * |Hom(M, N)| by construction; check
