@@ -34,21 +34,10 @@ import numpy as np
 
 from .budget import Budget, resolve
 from .errors import ConsistencyError, InputError
-from .qseries import q_binomial
+from .qseries import is_prime, q_binomial
 from .surjcount import MultiIndex, TypeBasis
 
 _CHUNK_ENTRIES = 4_000_000  # target size for vectorized evaluation chunks
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:

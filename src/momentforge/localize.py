@@ -46,8 +46,14 @@ class ModuleMomentTable:
         order_bound: int,
         values: Mapping[FinAbGroup, Fraction | int],
     ):
-        self.primes = tuple(sorted(set(int(p) for p in primes)))
-        self.order_bound = int(order_bound)
+        try:
+            self.primes = tuple(sorted(set(int(p) for p in primes)))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"primes must be a list of integers, got {primes!r}") from exc
+        try:
+            self.order_bound = int(order_bound)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"order_bound must be an integer, got {order_bound!r}") from exc
         if self.order_bound < 1:
             raise InputError(f"order_bound must be >= 1, got {order_bound}")
         table: dict[FinAbGroup, Fraction] = {}

@@ -20,18 +20,48 @@ ABELIAN = "abelian"
 NONABELIAN = "nonabelian"
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases above is exact below this bound, the least
+# strong pseudoprime to all of them; 2..37 alone pass 318665857834031151167461.
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; InputError at or above PRIME_TEST_LIMIT."""
+    if n >= PRIME_TEST_LIMIT:
+        raise InputError(f"a {n.bit_length()}-bit integer is too large for the primality test")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def is_prime_power(n: int) -> bool:
     """True iff n = p**r for a prime p and r >= 1."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            return n == 1
-        d += 1
-    return True  # n itself is prime
+    for r in range(1, n.bit_length() + 1):  # r = 1 tests n itself first
+        root = n if r == 1 else round(n ** (1 / r))
+        if any(c**r == n and is_prime(c) for c in {root - 1, root, root + 1}):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -87,10 +117,9 @@ class SimpleType:
         if kind not in (ABELIAN, NONABELIAN):
             raise InputError(f"bad simple-type kind in JSON: {kind!r}")
         field = "h" if kind == ABELIAN else "aut"
-        try:
-            value = int(obj[field])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad simple-type JSON {obj!r}: {exc!r}") from exc
+        value = obj.get(field)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"bad simple-type JSON {obj!r}: {field} must be an integer")
         return cls(kind=kind, **{field: value})
 
 

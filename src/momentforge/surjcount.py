@@ -56,7 +56,10 @@ class TypeBasis:
 
 
 def check_index(basis: TypeBasis, idx: Sequence[int], name: str) -> MultiIndex:
-    idx = tuple(int(v) for v in idx)
+    try:
+        idx = tuple(int(v) for v in idx)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be a list of integers, got {idx!r}") from exc
     if len(idx) != len(basis):
         raise InputError(
             f"{name} has length {len(idx)} but the basis has {len(basis)} types"

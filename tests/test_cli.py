@@ -173,11 +173,45 @@ def test_budget_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "basis", ['[{"kind":"abelian","h":"x"}]', '[{"kind":"abelian"}]', "5"]
+    "basis",
+    [
+        '[{"kind":"abelian","h":"x"}]',
+        '[{"kind":"abelian"}]',
+        "5",
+        '[{"kind":"abelian","h":2.9}]',
+        '[{"kind":"abelian","h":true}]',
+    ],
 )
 def test_sur_bad_basis_is_input_error(basis, capsys):
     code, _, err = run(capsys, "sur", "--basis", basis, "--e", "1", "--k", "1")
     assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_invert_bad_bound_is_input_error(tmp_path, capsys):
+    obj = {"basis": [{"kind": "abelian", "h": 2}], "bound": ["x"], "moments": [{"k": [0], "value": "1"}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "invert", "--file", str(path), "--rmax", "1")
+    assert code == 1 and err.startswith("error: ") and "bound" in err
+
+
+@pytest.mark.parametrize("field, value", [("primes", "ab"), ("order_bound", "x")])
+def test_reconstruct_bad_table_field_is_input_error(field, value, half_table_path, capsys):
+    obj = json.loads(half_table_path.read_text())
+    obj[field] = value
+    half_table_path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "reconstruct", "--file", str(half_table_path), "--group", "{}", "--rmax", "1")
+    assert code == 1 and err.startswith("error: ") and field in err
+
+
+def test_large_prime_inputs_exit_1(half_table_path, capsys):
+    # a 60-bit prime used to hang trial division
+    p = str(2**60 - 93)
+    code, _, err = run(capsys, "sample", "--p", p, "--cap", "1", "--n", "2", "--seed", "1", "--count", "1")
+    assert code == 1 and err.startswith("error: ")
+    group = json.dumps({p: [1]})
+    code, _, err = run(capsys, "reconstruct", "--file", str(half_table_path), "--group", group, "--rmax", "1")
+    assert code == 1 and err.startswith("error: ")
 
 
 def test_verify_quick(capsys):

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from momentforge.errors import InputError
 from momentforge.qseries import (
+    PRIME_TEST_LIMIT,
     SimpleType,
     inversion_coefficient,
+    is_prime,
     is_prime_power,
     q_binomial,
     q_pochhammer,
@@ -108,6 +110,37 @@ def test_prime_power_validation():
         SimpleType.nonabelian(0)
     with pytest.raises(InputError):
         SimpleType(kind="abelian", h=2, aut=3)
+
+
+def trial_division_is_prime(n):
+    """Reference primality test: no divisor d with d * d <= n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == trial_division_is_prime(n) for n in range(-3, 10**5))
+
+
+def test_is_prime_large_inputs():
+    assert is_prime(2**61 - 1) and is_prime(2**60 - 93)
+    # strong pseudoprimes to bases 2..7, 2..23 and 2..37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    with pytest.raises(InputError, match="too large"):
+        is_prime(PRIME_TEST_LIMIT)
+
+
+def test_is_prime_power_large_inputs():
+    assert is_prime_power(2**60 - 93) and is_prime_power(3**40) and is_prime_power((2**31 - 1) ** 2)
+    assert not is_prime_power(6**20) and not is_prime_power(2**61 * 3)
+    assert not is_prime_power((2**31 - 1) * (2**31 + 11))
 
 
 def test_simple_type_json_roundtrip():

@@ -1,15 +1,19 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentforge.errors import InputError
 from momentforge.finab import FinAbGroup, Measure, enumerate_groups
 from momentforge.inversion import Bracket
+from momentforge.rationals import format_rational
 from momentforge.sampler import (
     SamplerConfig,
+    _draw_matrix,
     cokernel_partition,
     convergence_report,
     empirical_moments,
@@ -20,6 +24,49 @@ from momentforge.sampler import (
 
 Z = FinAbGroup.from_orders
 triv = FinAbGroup.trivial()
+
+
+def smith_partition_oracle(mat, p, cap):
+    """Per-matrix Smith reduction over Z/p**cap, the reference for the
+    batched cokernel_partition: repeatedly move a minimum-valuation entry
+    to the pivot, normalize it to a power of p and clear its row and column.
+    Pivot p**v contributes a Z/p**v factor; pivotless rows contribute
+    Z/p**cap."""
+    q = p**cap
+
+    def valuation(x):
+        v = 0
+        while v < cap and x % p ** (v + 1) == 0:
+            v += 1
+        return v
+
+    a = np.mod(np.asarray(mat, dtype=np.int64), q)
+    nrows, ncols = a.shape
+    exps = []
+    r = 0
+    while r < nrows and r < ncols:
+        sub = a[r:, r:]
+        val = np.vectorize(valuation, otypes=[np.int64])(sub)
+        flat = int(val.argmin())
+        i, j = divmod(flat, sub.shape[1])
+        v = int(val[i, j])
+        if v >= cap:
+            break
+        if i:
+            a[[r, r + i], :] = a[[r + i, r], :]
+        if j:
+            a[:, [r, r + j]] = a[:, [r + j, r]]
+        unit = int(a[r, r]) // p**v
+        uinv = pow(unit, -1, q)
+        a[r, :] = a[r, :] * uinv % q
+        colfac = a[r + 1 :, r] // p**v
+        a[r + 1 :, :] = (a[r + 1 :, :] - np.outer(colfac, a[r, :])) % q
+        rowfac = a[r, r + 1 :] // p**v
+        a[:, r + 1 :] = (a[:, r + 1 :] - np.outer(a[:, r], rowfac)) % q
+        exps.append(v)
+        r += 1
+    exps.extend([cap] * (nrows - r))
+    return tuple(sorted((v for v in exps if v > 0), reverse=True))
 
 
 def quotient_partition_oracle(mat, p, cap):
@@ -65,14 +112,67 @@ def test_smith_matches_quotient_oracle():
         n = int(rng.integers(0, 3))
         m = n + int(rng.integers(0, 2))
         mat = rng.integers(0, p**cap, size=(n, m))
-        assert cokernel_partition(mat, p, cap) == quotient_partition_oracle(mat, p, cap)
+        assert cokernel_partition(mat[None], p, cap) == [quotient_partition_oracle(mat, p, cap)]
 
 
 def test_known_cokernels():
-    assert cokernel_partition(np.array([[2]]), 2, 3) == (1,)
-    assert cokernel_partition(np.array([[0]]), 2, 3) == (3,)
-    assert cokernel_partition(np.array([[1]]), 2, 3) == ()
-    assert cokernel_partition(np.diag([1, 2, 4]), 2, 3) == (2, 1)
+    assert cokernel_partition(np.array([[[2]]]), 2, 3) == [(1,)]
+    assert cokernel_partition(np.array([[[0]]]), 2, 3) == [(3,)]
+    assert cokernel_partition(np.array([[[1]]]), 2, 3) == [()]
+    assert cokernel_partition(np.diag([1, 2, 4])[None], 2, 3) == [(2, 1)]
+    assert cokernel_partition(np.array([[[2]], [[0]], [[1]]]), 2, 3) == [(1,), (3,), ()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    cap=st.integers(1, 3),
+    n=st.integers(0, 6),
+    u=st.integers(0, 2),
+    count=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    sparsity=st.integers(0, 3),
+)
+def test_batched_smith_matches_per_matrix_oracle(p, cap, n, u, count, seed, sparsity):
+    # multiplying entries by p**k with random k makes low ranks and zero
+    # blocks common, so pivots of every valuation and early v = cap occur
+    rng = np.random.default_rng(seed)
+    q = p**cap
+    mats = rng.integers(0, q, size=(count, n, n + u))
+    mats = mats * p ** rng.integers(0, sparsity + 1, size=mats.shape) % q
+    want = [smith_partition_oracle(m, p, cap) for m in mats]
+    assert cokernel_partition(mats, p, cap) == want
+
+
+def _oracle_draws(config, count):
+    """Cokernels of draws 0 .. count-1, one matrix at a time through the oracle."""
+    return [
+        FinAbGroup.from_dict({config.p: smith_partition_oracle(_draw_matrix(config, i), config.p, config.cap)})
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "p, cap, n, u, count",
+    [(2, 3, 8, 0, 600), (3, 2, 6, 1, 600), (2, 3, 8, 0, 0), (2, 3, 0, 0, 300), (5, 1, 0, 2, 7)],
+)
+def test_sample_measure_matches_oracle_draws(p, cap, n, u, count):
+    # 600 draws straddle stacks of 64 (8 x 8) and 97 (6 x 7) draws
+    config = SamplerConfig(p=p, cap=cap, n=n, u=u, seed=2024, count=count)
+    tally = Counter(_oracle_draws(config, count))
+    assert sample_measure(config) == Measure({g: Fraction(c, count) for g, c in tally.items()})
+
+
+def test_convergence_report_matches_oracle_draws():
+    config = SamplerConfig(p=2, cap=3, n=8, seed=5, count=600)
+    targets = [triv, Z(2), Z(4)]
+    records = convergence_report(config, [100, 256, 257, 600], targets, r_max=2)
+    assert [rec["t"] for rec in records] == [t for t in (100, 256, 257, 600) for _ in targets]
+    draws = _oracle_draws(config, 600)
+    for rec in records:
+        tally = Counter(draws[: rec["t"]])
+        group = FinAbGroup.from_json_obj(rec["group"])
+        assert rec["frequency"] == format_rational(Fraction(tally[group], rec["t"]))
 
 
 def test_trivial_matrix_sizes():
@@ -98,6 +198,11 @@ def test_config_validation():
         SamplerConfig(p=2, cap=3, n=2, seed=-1, count=1)
     with pytest.raises(InputError):
         SamplerConfig(p=2, cap=40, n=2, seed=1, count=1)  # int64 overflow guard
+    # the size guard answers before p**(2*cap) or the primality test is computed
+    with pytest.raises(InputError, match="2\\*\\*62"):
+        SamplerConfig(p=1152921504606846883, cap=1, n=2, seed=1, count=1)
+    with pytest.raises(InputError, match="2\\*\\*62"):
+        SamplerConfig(p=3, cap=10**9, n=2, seed=1, count=1)
 
 
 def test_unit_entry_probability():
