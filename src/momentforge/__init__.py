@@ -4,6 +4,9 @@ from their surjection moments, with certified rational brackets.
 Every closed-form count in the package is paired with an independent
 brute-force oracle, and truncated inversion always returns a two-sided
 exact-rational interval rather than a point estimate.
+
+The sampler names load `momentforge.sampler`, and with it numpy, on first
+use, so importing the package stays cheap for the closed-form commands.
 """
 
 from .budget import Budget, budget_from_env
@@ -41,7 +44,6 @@ from .localize import (
 )
 from .nonab_oracle import hom_a5_count, sur_a5_bruteforce
 from .qseries import Rational, SimpleType, inversion_coefficient, q_binomial, q_pochhammer
-from .sampler import SamplerConfig, convergence_report, empirical_moments, sample_cokernel
 from .surjcount import MultiIndex, TypeBasis, sur_product, sur_single
 
 __all__ = [
@@ -93,3 +95,13 @@ __all__ = [
     "empirical_moments",
     "convergence_report",
 ]
+
+_SAMPLER_NAMES = ("SamplerConfig", "sample_cokernel", "empirical_moments", "convergence_report")
+
+
+def __getattr__(name: str):
+    if name in _SAMPLER_NAMES:
+        from . import sampler
+
+        return getattr(sampler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,6 @@ from .inversion import MomentTable, multi_invert_zero
 from .localize import ModuleMomentTable, localized_moments, reconstruct_probability
 from .qseries import SimpleType, inversion_coefficient
 from .rationals import format_rational
-from .sampler import SamplerConfig, convergence_report, sample_measure
 from .surjcount import TypeBasis, sur_product, sur_single
 
 
@@ -158,6 +157,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .sampler import SamplerConfig, convergence_report, sample_measure
+
     config = SamplerConfig(
         p=args.p, cap=args.cap, n=args.n, u=args.u, seed=args.seed, count=args.count
     )

@@ -18,7 +18,8 @@ extension_pair_count_direct, count_surjective_matrices). Oracles enumerate
 homomorphisms as generator-image tuples (an image is any element killed by
 the generator order) and decide surjectivity by image size
 |A| / |kernel|. They are deliberately dumb, metered by a Budget, and used
-only to check the closed forms.
+only to check the closed forms. Only the oracles need numpy, and they import
+it when they run, so the closed-form path never loads it.
 """
 
 from __future__ import annotations
@@ -27,15 +28,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from math import inf, prod
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .budget import Budget, resolve
 from .errors import ConsistencyError, InputError
 from .qseries import is_prime, q_binomial
 from .surjcount import MultiIndex, TypeBasis
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK_ENTRIES = 4_000_000  # target size for vectorized evaluation chunks
 
@@ -77,9 +79,7 @@ class FinAbGroup:
                 raise InputError(f"{p} is not prime")
             if not parts:
                 raise InputError(f"empty partition for prime {p}")
-            if any(a < 1 for a in parts) or any(
-                parts[i] < parts[i + 1] for i in range(len(parts) - 1)
-            ):
+            if parts[-1] < 1 or tuple(sorted(parts, reverse=True)) != parts:
                 raise InputError(f"partition for prime {p} must be weakly decreasing >= 1")
             last_p = p
 
@@ -167,13 +167,24 @@ class FinAbGroup:
         return {str(p): list(parts) for p, parts in self.components}
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "FinAbGroup":
-        if not isinstance(obj, Mapping):
+    def from_json_obj(cls, obj: dict) -> "FinAbGroup":
+        """Group from JSON like {"2": [2, 1], "3": [1]}: prime keys, lists of
+        integer exponents in any order. Canonicalizes in one pass; floats,
+        booleans and strings are rejected, not truncated, and so are prime
+        keys that int() would bend, such as "1_1" or " 3"."""
+        if not isinstance(obj, dict):
             raise InputError(f"group JSON must be an object, got {obj!r}")
-        try:
-            return cls.from_dict({int(p): parts for p, parts in obj.items()})
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad group JSON {obj!r}: {exc}") from exc
+        comps: dict[int, tuple[int, ...]] = {}
+        for key, parts in obj.items():
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):  # not "1_1"
+                raise InputError(f"bad group JSON {obj!r}: prime {key!r} is not a decimal integer")
+            p = int(key)
+            if not isinstance(parts, (list, tuple)) or any(type(a) is not int for a in parts):
+                raise InputError(f"bad group JSON {obj!r}: exponents must be a list of integers")
+            if p in comps:
+                raise InputError(f"bad group JSON {obj!r}: prime {p} appears twice")
+            comps[p] = tuple(sorted(parts, reverse=True))
+        return cls(tuple((p, parts) for p, parts in sorted(comps.items()) if parts))
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -220,6 +231,51 @@ def _enumerate_cached(ps: tuple[int, ...], order_bound: int) -> tuple[FinAbGroup
     return tuple(out)
 
 
+_PARTITION_COUNTS = [1]  # partition_count(n) for every n computed so far
+
+
+def partition_count(n: int) -> int:
+    """Number of partitions of n, by Euler's pentagonal-number recurrence
+    p(m) = sum_{k>=1} (-1)**(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
+    table = _PARTITION_COUNTS
+    while len(table) <= n:
+        m, total, k = len(table), 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * table[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * table[m - k * (3 * k + 1) // 2]
+            k += 1
+        table.append(total)
+    return table[n]
+
+
+def group_count(primes: Iterable[int], order_bound: int, stop: int | None = None) -> int:
+    """Number of groups supported on `primes` of order <= order_bound,
+    without building them: the sum over exponent vectors (a_p) with
+    prod p**a_p <= order_bound of prod partition_count(a_p).
+
+    With `stop`, counting ends once the count exceeds it and some value
+    above `stop` is returned, so the work is bounded by `stop` and the
+    number of primes, however large the bound. `primes` must be primes;
+    unlike enumerate_groups, this does not check them. enumerate_groups is
+    the oracle for it.
+    """
+    ps = sorted(set(primes))
+    limit = inf if stop is None else stop
+
+    def count(i: int, bound: int) -> int:  # groups on ps[i:] of order <= bound
+        if i == len(ps):
+            return 1
+        total, a, pa = 0, 0, 1
+        while pa <= bound and total <= limit:
+            total += partition_count(a) * count(i + 1, bound // pa)
+            a, pa = a + 1, pa * ps[i]
+        return total
+
+    return count(0, order_bound) if order_bound >= 1 else 0
+
+
 # --------------------------------------------------------------------------
 # Element tables and homomorphism enumeration
 # --------------------------------------------------------------------------
@@ -231,6 +287,8 @@ class _Table:
     __slots__ = ("group", "moduli", "coords", "_torsion")
 
     def __init__(self, group: FinAbGroup):
+        import numpy as np
+
         self.group = group
         self.moduli = np.array(group.cyclic_moduli, dtype=np.int64)
         n = group.order
@@ -244,6 +302,8 @@ class _Table:
 
     def torsion_mask(self, d: int) -> np.ndarray:
         """Boolean mask of elements y with d*y = 0."""
+        import numpy as np
+
         mask = self._torsion.get(d)
         if mask is None:
             if len(self.moduli):
@@ -268,11 +328,15 @@ def _tables_for(A: FinAbGroup, B: FinAbGroup, budget: Budget, what: str):
 def _hom_image_choices(ta: _Table, tb: _Table) -> list[np.ndarray]:
     """Allowed image indices in B per generator of A (elements killed by the
     generator order). Every choice tuple defines a homomorphism."""
+    import numpy as np
+
     return [np.flatnonzero(tb.torsion_mask(int(d))) for d in ta.moduli]
 
 
 def _candidate_block(choices: list[np.ndarray], start: int, stop: int) -> np.ndarray:
     """(stop-start, rank_A) slice of the lexicographic candidate enumeration."""
+    import numpy as np
+
     idx = np.arange(start, stop, dtype=np.int64)
     if not choices:
         return np.zeros((len(idx), 0), dtype=np.int64)
@@ -284,6 +348,8 @@ def _candidate_block(choices: list[np.ndarray], start: int, stop: int) -> np.nda
 def _iter_hom_chunks(ta: _Table, tb: _Table, choices: list[np.ndarray], total: int):
     """Yield kernel_bool blocks, kernel_bool[t, x] marking elements of A sent
     to 0 by candidate hom t of the block. Candidates are generated lazily."""
+    import numpy as np
+
     n_a = ta.coords.shape[0]
     ncomp_b = len(tb.moduli)
     rows = max(1, _CHUNK_ENTRIES // max(1, n_a * max(1, ncomp_b)))
@@ -521,6 +587,8 @@ def _kernel_profile(X: FinAbGroup, M: FinAbGroup, budget: Budget) -> tuple:
     Returns ((elementary_group, multiplicity), ...): how many surjections
     have a kernel whose quotient mod the radical is that group.
     """
+    import numpy as np
+
     ta, tb = _tables_for(X, M, budget, f"kernel enumeration {X} -> {M}")
     choices = _hom_image_choices(ta, tb)
     total = prod(len(ch) for ch in choices)
@@ -627,6 +695,8 @@ def extension_pair_count_direct(
     """Same count as extension_pair_count by the dumbest route: enumerate
     embeddings and surjections separately and join on the image/kernel set.
     Cross-check only; cost grows with |M'|**rank(N)."""
+    import numpy as np
+
     budget = resolve(budget)
     tn, tmid = _tables_for(N, middle, budget, f"embedding enumeration {N} -> {middle}")
     tmid2, tm = _tables_for(middle, M, budget, f"surjection enumeration {middle} -> {M}")
@@ -796,6 +866,8 @@ def count_surjective_matrices(h: int, e: int, k: int, budget: Budget | None = No
         return 1
     if e == 0:
         return 0
+    import numpy as np
+
     budget = resolve(budget)
     n = h**e
     budget.check_order(n, f"matrix oracle over F_{h}^{e}")

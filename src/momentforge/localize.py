@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +24,9 @@ from .finab import (
     candidate_middles,
     enumerate_groups,
     extension_class_count,
+    group_count,
     hom_count,
+    is_prime,
     surjection_kernel_profile,
 )
 from .inversion import Bracket, MomentTable, multi_invert_zero
@@ -38,6 +41,13 @@ class ModuleMomentTable:
     The table is complete for every group on `primes` with order up to
     order_bound; extra entries beyond that bound are allowed and used when
     present.
+
+    Completeness is checked by counting, not by building every group: the
+    keys are distinct groups, each checked to lie on the table primes, so
+    the keys of order <= order_bound are a subset of the groups on those
+    primes of that order. The subset is all of them exactly when both have
+    the same size, and group_count gives the size of the latter in closed
+    form. Only an incomplete table enumerates groups, to name what it lacks.
     """
 
     def __init__(
@@ -47,31 +57,36 @@ class ModuleMomentTable:
         values: Mapping[FinAbGroup, Fraction | int],
     ):
         try:
-            self.primes = tuple(sorted(set(int(p) for p in primes)))
-        except (TypeError, ValueError) as exc:
+            primes = tuple(primes)
+        except TypeError as exc:
             raise InputError(f"primes must be a list of integers, got {primes!r}") from exc
-        try:
-            self.order_bound = int(order_bound)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"order_bound must be an integer, got {order_bound!r}") from exc
-        if self.order_bound < 1:
+        if any(type(p) is not int for p in primes):
+            raise InputError(f"primes must be a list of integers, got {primes!r}")
+        self.primes = tuple(sorted(set(primes)))
+        for p in self.primes:
+            if not is_prime(p):
+                raise InputError(f"{p} is not prime")
+        if type(order_bound) is not int:
+            raise InputError(f"order_bound must be an integer, got {order_bound!r}")
+        if order_bound < 1:
             raise InputError(f"order_bound must be >= 1, got {order_bound}")
+        self.order_bound = order_bound
         table: dict[FinAbGroup, Fraction] = {}
         for g, v in values.items():
             if not isinstance(g, FinAbGroup):
                 raise InputError(f"moment keys must be groups, got {g!r}")
             if any(p not in self.primes for p in g.primes):
                 raise InputError(f"group {g} is not supported on primes {self.primes}")
-            v = Fraction(v)
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if v < 0:
                 raise InputError(f"moment at {g} is negative: {v}")
             table[g] = v
-        missing = [
-            g for g in enumerate_groups(self.primes, self.order_bound) if g not in table
-        ]
-        if missing:
+        orders = sorted(g.order for g in table)
+        if _shortfall(self.primes, orders, order_bound, 1):
+            missing = _missing_groups(self.primes, orders, order_bound, table)
             raise InputError(
-                f"moment table is not complete up to order {self.order_bound}; "
+                f"moment table is not complete up to order {order_bound}; "
                 f"missing {', '.join(str(g) for g in missing[:8])}"
                 + ("..." if len(missing) > 8 else "")
             )
@@ -101,10 +116,12 @@ class ModuleMomentTable:
         try:
             primes = obj["primes"]
             order_bound = obj["order_bound"]
-            values = {
-                FinAbGroup.from_json_obj(rec["group"]): parse_rational(rec["value"])
-                for rec in obj["moments"]
-            }
+            values: dict[FinAbGroup, Fraction] = {}
+            for rec in obj["moments"]:
+                g = FinAbGroup.from_json_obj(rec["group"])
+                if g in values:
+                    raise InputError(f"duplicate group {g} in module moment-table JSON")
+                values[g] = parse_rational(rec["value"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad module moment-table JSON: {exc}") from exc
         return cls(primes, order_bound, values)
@@ -113,20 +130,51 @@ class ModuleMomentTable:
         return json.dumps(self.to_json_obj())
 
 
+def _shortfall(primes: Sequence[int], orders: list[int], bound: int, cap: int) -> int:
+    """min(cap, number of groups on `primes` of order <= bound that are not
+    keys), given the sorted orders of the keys, all groups on `primes`."""
+    keys = bisect_right(orders, bound)
+    return min(cap, group_count(primes, bound, stop=keys + cap - 1) - keys)
+
+
+def _least_short_order(primes: Sequence[int], orders: list[int], bound: int, want: int) -> int:
+    """Least b <= bound by which `want` groups are missing; the shortfall at
+    bound must reach want. Keys are a subset of the groups, so the shortfall
+    never decreases as b grows, and bisection finds b."""
+    lo, hi = 1, bound
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _shortfall(primes, orders, mid, want) >= want:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _missing_groups(
+    primes: Sequence[int], orders: list[int], bound: int, table: Mapping[FinAbGroup, Fraction]
+) -> list[FinAbGroup]:
+    """Groups up to `bound` the table lacks, enumerated only up to the least
+    order by which nine are missing (or all of them, if fewer): enough to
+    name the first eight and to tell whether there are more."""
+    want = _shortfall(primes, orders, bound, 9)
+    last = _least_short_order(primes, orders, bound, want)
+    return [g for g in enumerate_groups(primes, last) if g not in table]
+
+
 def complete_order_bound(primes: Sequence[int], keys: set[FinAbGroup]) -> int:
-    """Largest B such that every group on `primes` of order <= B is a key."""
-    if FinAbGroup.trivial() not in keys:
+    """Largest B such that every group on `primes` of order <= B is a key.
+    `primes` must be primes (see group_count)."""
+    on_primes = set(primes)
+    orders = sorted(g.order for g in keys if on_primes.issuperset(g.primes))
+    if not orders:
         return 0
-    max_order = max(g.order for g in keys)
-    for g in enumerate_groups(primes, max_order):
-        if g not in keys:
-            return g.order - 1
-    return max_order
+    if not _shortfall(primes, orders, orders[-1], 1):
+        return orders[-1]
+    return _least_short_order(primes, orders, orders[-1], 1) - 1
 
 
 def _basis_primes(basis: TypeBasis) -> tuple[int, ...]:
-    from .finab import is_prime
-
     ps = []
     for i, t in enumerate(basis):
         if not t.is_abelian or not is_prime(t.h):

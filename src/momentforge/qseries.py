@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError
 
@@ -26,6 +27,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=4096)  # group construction asks about the same few primes
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; InputError at or above PRIME_TEST_LIMIT."""
     if n >= PRIME_TEST_LIMIT:

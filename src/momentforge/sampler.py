@@ -29,6 +29,12 @@ from .rationals import format_rational
 from .surjcount import TypeBasis
 
 
+# Entry cap on one drawn matrix, checked before anything is allocated: an
+# int64 matrix of 2**20 entries takes 8 MB, and the Smith reduction a few
+# copies of it.
+MAX_MATRIX_ENTRIES = 2**20
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Cokernel sampler parameters; seed and draw index fully determine a draw."""
@@ -49,6 +55,11 @@ class SamplerConfig:
             raise InputError(f"p must be prime, got {self.p}")
         if self.n < 0 or self.u < 0 or self.count < 0:
             raise InputError("n, u and count must be nonnegative")
+        if self.n * (self.n + self.u) > MAX_MATRIX_ENTRIES:
+            raise InputError(
+                f"an n x (n+u) matrix may have at most {MAX_MATRIX_ENTRIES} entries, "
+                f"got {self.n} x {self.n + self.u}"
+            )
         if not 0 <= self.seed < 2**64:
             raise InputError(f"seed must fit in 64 bits, got {self.seed}")
 

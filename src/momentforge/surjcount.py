@@ -57,9 +57,11 @@ class TypeBasis:
 
 def check_index(basis: TypeBasis, idx: Sequence[int], name: str) -> MultiIndex:
     try:
-        idx = tuple(int(v) for v in idx)
-    except (TypeError, ValueError) as exc:
+        idx = tuple(idx)
+    except TypeError as exc:
         raise InputError(f"{name} must be a list of integers, got {idx!r}") from exc
+    if any(type(v) is not int for v in idx):  # no silent truncation of 1.9 or True
+        raise InputError(f"{name} must be a list of integers, got {list(idx)!r}")
     if len(idx) != len(basis):
         raise InputError(
             f"{name} has length {len(idx)} but the basis has {len(basis)} types"

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import momentforge
 from momentforge.cli import main
 from momentforge.finab import FinAbGroup, Measure, enumerate_groups
 from momentforge.inversion import Bracket, MomentTable
@@ -194,14 +200,114 @@ def test_invert_bad_bound_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "invert", "--file", str(path), "--rmax", "1")
     assert code == 1 and err.startswith("error: ") and "bound" in err
 
+@pytest.mark.parametrize("bound", [[1.9], [True]])
+def test_invert_non_integer_bound_is_input_error(bound, tmp_path, capsys):
+    # int() used to truncate 1.9 to 1 and read true as 1
+    obj = {"basis": [{"kind": "abelian", "h": 2}], "bound": bound, "moments": [{"k": [0], "value": "1"}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "invert", "--file", str(path), "--rmax", "1")
+    assert code == 1 and err.startswith("error: ") and "bound" in err
 
-@pytest.mark.parametrize("field, value", [("primes", "ab"), ("order_bound", "x")])
+
+@pytest.mark.parametrize("field, value", [
+    ("primes", "ab"), ("order_bound", "x"), ("order_bound", 16.5), ("primes", [2.0]),
+    ("primes", [True]),
+])
 def test_reconstruct_bad_table_field_is_input_error(field, value, half_table_path, capsys):
     obj = json.loads(half_table_path.read_text())
     obj[field] = value
     half_table_path.write_text(json.dumps(obj))
     code, _, err = run(capsys, "reconstruct", "--file", str(half_table_path), "--group", "{}", "--rmax", "1")
     assert code == 1 and err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("group", ['{"2":[1.9]}', '{"2":[true]}', '{"2":[2,"1"]}', '{"2":[1],"02":[1]}'])
+def test_reconstruct_bad_group_is_input_error(group, half_table_path, capsys):
+    # exponents used to be truncated by int(): 1.9 and true answered as Z/2
+    code, _, err = run(capsys, "reconstruct", "--file", str(half_table_path), "--group", group, "--rmax", "1")
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", [{"2": [1.7]}, {"2": [True, 1]}])
+def test_reconstruct_bad_table_key_is_input_error(key, half_table_path, capsys):
+    obj = json.loads(half_table_path.read_text())
+    obj["moments"].append({"group": key, "value": "1"})
+    half_table_path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "reconstruct", "--file", str(half_table_path), "--group", "{}", "--rmax", "1")
+    assert code == 1 and err.startswith("error: ") and "exponents" in err
+
+
+@pytest.mark.parametrize("primes", [[4], [1]])
+def test_reconstruct_non_prime_table_primes_exit_1(primes, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"primes": primes, "order_bound": 3, "moments": [{"group": {}, "value": "1"}]}))
+    code, _, err = run(capsys, "reconstruct", "--file", str(path), "--group", "{}", "--rmax", "1")
+    assert code == 1 and "not prime" in err
+
+
+def test_huge_order_bound_exits_1_quickly(half_table_path, capsys):
+    # completeness is counted, so 10**40 costs no more than the table's size
+    obj = json.loads(half_table_path.read_text())
+    obj["order_bound"] = 10**40
+    half_table_path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "reconstruct", "--file", str(half_table_path), "--group", "{}", "--rmax", "1")
+    assert time.perf_counter() - start < 2
+    assert code == 1 and f"up to order {10**40}; missing Z/2 x Z/2 x Z/2 x Z/2 x Z/2, " in err
+
+
+def test_oversized_sample_matrix_exits_1(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "sample", "--p", "2", "--cap", "3", "--n", "20000", "--seed", "1", "--count", "1")
+    assert time.perf_counter() - start < 2
+    assert code == 1 and "entries" in err
+
+
+_NO_NUMPY_SCRIPT = """
+import json, sys
+from momentforge.cli import main
+table, moments = sys.argv[1], sys.argv[2]
+runs = [
+    ["reconstruct", "--file", table, "--group", '{"2":[1]}', "--rmax", "3"],
+    ["localize", "--file", table, "--group", "{}", "--kbound", "2"],
+    ["invert", "--file", moments, "--rmax", "4"],
+    ["coeffs", "--abelian", "2", "--k", "3"],
+    ["sur", "--abelian", "2", "--e", "3", "--k", "2"],
+]
+codes = [main(argv) for argv in runs]
+loaded = "numpy" in sys.modules
+codes.append(main(["sample", "--p", "2", "--cap", "2", "--n", "3", "--seed", "1", "--count", "5"]))
+import momentforge.verify
+print(json.dumps({"codes": codes, "numpy_before_sample": loaded, "numpy_after": "numpy" in sys.modules}))
+"""
+
+
+def test_closed_form_commands_do_not_load_numpy(half_table_path, tmp_path):
+    moments = tmp_path / "moments.json"
+    moments.write_text(MomentTable.one_type(SimpleType.abelian(2), [1] * 5).dumps())
+    src = Path(momentforge.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, str(half_table_path), str(moments)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 6, "numpy_before_sample": False, "numpy_after": True}
+
+
+def test_sampler_names_at_package_root():
+    from momentforge import SamplerConfig, convergence_report, empirical_moments, sample_cokernel
+    from momentforge import sampler
+
+    assert SamplerConfig is sampler.SamplerConfig
+    assert convergence_report is sampler.convergence_report
+    assert empirical_moments is sampler.empirical_moments
+    assert sample_cokernel is sampler.sample_cokernel
+    assert set(momentforge.__all__) >= {"SamplerConfig", "sample_cokernel"}
+    with pytest.raises(AttributeError):
+        momentforge.no_such_name
 
 
 def test_large_prime_inputs_exit_1(half_table_path, capsys):

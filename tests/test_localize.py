@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentforge.errors import InputError
 from momentforge.finab import (
@@ -68,6 +70,56 @@ class TestModuleMomentTable:
         assert complete_order_bound([2], keys) == 15
         assert complete_order_bound([2], {triv}) == 1
         assert complete_order_bound([2], set()) == 0
+
+    @pytest.mark.parametrize("primes", [[4], [1], [6], [2, 4]])
+    def test_non_prime_table_primes_rejected(self, primes):
+        # primes [4] with only the trivial group up to order 3 would pass a
+        # bare count: no power 4**a with a >= 1 is <= 3
+        with pytest.raises(InputError, match="not prime"):
+            ModuleMomentTable(primes, 3, {triv: 1})
+
+    @pytest.mark.parametrize("field, value", [
+        ("primes", [2.0]), ("primes", [True]), ("primes", 2), ("order_bound", 16.5),
+        ("order_bound", True), ("order_bound", "16"),
+    ])
+    def test_non_integer_fields_rejected(self, field, value):
+        args = {"primes": [2], "order_bound": 1, field: value}
+        with pytest.raises(InputError, match=field):
+            ModuleMomentTable(args["primes"], args["order_bound"], {triv: 1})
+
+    def test_duplicate_json_group_rejected(self):
+        obj = {"primes": [2], "order_bound": 1, "moments": [
+            {"group": {}, "value": "1"}, {"group": {}, "value": "2"}]}
+        with pytest.raises(InputError, match="duplicate"):
+            ModuleMomentTable.from_json_obj(obj)
+
+    @given(st.sets(st.sampled_from(enumerate_groups([2, 3], 200)), max_size=30),
+           st.integers(1, 200))
+    @settings(max_examples=60, deadline=None)
+    def test_incompleteness_message_matches_enumeration(self, drop, bound):
+        # oracle: build every group up to the bound and list the absent ones
+        keys = {g: 1 for g in enumerate_groups([2, 3], 200) if g not in drop}
+        missing = [g for g in enumerate_groups([2, 3], bound) if g not in keys]
+        if not missing:
+            assert ModuleMomentTable([2, 3], bound, keys).order_bound == bound
+            return
+        with pytest.raises(InputError) as info:
+            ModuleMomentTable([2, 3], bound, keys)
+        assert str(info.value) == (
+            f"moment table is not complete up to order {bound}; missing "
+            + ", ".join(str(g) for g in missing[:8]) + ("..." if len(missing) > 8 else "")
+        )
+        assert complete_order_bound([2, 3], set(keys)) == missing[0].order - 1
+
+    def test_huge_order_bound_names_first_missing_quickly(self):
+        # only groups up to the ninth missing one are built, not up to 10**40
+        keys = {g: 1 for g in enumerate_groups([3], 3**14)}
+        start = time.perf_counter()
+        with pytest.raises(InputError) as info:
+            ModuleMomentTable([3], 10**40, keys)
+        assert time.perf_counter() - start < 2
+        first = [g for g in enumerate_groups([3], 3**15) if g.order == 3**15][:8]
+        assert str(info.value).endswith(", ".join(map(str, first)) + "...")
 
 
 class TestLocalizedMoments:

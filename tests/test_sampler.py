@@ -203,6 +203,12 @@ def test_config_validation():
         SamplerConfig(p=1152921504606846883, cap=1, n=2, seed=1, count=1)
     with pytest.raises(InputError, match="2\\*\\*62"):
         SamplerConfig(p=3, cap=10**9, n=2, seed=1, count=1)
+    # the matrix-size cap answers before any entry is drawn
+    with pytest.raises(InputError, match="entries"):
+        SamplerConfig(p=2, cap=3, n=20_000, seed=1, count=1)
+    with pytest.raises(InputError, match="entries"):
+        SamplerConfig(p=2, cap=3, n=1024, u=1, seed=1, count=1)
+    SamplerConfig(p=2, cap=3, n=1024, seed=1, count=1)  # exactly at the cap
 
 
 def test_unit_entry_probability():
