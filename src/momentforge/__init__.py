@@ -18,7 +18,6 @@ from .errors import (
     MomentforgeError,
 )
 from .finab import (
-    ExtensionTable,
     FinAbGroup,
     Measure,
     aut_bruteforce,
@@ -26,16 +25,14 @@ from .finab import (
     count_surjective_matrices,
     enumerate_groups,
     extension_class_count,
-    extension_table,
     hom_count,
     hom_count_bruteforce,
     kernel_pair_count,
-    semisimplify,
     sur_bruteforce,
     sur_count,
     surjection_kernel_profile,
 )
-from .inversion import Bracket, MomentTable, invert_zero, multi_invert_zero, partial_sum
+from .inversion import Bracket, MomentTable, multi_invert_zero
 from .localize import (
     ModuleMomentTable,
     localized_moments,
@@ -65,7 +62,6 @@ __all__ = [
     "sur_product",
     "FinAbGroup",
     "Measure",
-    "ExtensionTable",
     "enumerate_groups",
     "hom_count",
     "hom_count_bruteforce",
@@ -73,18 +69,14 @@ __all__ = [
     "aut_bruteforce",
     "sur_bruteforce",
     "sur_count",
-    "semisimplify",
     "surjection_kernel_profile",
     "kernel_pair_count",
     "extension_class_count",
-    "extension_table",
     "count_surjective_matrices",
     "hom_a5_count",
     "sur_a5_bruteforce",
     "MomentTable",
     "Bracket",
-    "partial_sum",
-    "invert_zero",
     "multi_invert_zero",
     "ModuleMomentTable",
     "localized_moments",

@@ -275,10 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MomentforgeError as exc:  # any other library failure is an input issue
+    except MomentforgeError as exc:  # InputError and any other library failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

@@ -14,17 +14,20 @@ enumerates group elements, so none is metered by a Budget.
 
 Beside each closed form sits its oracle (hom_count_bruteforce,
 aut_bruteforce, sur_bruteforce, kernel_pair_count,
-extension_pair_count_direct, count_surjective_matrices). Oracles enumerate
-homomorphisms as generator-image tuples (an image is any element killed by
-the generator order) and decide surjectivity by image size
-|A| / |kernel|. They are deliberately dumb, metered by a Budget, and used
-only to check the closed forms. Only the oracles need numpy, and they import
-it when they run, so the closed-form path never loads it.
+extension_pair_count_direct, count_surjective_matrices). Every oracle that
+walks homomorphisms gets them from one enumerator, _hom_images, which
+meters the search by a Budget and yields the images of all elements of A
+as generator-image tuples (an image is any element killed by the
+generator order); each oracle only reduces those blocks, deciding
+surjectivity by image size |A| / |kernel|. The oracles are deliberately
+dumb and used only to check the closed forms. Only they need numpy, and
+they import it when they run, so the closed-form path never loads it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +37,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 from .budget import Budget, resolve
 from .errors import ConsistencyError, InputError
 from .qseries import is_prime, q_binomial
-from .surjcount import MultiIndex, TypeBasis
 
 if TYPE_CHECKING:
     import numpy as np
@@ -282,35 +284,24 @@ def group_count(primes: Iterable[int], order_bound: int, stop: int | None = None
 
 
 class _Table:
-    """Element table of a group: mixed-radix coordinates per cyclic factor."""
+    """Element table of a group: mixed-radix coordinates per cyclic factor,
+    the last factor varying fastest."""
 
-    __slots__ = ("group", "moduli", "coords", "_torsion")
+    __slots__ = ("moduli", "coords", "_torsion")
 
     def __init__(self, group: FinAbGroup):
         import numpy as np
 
-        self.group = group
-        self.moduli = np.array(group.cyclic_moduli, dtype=np.int64)
-        n = group.order
-        if len(self.moduli):
-            self.coords = np.array(
-                np.unravel_index(np.arange(n), tuple(self.moduli)), dtype=np.int64
-            ).T
-        else:
-            self.coords = np.zeros((1, 0), dtype=np.int64)
+        moduli = group.cyclic_moduli
+        self.moduli = np.array(moduli, dtype=np.int64)
+        self.coords = np.indices(moduli, dtype=np.int64).reshape(len(moduli), group.order).T
         self._torsion: dict[int, np.ndarray] = {}
 
     def torsion_mask(self, d: int) -> np.ndarray:
         """Boolean mask of elements y with d*y = 0."""
-        import numpy as np
-
         mask = self._torsion.get(d)
         if mask is None:
-            if len(self.moduli):
-                mask = ((self.coords * d) % self.moduli == 0).all(axis=1)
-            else:
-                mask = np.ones(1, dtype=bool)
-            self._torsion[d] = mask
+            mask = self._torsion[d] = ((self.coords * d) % self.moduli == 0).all(axis=1)
         return mask
 
 
@@ -319,48 +310,31 @@ def _table(group: FinAbGroup) -> _Table:
     return _Table(group)
 
 
-def _tables_for(A: FinAbGroup, B: FinAbGroup, budget: Budget, what: str):
+def _hom_images(A: FinAbGroup, B: FinAbGroup, budget: Budget, what: str) -> Iterator[np.ndarray]:
+    """Every homomorphism A -> B, as blocks vals[t, x, c]: coordinate c in B
+    of the image of element x of A under candidate t of the block.
+
+    A candidate sends each generator of A to any element of B killed by the
+    generator order, and every such tuple is a homomorphism. Both element
+    tables and the number of tuples are metered by the budget, naming
+    `what`; blocks are generated lazily to hold about _CHUNK_ENTRIES values.
+    """
+    import numpy as np
+
     budget.check_order(A.order, what)
     budget.check_order(B.order, what)
-    return _table(A), _table(B)
-
-
-def _hom_image_choices(ta: _Table, tb: _Table) -> list[np.ndarray]:
-    """Allowed image indices in B per generator of A (elements killed by the
-    generator order). Every choice tuple defines a homomorphism."""
-    import numpy as np
-
-    return [np.flatnonzero(tb.torsion_mask(int(d))) for d in ta.moduli]
-
-
-def _candidate_block(choices: list[np.ndarray], start: int, stop: int) -> np.ndarray:
-    """(stop-start, rank_A) slice of the lexicographic candidate enumeration."""
-    import numpy as np
-
-    idx = np.arange(start, stop, dtype=np.int64)
-    if not choices:
-        return np.zeros((len(idx), 0), dtype=np.int64)
-    dims = tuple(len(ch) for ch in choices)
-    digits = np.unravel_index(idx, dims)
-    return np.stack([ch[d] for ch, d in zip(choices, digits)], axis=1)
-
-
-def _iter_hom_chunks(ta: _Table, tb: _Table, choices: list[np.ndarray], total: int):
-    """Yield kernel_bool blocks, kernel_bool[t, x] marking elements of A sent
-    to 0 by candidate hom t of the block. Candidates are generated lazily."""
-    import numpy as np
-
-    n_a = ta.coords.shape[0]
-    ncomp_b = len(tb.moduli)
-    rows = max(1, _CHUNK_ENTRIES // max(1, n_a * max(1, ncomp_b)))
+    ta, tb = _table(A), _table(B)
+    choices = [np.flatnonzero(tb.torsion_mask(d)) for d in A.cyclic_moduli]
+    total = prod(len(ch) for ch in choices)
+    budget.check_candidates(total, what)
+    rows = max(1, _CHUNK_ENTRIES // (A.order * max(1, len(tb.moduli))))
     for start in range(0, total, rows):
-        block = _candidate_block(choices, start, min(start + rows, total))
-        img = tb.coords[block]  # (c, rA, ncompB)
-        if ncomp_b == 0:
-            yield np.ones((block.shape[0], n_a), dtype=bool)
-            continue
-        vals = np.einsum("xi,tic->txc", ta.coords, img) % tb.moduli
-        yield (vals == 0).all(axis=2)
+        rest = np.arange(start, min(start + rows, total), dtype=np.int64)
+        block = np.empty((len(rest), len(choices)), dtype=np.int64)
+        for i in range(len(choices) - 1, -1, -1):  # lexicographic digits
+            rest, digit = np.divmod(rest, len(choices[i]))
+            block[:, i] = choices[i][digit]
+        yield np.einsum("xi,tic->txc", ta.coords, tb.coords[block]) % tb.moduli
 
 
 def hom_count(A: FinAbGroup, B: FinAbGroup) -> int:
@@ -376,8 +350,11 @@ def _hom_exponent(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
 def hom_count_bruteforce(A: FinAbGroup, B: FinAbGroup, budget: Budget | None = None) -> int:
     """|Hom(A, B)| by scanning B's elements for each generator order of A."""
     budget = resolve(budget)
-    ta, tb = _tables_for(A, B, budget, f"hom enumeration {A} -> {B}")
-    return prod(int(tb.torsion_mask(int(d)).sum()) for d in ta.moduli)
+    what = f"hom enumeration {A} -> {B}"
+    budget.check_order(A.order, what)
+    budget.check_order(B.order, what)
+    tb = _table(B)
+    return prod(int(tb.torsion_mask(d).sum()) for d in A.cyclic_moduli)
 
 
 def aut_count(A: FinAbGroup) -> int:
@@ -478,14 +455,9 @@ def _strips_above(mu: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
 
 def aut_bruteforce(A: FinAbGroup, budget: Budget | None = None) -> int:
     """|Aut(A)| by enumerating endomorphisms and keeping the bijective ones."""
-    budget = resolve(budget)
-    ta, tb = _tables_for(A, A, budget, f"aut enumeration {A}")
-    choices = _hom_image_choices(ta, tb)
-    total = prod(len(ch) for ch in choices)
-    budget.check_candidates(total, f"aut enumeration {A}")
     count = 0
-    for kernel in _iter_hom_chunks(ta, tb, choices, total):
-        count += int((kernel.sum(axis=1) == 1).sum())
+    for vals in _hom_images(A, A, resolve(budget), f"aut enumeration {A}"):
+        count += int(((vals == 0).all(axis=2).sum(axis=1) == 1).sum())
     return count
 
 
@@ -499,14 +471,9 @@ def sur_bruteforce(A: FinAbGroup, B: FinAbGroup, budget: Budget | None = None) -
 
 @lru_cache(maxsize=65536)
 def _sur_bruteforce_cached(A: FinAbGroup, B: FinAbGroup, budget: Budget) -> int:
-    ta, tb = _tables_for(A, B, budget, f"surjection enumeration {A} -> {B}")
-    choices = _hom_image_choices(ta, tb)
-    total = prod(len(ch) for ch in choices)
-    budget.check_candidates(total, f"surjection enumeration {A} -> {B}")
-    n_a, n_b = A.order, B.order
     count = 0
-    for kernel in _iter_hom_chunks(ta, tb, choices, total):
-        count += int((kernel.sum(axis=1) * n_b == n_a).sum())
+    for vals in _hom_images(A, B, budget, f"surjection enumeration {A} -> {B}"):
+        count += int(((vals == 0).all(axis=2).sum(axis=1) * B.order == A.order).sum())
     return count
 
 
@@ -551,33 +518,8 @@ def _sur_p(p: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
 
 
 # --------------------------------------------------------------------------
-# Semisimplification and kernel bookkeeping
+# Kernel bookkeeping
 # --------------------------------------------------------------------------
-
-
-def semisimplify(A: FinAbGroup, basis: TypeBasis) -> MultiIndex:
-    """Exponent vector of A modulo its radical, against a prime-field basis.
-
-    Entry i is the number of cyclic p_i-factors of A, realizing
-    A / (rad) = prod F_{p_i}**e_i. Primes of A outside the basis are a hard
-    input error.
-    """
-    prime_to_slot: dict[int, int] = {}
-    for i, t in enumerate(basis):
-        if not t.is_abelian or not is_prime(t.h):
-            raise InputError(
-                "semisimplify needs a basis of prime-field abelian types, "
-                f"got {t} at position {i}"
-            )
-        if t.h in prime_to_slot:
-            raise InputError(f"duplicate prime {t.h} in basis")
-        prime_to_slot[t.h] = i
-    e = [0] * len(basis)
-    for p, parts in A.components:
-        if p not in prime_to_slot:
-            raise InputError(f"prime {p} of {A} is not covered by the basis")
-        e[prime_to_slot[p]] = len(parts)
-    return tuple(e)
 
 
 @lru_cache(maxsize=4096)
@@ -589,43 +531,25 @@ def _kernel_profile(X: FinAbGroup, M: FinAbGroup, budget: Budget) -> tuple:
     """
     import numpy as np
 
-    ta, tb = _tables_for(X, M, budget, f"kernel enumeration {X} -> {M}")
-    choices = _hom_image_choices(ta, tb)
-    total = prod(len(ch) for ch in choices)
-    budget.check_candidates(total, f"kernel enumeration {X} -> {M}")
-    n_x, n_m = X.order, M.order
-    ps = X.primes
-    kill = [ta.torsion_mask(p).astype(np.int64) for p in ps]
-    counts: dict[FinAbGroup, int] = {}
-    for kernel in _iter_hom_chunks(ta, tb, choices, total):
-        sizes = kernel.sum(axis=1)
-        surj = sizes * n_m == n_x
-        if not surj.any():
-            continue
-        ker = kernel[surj]
-        if not ps:
-            key = FinAbGroup.trivial()
-            counts[key] = counts.get(key, 0) + len(ker)
-            continue
-        # p-torsion count of the kernel is p**rank of its p-part
-        ranks = []
-        for p, mask in zip(ps, kill):
-            tor = ker @ mask
-            r = np.zeros(len(tor), dtype=np.int64)
-            t = tor.copy()
-            while (t > 1).any():
-                big = t > 1
-                t[big] //= p
-                r[big] += 1
+    counts: Counter[tuple[int, ...]] = Counter()
+    for vals in _hom_images(X, M, budget, f"kernel enumeration {X} -> {M}"):
+        kernel = (vals == 0).all(axis=2)
+        ker = kernel[kernel.sum(axis=1) * M.order == X.order]
+        ranks = np.zeros((len(ker), len(X.primes)), dtype=np.int64)
+        for j, p in enumerate(X.primes):
+            # the p-torsion of a kernel has p**(rank of its p-part) elements
+            tor = ker @ _table(X).torsion_mask(p).astype(np.int64)
+            r = ranks[:, j]
+            while (p**r < tor).any():
+                r += p**r < tor
             if (p**r != tor).any():
-                raise ConsistencyError(
-                    f"kernel torsion count not a power of {p} in {X} -> {M}"
-                )
-            ranks.append(r)
-        for row in np.stack(ranks, axis=1):
-            key = FinAbGroup.from_dict({p: [1] * int(r) for p, r in zip(ps, row) if r})
-            counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key()))
+                raise ConsistencyError(f"kernel torsion count not a power of {p} in {X} -> {M}")
+        counts.update(map(tuple, ranks.tolist()))
+    profile = [
+        (FinAbGroup.from_dict({p: [1] * r for p, r in zip(X.primes, row)}), n)
+        for row, n in counts.items()
+    ]
+    return tuple(sorted(profile, key=lambda kv: kv[0].sort_key()))
 
 
 def surjection_kernel_profile(
@@ -651,22 +575,6 @@ def kernel_pair_count(
 # --------------------------------------------------------------------------
 # Extension classes
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtensionTable:
-    """Counts of isomorphism classes of exact sequences 0 -> N -> M' -> M -> 0,
-    keyed by the middle group. Only middles with a positive count appear."""
-
-    sub: FinAbGroup
-    quot: FinAbGroup
-    entries: Mapping[FinAbGroup, Fraction]
-
-    def __getitem__(self, middle: FinAbGroup) -> Fraction:
-        return self.entries.get(middle, Fraction(0))
-
-    def items(self):
-        return sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
 
 
 def extension_pair_count(N: FinAbGroup, middle: FinAbGroup, M: FinAbGroup) -> int:
@@ -698,43 +606,19 @@ def extension_pair_count_direct(
     import numpy as np
 
     budget = resolve(budget)
-    tn, tmid = _tables_for(N, middle, budget, f"embedding enumeration {N} -> {middle}")
-    tmid2, tm = _tables_for(middle, M, budget, f"surjection enumeration {middle} -> {M}")
-
-    choices = _hom_image_choices(tn, tmid)
-    total = prod(len(ch) for ch in choices)
-    budget.check_candidates(total, f"embedding enumeration {N} -> {middle}")
-    n_n, n_mid, n_m = N.order, middle.order, M.order
-    images: dict[bytes, int] = {}
-    rows = max(1, _CHUNK_ENTRIES // max(1, n_n * max(1, len(tmid.moduli))))
-    for start in range(0, total, rows):
-        block = _candidate_block(choices, start, min(start + rows, total))
-        img = tmid.coords[block]
-        if len(tn.moduli) and len(tmid.moduli):
-            vals = np.einsum("xi,tic->txc", tn.coords, img) % tmid.moduli
-            idx = np.zeros(vals.shape[:2], dtype=np.int64)
-            stride = 1
-            for c in range(len(tmid.moduli) - 1, -1, -1):
-                idx += vals[:, :, c] * stride
-                stride *= int(tmid.moduli[c])
-        else:
-            idx = np.zeros((block.shape[0], n_n), dtype=np.int64)
-        hit = np.zeros((idx.shape[0], n_mid), dtype=bool)
-        hit[np.arange(idx.shape[0])[:, None], idx] = True
-        injective = hit.sum(axis=1) == n_n
-        for row in np.packbits(hit[injective], axis=1):
-            key = row.tobytes()
-            images[key] = images.get(key, 0) + 1
-
-    choices2 = _hom_image_choices(tmid2, tm)
-    total2 = prod(len(ch) for ch in choices2)
-    budget.check_candidates(total2, f"surjection enumeration {middle} -> {M}")
+    moduli = middle.cyclic_moduli
+    strides = np.array([prod(moduli[c + 1 :]) for c in range(len(moduli))], dtype=np.int64)
+    images: Counter[bytes] = Counter()  # image of N, as a bit set on middle
+    for vals in _hom_images(N, middle, budget, f"embedding enumeration {N} -> {middle}"):
+        hit = np.zeros((len(vals), middle.order), dtype=bool)
+        hit[np.arange(len(vals))[:, None], vals @ strides] = True
+        injective = hit.sum(axis=1) == N.order
+        images.update(row.tobytes() for row in np.packbits(hit[injective], axis=1))
     out = 0
-    for kernel in _iter_hom_chunks(tmid2, tm, choices2, total2):
-        sizes = kernel.sum(axis=1)
-        surj = sizes * n_m == n_mid
-        for row in np.packbits(kernel[surj], axis=1):
-            out += images.get(row.tobytes(), 0)
+    for vals in _hom_images(middle, M, budget, f"surjection enumeration {middle} -> {M}"):
+        kernel = (vals == 0).all(axis=2)
+        surj = kernel.sum(axis=1) * M.order == middle.order
+        out += sum(images[row.tobytes()] for row in np.packbits(kernel[surj], axis=1))
     return out
 
 
@@ -755,12 +639,6 @@ def extension_class_count(N: FinAbGroup, M: FinAbGroup, middle: FinAbGroup) -> F
             f"is not an integer: {entry}"
         )
     return entry
-
-
-def extension_table(N: FinAbGroup, M: FinAbGroup) -> ExtensionTable:
-    """Class counts of exact sequences 0 -> N -> M' -> M -> 0 over all middles."""
-    entries = {mid: extension_class_count(N, M, mid) for mid in candidate_middles(N, M)}
-    return ExtensionTable(sub=N, quot=M, entries=entries)
 
 
 def candidate_middles(N: FinAbGroup, M: FinAbGroup) -> list[FinAbGroup]:

@@ -10,7 +10,8 @@ beyond the truncation.
 Several types are eliminated one at a time: each stage brackets the inner
 sum over one exponent, and later stages consume those intervals with
 monotone (sign-directed) interval arithmetic, so soundness survives the
-induction.
+induction. multi_invert_zero is the only inversion: a one-type table is
+its m = 1 case, and an empty basis returns the single moment as a point.
 """
 
 from __future__ import annotations
@@ -146,19 +147,18 @@ class MomentTable:
         try:
             basis = TypeBasis.from_json_obj(obj["basis"])
             bound = obj["bound"]
-            values = {
-                tuple(rec["k"]): parse_rational(rec["value"]) for rec in obj["moments"]
-            }
+            values: dict[tuple, Fraction] = {}
+            for rec in obj["moments"]:
+                k = tuple(rec["k"])
+                if k in values:
+                    raise InputError(f"duplicate moment index {list(k)} in moment-table JSON")
+                values[k] = parse_rational(rec["value"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad moment-table JSON: {exc}") from exc
         return cls(basis, bound, values)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj())
-
-
-def _point(v: Fraction) -> tuple[Fraction, Fraction]:
-    return (v, v)
 
 
 def _bracket_from_intervals(
@@ -183,57 +183,12 @@ def _bracket_from_intervals(
             best_upper = hi_sum if best_upper is None else min(best_upper, hi_sum)
         else:
             best_lower = max(best_lower, lo_sum)
-    if best_upper is None:  # r_max < 0 cannot happen; guard for clarity
-        raise InputError("r_max must be >= 0")
     if best_lower > best_upper:
         raise InfeasibleMomentsError(
             "odd-truncation lower bound exceeds even-truncation upper bound; "
             "the inputs are not moments of any nonnegative measure"
         )
     return best_lower, best_upper
-
-
-def partial_sum(moments: MomentTable, t: SimpleType, r: int) -> Fraction:
-    """sum_{k=0..r} c_k * moment(k) for a one-type table, exactly."""
-    _check_one_type(moments, t)
-    if r < 0:
-        raise InputError(f"r must be >= 0, got {r}")
-    if r > moments.bound[0]:
-        raise InputError(f"r={r} exceeds the available moments (bound {moments.bound[0]})")
-    return sum(
-        (inversion_coefficient(t, k) * moments((k,)) for k in range(r + 1)),
-        Fraction(0),
-    )
-
-
-def invert_zero(moments: MomentTable, t: SimpleType, r_max: int) -> Bracket:
-    """Certified bracket for the mass at exponent 0 of any nonnegative mass
-    function with the given one-type moments.
-
-    Upper bound: the least even-truncation sum. Lower bound: the greatest
-    odd-truncation sum, floored at 0.
-    """
-    _check_one_type(moments, t)
-    if r_max < 0:
-        raise InputError(f"r_max must be >= 0, got {r_max}")
-    if r_max > moments.bound[0]:
-        raise InputError(
-            f"r_max={r_max} exceeds the available moments (bound {moments.bound[0]})"
-        )
-    intervals = [_point(moments((k,))) for k in range(r_max + 1)]
-    lo, hi = _bracket_from_intervals(t, intervals, r_max)
-    return Bracket(lo, hi)
-
-
-def _check_one_type(moments: MomentTable, t: SimpleType) -> None:
-    if len(moments.basis) != 1:
-        raise InputError(
-            f"expected a one-type moment table, got {len(moments.basis)} types"
-        )
-    if moments.basis[0] != t:
-        raise InputError(
-            f"type mismatch: table is over {moments.basis[0]}, asked about {t}"
-        )
 
 
 def multi_invert_zero(moments: MomentTable, r_max: Sequence[int]) -> Bracket:
@@ -251,18 +206,12 @@ def multi_invert_zero(moments: MomentTable, r_max: Sequence[int]) -> Bracket:
             raise InputError(
                 f"r_max={r_max} exceeds the table bound {moments.bound} at type {i}"
             )
-    m = len(moments.basis)
-    if m == 0:
-        v = moments(())
-        return Bracket(v, v)
-
     # current[idx] for idx over the remaining types j..m-1
     current: dict[MultiIndex, tuple[Fraction, Fraction]] = {
-        idx: _point(moments.values[idx])
+        idx: (moments.values[idx],) * 2
         for idx in itertools.product(*(range(r + 1) for r in r_max))
     }
-    for j in range(m):
-        t = moments.basis[j]
+    for j, t in enumerate(moments.basis):
         rest = [range(r + 1) for r in r_max[j + 1 :]]
         nxt: dict[MultiIndex, tuple[Fraction, Fraction]] = {}
         for tail in itertools.product(*rest):

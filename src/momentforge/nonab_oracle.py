@@ -14,7 +14,6 @@ group-theory library.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError, ConsistencyError, InputError
@@ -42,22 +41,6 @@ def _parity(perm: Element) -> int:
     return sign % 2
 
 
-@dataclass(frozen=True)
-class Perm5:
-    """An even permutation of {0,...,4}, i.e. an element of A5."""
-
-    images: Element
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != [0, 1, 2, 3, 4]:
-            raise InputError(f"not a permutation of 0..4: {self.images}")
-        if _parity(self.images):
-            raise InputError(f"odd permutation is not in A5: {self.images}")
-
-    def __mul__(self, other: "Perm5") -> "Perm5":
-        return Perm5(tuple(self.images[other.images[i]] for i in range(5)))
-
-
 def _compose(p: Element, q: Element) -> Element:
     return (p[q[0]], p[q[1]], p[q[2]], p[q[3]], p[q[4]])
 
@@ -71,11 +54,8 @@ def _power(p: Element, n: int) -> Element:
 
 @lru_cache(maxsize=1)
 def _a5() -> list[Element]:
+    """The elements of A5, the even permutations of {0,...,4}."""
     return [p for p in itertools.permutations(range(5)) if _parity(p) == 0]
-
-
-def a5_elements() -> list[Perm5]:
-    return [Perm5(p) for p in _a5()]
 
 
 @lru_cache(maxsize=1)

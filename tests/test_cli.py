@@ -210,6 +210,16 @@ def test_invert_non_integer_bound_is_input_error(bound, tmp_path, capsys):
     assert code == 1 and err.startswith("error: ") and "bound" in err
 
 
+def test_invert_duplicate_index_is_input_error(tmp_path, capsys):
+    # a second record for k = [0] used to overwrite the first silently
+    moments = [{"k": [0], "value": "1"}, {"k": [1], "value": "1"}, {"k": [0], "value": "5"}]
+    obj = {"basis": [{"kind": "abelian", "h": 2}], "bound": [1], "moments": moments}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "invert", "--file", str(path), "--rmax", "1")
+    assert code == 1 and out == "" and err.startswith("error: ") and "[0]" in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("primes", "ab"), ("order_bound", "x"), ("order_bound", 16.5), ("primes", [2.0]),
     ("primes", [True]),
@@ -308,6 +318,11 @@ def test_sampler_names_at_package_root():
     assert set(momentforge.__all__) >= {"SamplerConfig", "sample_cokernel"}
     with pytest.raises(AttributeError):
         momentforge.no_such_name
+
+
+def test_every_export_resolves():
+    missing = [name for name in momentforge.__all__ if not hasattr(momentforge, name)]
+    assert missing == []
 
 
 def test_large_prime_inputs_exit_1(half_table_path, capsys):

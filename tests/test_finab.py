@@ -17,18 +17,17 @@ from momentforge.finab import (
     extension_class_count,
     extension_pair_count,
     extension_pair_count_direct,
-    extension_table,
     group_count,
     hom_count,
     hom_count_bruteforce,
     kernel_pair_count,
     partition_count,
     partitions,
-    semisimplify,
     sur_bruteforce,
     sur_count,
     surjection_kernel_profile,
 )
+from momentforge.localize import ModuleMomentTable, localized_moments
 from momentforge.qseries import SimpleType
 from momentforge.surjcount import TypeBasis, sur_single
 
@@ -61,6 +60,11 @@ def sequence_ends_st(max_order):
             st.just(N), st.sampled_from(enumerate_groups({2, 3}, max_order // N.order))
         )
     )
+
+
+def extension_classes(N, M):
+    """Class counts of 0 -> N -> M' -> M -> 0, keyed by the middle M'."""
+    return {mid: extension_class_count(N, M, mid) for mid in candidate_middles(N, M)}
 
 
 def middles_of_order(N, M):
@@ -226,37 +230,31 @@ class TestSurjectionOracles:
 
 
 class TestSemisimplify:
-    basis2 = TypeBasis([SimpleType.abelian(2)])
-    basis23 = TypeBasis([SimpleType.abelian(2), SimpleType.abelian(3)])
+    """X modulo its radical is prod_p F_p**rank_p(X): kernel profiles and
+    localization read semisimplifications off as ranks."""
 
     def test_examples(self):
-        assert semisimplify(triv, self.basis23) == (0, 0)
-        assert semisimplify(Z(8, 2), self.basis2) == (2,)
-        assert semisimplify(Z(4, 3), self.basis23) == (1, 1)
-
-    def test_prime_outside_basis_is_error(self):
-        with pytest.raises(InputError):
-            semisimplify(Z(5), self.basis23)
+        # the kernel of X ->> 0 is X itself
+        for X, ss in ((triv, triv), (Z(8, 2), Z(2, 2)), (Z(4, 3), Z(2, 3))):
+            assert surjection_kernel_profile(X, triv) == {ss: 1}
 
     def test_basis_must_be_prime_fields(self):
-        with pytest.raises(InputError):
-            semisimplify(Z(2), TypeBasis([SimpleType.abelian(4)]))
-        with pytest.raises(InputError):
-            semisimplify(Z(2), TypeBasis([SimpleType.nonabelian(120)]))
+        table = ModuleMomentTable([2], 4, {g: 1 for g in enumerate_groups([2], 4)})
+        for t in (SimpleType.abelian(4), SimpleType.nonabelian(120)):
+            with pytest.raises(InputError, match="prime-field"):
+                localized_moments(table, triv, TypeBasis([t]), (1,))
 
     def test_respects_surjections(self):
         # Sur(X, S) = Sur(X mod radical, S) for semisimple S
-        basis = self.basis23
         for X in enumerate_groups({2, 3}, 72):
             if 72 % X.order:
                 continue
-            e = semisimplify(X, basis)
             for k2 in range(3):
                 for k3 in range(2):
                     S = FinAbGroup.from_dict({2: [1] * k2, 3: [1] * k3})
                     want = sur_bruteforce(X, S)
-                    got = sur_single(SimpleType.abelian(2), e[0], k2) * sur_single(
-                        SimpleType.abelian(3), e[1], k3
+                    got = sur_single(SimpleType.abelian(2), X.rank(2), k2) * sur_single(
+                        SimpleType.abelian(3), X.rank(3), k3
                     )
                     assert got == want
 
@@ -280,28 +278,26 @@ class TestKernelPairs:
 
 class TestExtensions:
     def test_table_examples(self):
-        table = extension_table(F2, Z(2))
-        assert dict(table.items()) == {Z(4): 1, Z(2, 2): 1}
-        assert extension_table(triv, Z(6)).entries == {Z(6): 1}
-        assert extension_table(F2, triv).entries == {Z(2): 1}
+        assert extension_classes(F2, Z(2)) == {Z(4): 1, Z(2, 2): 1}
+        assert extension_classes(triv, Z(6)) == {Z(6): 1}
+        assert extension_classes(F2, triv) == {Z(2): 1}
 
     def test_extension_of_z3_by_f3(self):
         # two classes share the middle Z/9: sequence isomorphisms fix the
         # outer groups, so inequivalent embeddings of F3 stay inequivalent
-        table = extension_table(F3, Z(3))
-        assert dict(table.items()) == {Z(9): 2, Z(3, 3): 1}
+        assert extension_classes(F3, Z(3)) == {Z(9): 2, Z(3, 3): 1}
 
     def test_total_classes_equal_hom_count(self):
         # summed over middles, extension classes of N by M number |Hom(M, N)|
         for N in (F2, FinAbGroup.elementary(2, 2), F3, F2.direct_sum(F3)):
             for M in enumerate_groups({2, 3}, 12):
-                total = sum(extension_table(N, M).entries.values())
+                total = sum(extension_classes(N, M).values())
                 assert total == hom_count(M, N), (N, M)
 
     def test_entries_are_nonnegative_integers(self):
         for N in (F2, FinAbGroup.elementary(2, 2), F3, F2.direct_sum(F3)):
             for M in enumerate_groups({2, 3}, 12):
-                for mid, entry in extension_table(N, M).items():
+                for entry in extension_classes(N, M).values():
                     assert entry.denominator == 1 and entry >= 1
 
     def test_pair_count_against_direct_join(self):
@@ -328,7 +324,13 @@ class TestExtensions:
         assume(hom_count(N, mid) <= ORACLE_HOMS and hom_count(mid, M) <= ORACLE_HOMS)
         assert extension_pair_count(N, mid, M) == extension_pair_count_direct(N, mid, M)
 
-    @given(sequence_ends_st(32))
+    # Of all draws of sequence_ends_st(32), only N = 0, M = (Z/2)^5 puts the
+    # oracle over the default budget: its middle (Z/2)^5 needs 2^25
+    # surjection tuples onto M. That draw is left out here and its closed
+    # form is checked on its own below.
+    @given(
+        sequence_ends_st(32).filter(lambda ends: ends != (triv, FinAbGroup.elementary(2, 5)))
+    )
     @settings(max_examples=25, deadline=None)
     def test_candidate_middles_are_the_nonzero_middles(self, ends):
         # exactness here is what makes a "lacks middles" error name only
@@ -338,6 +340,10 @@ class TestExtensions:
             G for G in middles_of_order(N, M) if extension_pair_count_direct(N, G, M)
         }
         assert set(candidate_middles(N, M)) == nonzero
+
+    def test_candidate_middles_of_the_draw_over_budget(self):
+        E5 = FinAbGroup.elementary(2, 5)
+        assert candidate_middles(triv, E5) == [E5]
 
     def test_orbit_stabilizer_consistency(self):
         # classCount * |Aut(M')| == P * |Hom(M, N)| by construction; check

@@ -4,14 +4,8 @@ from fractions import Fraction
 import pytest
 
 from momentforge.errors import InfeasibleMomentsError, InputError
-from momentforge.inversion import (
-    Bracket,
-    MomentTable,
-    invert_zero,
-    multi_invert_zero,
-    partial_sum,
-)
-from momentforge.qseries import SimpleType
+from momentforge.inversion import Bracket, MomentTable, multi_invert_zero
+from momentforge.qseries import SimpleType, inversion_coefficient
 from momentforge.surjcount import TypeBasis, sur_product, sur_single
 from momentforge.verify import euler_reference, one_type_moments, random_mass_function
 
@@ -24,37 +18,45 @@ def all_ones(n):
     return MomentTable.one_type(T2, [1] * (n + 1))
 
 
+def partial_sums(moments, t, r_max):
+    """sum_{k<=r} c_k * moment(k) for r = 0..r_max."""
+    out, s = [], Fraction(0)
+    for r in range(r_max + 1):
+        s += inversion_coefficient(t, r) * moments((r,))
+        out.append(s)
+    return out
+
+
 def test_partial_sum_examples():
-    ones = all_ones(4)
-    assert partial_sum(ones, T2, 0) == 1
-    assert partial_sum(ones, T2, 2) == Fraction(1, 3)
-    assert partial_sum(ones, T2, 3) == Fraction(2, 7)
+    # the partial sums at r = 0, 1, 2, 3 are 1, 0, 1/3, 2/7: the bracket
+    # takes its upper end from r = 2 and its lower end from r = 3
+    assert partial_sums(all_ones(3), T2, 3) == [1, 0, Fraction(1, 3), Fraction(2, 7)]
+    br = multi_invert_zero(all_ones(3), (3,))
+    assert (br.lower, br.upper) == (Fraction(2, 7), Fraction(1, 3))
 
 
 def test_partial_sum_bounds_checked():
-    ones = all_ones(4)
+    # truncation depths beyond the table are refused, not padded
     with pytest.raises(InputError):
-        partial_sum(ones, T2, 5)
-    with pytest.raises(InputError):
-        partial_sum(ones, T3, 2)  # type mismatch
+        multi_invert_zero(all_ones(4), (5,))
 
 
 def test_invert_zero_examples():
     point0 = MomentTable.one_type(T2, [1, 0, 0, 0, 0])
-    br = invert_zero(point0, T2, 4)
+    br = multi_invert_zero(point0, (4,))
     assert (br.lower, br.upper) == (1, 1)
 
-    br = invert_zero(all_ones(4), T2, 4)
+    br = multi_invert_zero(all_ones(4), (4,))
     assert br.lower == Fraction(2, 7)
     assert br.upper == Fraction(91, 315)
 
     point1 = MomentTable.one_type(T2, [1, 1, 0])
-    br = invert_zero(point1, T2, 2)
+    br = multi_invert_zero(point1, (2,))
     assert (br.lower, br.upper) == (0, 0)
 
 
 def test_euler_limit():
-    br = invert_zero(all_ones(12), T2, 12)
+    br = multi_invert_zero(all_ones(12), (12,))
     ref = euler_reference(2)
     assert br.width < Fraction(1, 10**6)
     assert br.lower - Fraction(1, 10**9) <= ref <= br.upper + Fraction(1, 10**9)
@@ -79,7 +81,7 @@ def test_linear_solve_oracle_matches_bracket_point():
         t = rng.choice([T2, T3, SimpleType.nonabelian(120)])
         masses = random_mass_function(rng, 6, 5)
         moments = one_type_moments(t, masses, 7)
-        br = invert_zero(moments, t, 7)
+        br = multi_invert_zero(moments, (7,))
         assert br.lower == br.upper  # finite support, full depth
         assert br.lower == linear_solve_zero_mass(t, moments, 7)
         assert br.lower == masses.get(0, Fraction(0))
@@ -92,11 +94,10 @@ def test_bracketing_soundness_randomized():
         masses = random_mass_function(rng, 8, 6)
         m0 = masses.get(0, Fraction(0))
         moments = one_type_moments(t, masses, 9)
-        for r in range(10):
-            s = partial_sum(moments, t, r)
+        for r, s in enumerate(partial_sums(moments, t, 9)):
             assert s >= m0 if r % 2 == 0 else s <= m0
         for r_max in (0, 1, 2, 5, 9):
-            assert invert_zero(moments, t, r_max).contains(m0)
+            assert multi_invert_zero(moments, (r_max,)).contains(m0)
 
 
 def two_type_moments(masses, bound):
@@ -160,7 +161,7 @@ def test_empty_basis():
 def test_infeasible_moments_raise():
     bogus = MomentTable.one_type(T2, [1, 5, 0])
     with pytest.raises(InfeasibleMomentsError):
-        invert_zero(bogus, T2, 2)
+        multi_invert_zero(bogus, (2,))
 
 
 def test_bracket_invariant():
@@ -180,7 +181,7 @@ def test_moment_table_validation():
     with pytest.raises(InputError):
         table((7,))
     with pytest.raises(InputError):
-        invert_zero(table, T2, 9)
+        multi_invert_zero(table, (9,))
 
 
 def test_moment_table_json_roundtrip():
