@@ -29,7 +29,7 @@ class Budget:
 
     max_candidates: largest number of generator-image tuples a single
         enumeration may visit.
-    max_order: largest group order for which an element table is built.
+    max_order: largest order of a group an oracle accepts, domain or target.
     """
 
     max_candidates: int = 4_000_000

@@ -13,13 +13,14 @@ sur_count, extension_pair_count and candidate_middles follow. None of them
 enumerates group elements, so none is metered by a Budget.
 
 Beside each closed form sits its oracle (hom_count_bruteforce,
-aut_bruteforce, sur_bruteforce, kernel_pair_count,
-extension_pair_count_direct, count_surjective_matrices). Every oracle that
-walks homomorphisms gets them from one enumerator, _hom_images, which
-meters the search by a Budget and yields the images of all elements of A
-as generator-image tuples (an image is any element killed by the
-generator order); each oracle only reduces those blocks, deciding
-surjectivity by image size |A| / |kernel|. The oracles are deliberately
+aut_bruteforce, sur_bruteforce, kernel_pair_count, count_surjective_matrices;
+extension_pair_count's lives with the tests). Every oracle that walks
+homomorphisms gets them from one enumerator, _hom_images, which meters the
+search by a Budget and yields generator images (any element of B, found by
+scanning B, that the generator order kills). No element of A is mapped: each
+oracle reads F_p spans of the images at each prime p, of socle rows
+p**(a-1) phi(e) in B[p] for injectivity and kernel ranks and of Frattini
+rows phi(e) mod p in B/pB for surjectivity. The oracles are deliberately
 dumb and used only to check the closed forms. Only they need numpy, and
 they import it when they run, so the closed-form path never loads it.
 """
@@ -40,9 +41,6 @@ from .qseries import is_prime, q_binomial
 
 if TYPE_CHECKING:
     import numpy as np
-
-_CHUNK_ENTRIES = 4_000_000  # target size for vectorized evaluation chunks
-
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n as weakly decreasing tuples; () for n = 0."""
@@ -279,62 +277,98 @@ def group_count(primes: Iterable[int], order_bound: int, stop: int | None = None
 
 
 # --------------------------------------------------------------------------
-# Element tables and homomorphism enumeration
+# Homomorphism enumeration and F_p spans of generator images
 # --------------------------------------------------------------------------
 
-
-class _Table:
-    """Element table of a group: mixed-radix coordinates per cyclic factor,
-    the last factor varying fastest."""
-
-    __slots__ = ("moduli", "coords", "_torsion")
-
-    def __init__(self, group: FinAbGroup):
-        import numpy as np
-
-        moduli = group.cyclic_moduli
-        self.moduli = np.array(moduli, dtype=np.int64)
-        self.coords = np.indices(moduli, dtype=np.int64).reshape(len(moduli), group.order).T
-        self._torsion: dict[int, np.ndarray] = {}
-
-    def torsion_mask(self, d: int) -> np.ndarray:
-        """Boolean mask of elements y with d*y = 0."""
-        mask = self._torsion.get(d)
-        if mask is None:
-            mask = self._torsion[d] = ((self.coords * d) % self.moduli == 0).all(axis=1)
-        return mask
+_BLOCK = 1 << 16  # candidate homomorphisms per block
 
 
-@lru_cache(maxsize=256)
-def _table(group: FinAbGroup) -> _Table:
-    return _Table(group)
+@lru_cache(maxsize=1024)
+def _killed_by(B: FinAbGroup, d: int) -> np.ndarray:
+    """Coordinates in B of the elements y with d*y = 0, by scanning all of B."""
+    import numpy as np
+
+    coords = np.indices(B.cyclic_moduli, dtype=np.int64).reshape(-1, B.order).T
+    return coords[(coords * d % np.array(B.cyclic_moduli, dtype=np.int64) == 0).all(axis=1)]
 
 
-def _hom_images(A: FinAbGroup, B: FinAbGroup, budget: Budget, what: str) -> Iterator[np.ndarray]:
-    """Every homomorphism A -> B, as blocks vals[t, x, c]: coordinate c in B
-    of the image of element x of A under candidate t of the block.
-
-    A candidate sends each generator of A to any element of B killed by the
-    generator order, and every such tuple is a homomorphism. Both element
-    tables and the number of tuples are metered by the budget, naming
-    `what`; blocks are generated lazily to hold about _CHUNK_ENTRIES values.
-    """
+def _hom_images(
+    A: FinAbGroup, B: FinAbGroup, budget: Budget, what: str
+) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """Every homomorphism A -> B, as pairs (choices, block): candidate t of
+    the block sends generator i of A to choices[i][block[t, i]], and
+    choices[i] holds every element of B killed by the order of generator i,
+    so every tuple is a homomorphism. Blocks run through all tuples
+    lexicographically, each in whole runs of the last generator's choices.
+    Both orders and the number of tuples are metered by the budget, naming
+    `what`, before anything is built."""
     import numpy as np
 
     budget.check_order(A.order, what)
     budget.check_order(B.order, what)
-    ta, tb = _table(A), _table(B)
-    choices = [np.flatnonzero(tb.torsion_mask(d)) for d in A.cyclic_moduli]
+    choices = [_killed_by(B, d) for d in A.cyclic_moduli]
     total = prod(len(ch) for ch in choices)
     budget.check_candidates(total, what)
-    rows = max(1, _CHUNK_ENTRIES // (A.order * max(1, len(tb.moduli))))
-    for start in range(0, total, rows):
-        rest = np.arange(start, min(start + rows, total), dtype=np.int64)
-        block = np.empty((len(rest), len(choices)), dtype=np.int64)
+    step = max(1, _BLOCK // len(choices[-1])) * len(choices[-1]) if choices else 1
+    for start in range(0, total, step):
+        rest = np.arange(start, min(start + step, total), dtype=np.int64)
+        block = np.empty((len(rest), len(choices)), dtype=np.int64, order="F")
         for i in range(len(choices) - 1, -1, -1):  # lexicographic digits
-            rest, digit = np.divmod(rest, len(choices[i]))
-            block[:, i] = choices[i][digit]
-        yield np.einsum("xi,tic->txc", ta.coords, tb.coords[block]) % tb.moduli
+            rest, block[:, i] = np.divmod(rest, len(choices[i]))
+        yield choices, block
+
+
+def _span_ranks(
+    A: FinAbGroup,
+    B: FinAbGroup,
+    choices: list[np.ndarray],
+    block: np.ndarray,
+    primes: tuple[int, ...],
+    socle: bool,
+) -> np.ndarray:
+    """ranks[t, j]: F_p-rank, p = primes[j], of the rows candidate t of a
+    _hom_images block gives, one per cyclic factor Z/p**a of A with
+    generator e. Socle rows are p**(a-1) phi(e) in B[p], a factor Z/p**b of
+    B read as F_p through its multiples of p**(b-1); Frattini rows (socle
+    False) are phi(e) mod p in B_p/pB_p. So phi is injective at p iff its
+    socle rank is rank_p(A), onto at p iff its Frattini rank is rank_p(B)
+    (Burnside basis theorem), and rank_p(ker phi) = rank_p(A) - socle rank.
+
+    Ranks come from Gaussian elimination over F_p, one generator's row at a
+    time against the rows before it. The block holds whole runs of the last
+    generator's choices, so the other rows are reduced once per run and the
+    last generator's rows once per candidate, as (run, choice, column)."""
+    import numpy as np
+
+    gens = [(p, a) for p, parts in A.components for a in parts]
+    factors = [(p, b) for p, parts in B.components for b in parts]
+    runs = len(choices[-1]) if choices else 1
+    ranks = np.zeros((len(block) // runs, runs, len(primes)), dtype=np.int64)
+    for j, p in enumerate(primes):
+        cols = [c for c, (q, _) in enumerate(factors) if q == p]
+        if not cols:
+            continue  # B has no p-part, so the rank at p is 0
+        low = np.array([p ** (factors[c][1] - 1) for c in cols], dtype=np.int64)
+        basis = []  # (row, its pivot column, its pivot entry or 1 where the row is 0)
+        for i in [i for i, (q, _) in enumerate(gens) if q == p]:
+            y = choices[i][:, cols]
+            rows = (y * p ** (gens[i][1] - 1) // low % p if socle else y % p).astype(np.uint64)
+            v = rows[None] if i == len(gens) - 1 else rows[block[::runs, i]][:, None]
+            for row, col, lead in basis:  # clear column col: lead v - c row, kept unsigned
+                c = np.take_along_axis(v, col[:, None, None], axis=2)
+                v = (lead[:, None, None] * v + (p - c) * row) % p
+            col = (v != 0).argmax(axis=2)
+            lead = np.take_along_axis(v, col[..., None], axis=2)[..., 0]
+            ranks[..., j] += lead != 0
+            if i < len(gens) - 1:  # no row comes after the last generator's
+                basis.append((v, col[:, 0], np.where(lead[:, 0] != 0, lead[:, 0], 1)))
+    return ranks.reshape(len(block), len(primes))
+
+
+def _onto(A: FinAbGroup, B: FinAbGroup, choices: list[np.ndarray], block: np.ndarray) -> np.ndarray:
+    """Which candidates of a block map A onto B: onto B/pB at each prime p."""
+    ranks = _span_ranks(A, B, choices, block, B.primes, socle=False)
+    return (ranks == [B.rank(p) for p in B.primes]).all(axis=1)
 
 
 def hom_count(A: FinAbGroup, B: FinAbGroup) -> int:
@@ -353,8 +387,7 @@ def hom_count_bruteforce(A: FinAbGroup, B: FinAbGroup, budget: Budget | None = N
     what = f"hom enumeration {A} -> {B}"
     budget.check_order(A.order, what)
     budget.check_order(B.order, what)
-    tb = _table(B)
-    return prod(int(tb.torsion_mask(d).sum()) for d in A.cyclic_moduli)
+    return prod(len(_killed_by(B, d)) for d in A.cyclic_moduli)
 
 
 def aut_count(A: FinAbGroup) -> int:
@@ -454,27 +487,27 @@ def _strips_above(mu: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
 
 
 def aut_bruteforce(A: FinAbGroup, budget: Budget | None = None) -> int:
-    """|Aut(A)| by enumerating endomorphisms and keeping the bijective ones."""
-    count = 0
-    for vals in _hom_images(A, A, resolve(budget), f"aut enumeration {A}"):
-        count += int(((vals == 0).all(axis=2).sum(axis=1) == 1).sum())
-    return count
+    """|Aut(A)| by enumerating endomorphisms and keeping the bijective ones:
+    those injective on the socle A[p] at every prime p."""
+    full = [A.rank(p) for p in A.primes]
+    return sum(
+        int((_span_ranks(A, A, choices, block, A.primes, socle=True) == full).all(axis=1).sum())
+        for choices, block in _hom_images(A, A, resolve(budget), f"aut enumeration {A}")
+    )
 
 
 def sur_bruteforce(A: FinAbGroup, B: FinAbGroup, budget: Budget | None = None) -> int:
     """Exact |Sur(A, B)| by exhausting generator-image tuples.
 
-    Surjectivity test: a hom is onto iff |A| / |kernel| = |B|.
+    Surjectivity test: a hom is onto iff it is onto B/pB at every prime p.
     """
     return _sur_bruteforce_cached(A, B, resolve(budget))
 
 
 @lru_cache(maxsize=65536)
 def _sur_bruteforce_cached(A: FinAbGroup, B: FinAbGroup, budget: Budget) -> int:
-    count = 0
-    for vals in _hom_images(A, B, budget, f"surjection enumeration {A} -> {B}"):
-        count += int(((vals == 0).all(axis=2).sum(axis=1) * B.order == A.order).sum())
-    return count
+    blocks = _hom_images(A, B, budget, f"surjection enumeration {A} -> {B}")
+    return sum(int(_onto(A, B, choices, block).sum()) for choices, block in blocks)
 
 
 def sur_count(A: FinAbGroup, B: FinAbGroup) -> int:
@@ -527,24 +560,18 @@ def _kernel_profile(X: FinAbGroup, M: FinAbGroup, budget: Budget) -> tuple:
     """For each surjection X ->> M, the semisimplification of its kernel.
 
     Returns ((elementary_group, multiplicity), ...): how many surjections
-    have a kernel whose quotient mod the radical is that group.
+    have a kernel whose quotient mod the radical is that group, read off
+    the p-ranks of the kernels: rank_p(X) minus the rank on the socle X[p].
     """
     import numpy as np
 
     counts: Counter[tuple[int, ...]] = Counter()
-    for vals in _hom_images(X, M, budget, f"kernel enumeration {X} -> {M}"):
-        kernel = (vals == 0).all(axis=2)
-        ker = kernel[kernel.sum(axis=1) * M.order == X.order]
-        ranks = np.zeros((len(ker), len(X.primes)), dtype=np.int64)
-        for j, p in enumerate(X.primes):
-            # the p-torsion of a kernel has p**(rank of its p-part) elements
-            tor = ker @ _table(X).torsion_mask(p).astype(np.int64)
-            r = ranks[:, j]
-            while (p**r < tor).any():
-                r += p**r < tor
-            if (p**r != tor).any():
-                raise ConsistencyError(f"kernel torsion count not a power of {p} in {X} -> {M}")
-        counts.update(map(tuple, ranks.tolist()))
+    full = np.array([X.rank(p) for p in X.primes], dtype=np.int64)
+    for choices, block in _hom_images(X, M, budget, f"kernel enumeration {X} -> {M}"):
+        onto = _onto(X, M, choices, block)
+        ranks = full - _span_ranks(X, M, choices, block, X.primes, socle=True)[onto]
+        rows, mult = np.unique(ranks, axis=0, return_counts=True)
+        counts.update(dict(zip(map(tuple, rows.tolist()), mult.tolist())))
     profile = [
         (FinAbGroup.from_dict({p: [1] * r for p, r in zip(X.primes, row)}), n)
         for row, n in counts.items()
@@ -586,39 +613,14 @@ def extension_pair_count(N: FinAbGroup, middle: FinAbGroup, M: FinAbGroup) -> in
     elementary N the subgroups at p are counted by the Hall number
     g^lam_{mu,(1^m)}(p) of Macdonald, Symmetric Functions and Hall
     Polynomials, ch. II (4.6), with lam, mu the p-types of M', M and
-    m = rank_p(N). So the count is |Aut N| |Aut M| prod_p g.
-    extension_pair_count_direct is the oracle for it.
+    m = rank_p(N). So the count is |Aut N| |Aut M| prod_p g. Its oracle, a
+    join of enumerated embeddings and surjections, lives with the tests.
     """
     if not N.is_semisimple:
         raise InputError(f"N must be semisimple, got {N}")
     out = aut_count(N) * aut_count(M)
     for p in sorted(set(middle.primes) | set(N.primes) | set(M.primes)):
         out *= _hall_number(p, middle.partition(p), M.partition(p), N.rank(p))
-    return out
-
-
-def extension_pair_count_direct(
-    N: FinAbGroup, middle: FinAbGroup, M: FinAbGroup, budget: Budget | None = None
-) -> int:
-    """Same count as extension_pair_count by the dumbest route: enumerate
-    embeddings and surjections separately and join on the image/kernel set.
-    Cross-check only; cost grows with |M'|**rank(N)."""
-    import numpy as np
-
-    budget = resolve(budget)
-    moduli = middle.cyclic_moduli
-    strides = np.array([prod(moduli[c + 1 :]) for c in range(len(moduli))], dtype=np.int64)
-    images: Counter[bytes] = Counter()  # image of N, as a bit set on middle
-    for vals in _hom_images(N, middle, budget, f"embedding enumeration {N} -> {middle}"):
-        hit = np.zeros((len(vals), middle.order), dtype=bool)
-        hit[np.arange(len(vals))[:, None], vals @ strides] = True
-        injective = hit.sum(axis=1) == N.order
-        images.update(row.tobytes() for row in np.packbits(hit[injective], axis=1))
-    out = 0
-    for vals in _hom_images(middle, M, budget, f"surjection enumeration {middle} -> {M}"):
-        kernel = (vals == 0).all(axis=2)
-        surj = kernel.sum(axis=1) * M.order == middle.order
-        out += sum(images[row.tobytes()] for row in np.packbits(kernel[surj], axis=1))
     return out
 
 
@@ -732,9 +734,10 @@ def count_surjective_matrices(h: int, e: int, k: int, budget: Budget | None = No
     """Brute-force count of surjective k x e matrices over the h-element field.
 
     Walks all tuples of linearly independent rows level by level, keeping
-    the span of each prefix as a bitmask; the final count sums, over every
-    independent (k-1)-prefix, the vectors outside its span. Independent of
-    the closed-form product it is used to check.
+    the span of each prefix as a bitmask; prefixes with the same span are
+    merged into one row that carries their number. The final count sums,
+    over every independent (k-1)-prefix, the vectors outside its span.
+    Independent of the closed-form product it is used to check.
     """
     if h < 2 or not is_prime(h):
         raise InputError(f"matrix oracle needs a prime field size, got h={h}")
@@ -758,15 +761,19 @@ def count_surjective_matrices(h: int, e: int, k: int, budget: Budget | None = No
 
     spans = np.zeros((1, n), dtype=bool)
     spans[0, 0] = True
+    mult = np.ones(1, dtype=np.int64)  # prefixes with each span
     for level in range(k):
         valid = ~spans
+        tuples = sum(m * o for m, o in zip(mult.tolist(), valid.sum(axis=1).tolist()))
         if level == k - 1:
-            return int(valid.sum())
+            return tuples
+        budget.check_candidates(tuples, f"matrix oracle level {level + 1}")
         parent, vec = np.nonzero(valid)
-        budget.check_candidates(len(parent), f"matrix oracle level {level + 1}")
         children = np.zeros((len(parent), n), dtype=bool)
         for c in range(h):
             shift = sub[:, mul[c, vec]].T  # (children, n): x - c*v
             children |= spans[parent[:, None], shift]
-        spans = children
+        spans, inverse = np.unique(children, axis=0, return_inverse=True)
+        weights, mult = mult[parent], np.zeros(len(spans), dtype=np.int64)
+        np.add.at(mult, inverse.reshape(-1), weights)
     raise AssertionError("unreachable")

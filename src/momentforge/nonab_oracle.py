@@ -61,18 +61,12 @@ def _a5() -> list[Element]:
 @lru_cache(maxsize=1)
 def _single_homs() -> list[tuple[Element, Element]]:
     """All relation-satisfying generator-image pairs, i.e. Hom(A5, A5)."""
-    elements = _a5()
-    out = []
-    for x in elements:
-        if _power(x, 5) != _IDENTITY:
-            continue
-        for y in elements:
-            if _power(y, 2) != _IDENTITY:
-                continue
-            if _power(_compose(x, y), 3) != _IDENTITY:
-                continue
-            out.append((x, y))
-    return out
+    return [
+        (x, y)
+        for x in _a5()
+        for y in _a5()
+        if _power(x, 5) == _power(y, 2) == _power(_compose(x, y), 3) == _IDENTITY
+    ]
 
 
 def hom_a5_count() -> int:
@@ -80,51 +74,24 @@ def hom_a5_count() -> int:
     return len(_single_homs())
 
 
-def _closure(gens: frozenset[Element]) -> frozenset[Element]:
-    seen = {_IDENTITY} | set(gens)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = _compose(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return frozenset(seen)
-
-
-@lru_cache(maxsize=1)
-def _hom_images() -> list[frozenset[Element]]:
-    return [_closure(frozenset(pair)) for pair in _single_homs()]
-
-
 @lru_cache(maxsize=1)
 def _commuting() -> list[list[bool]]:
-    """commuting[i][j]: the images of homs i and j commute elementwise."""
-    images = _hom_images()
-    n = len(images)
-    table = [[True] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            ok = True
-            for a in images[i]:
-                for b in images[j]:
-                    if _compose(a, b) != _compose(b, a):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            table[i][j] = table[j][i] = ok
-    return table
+    """commuting[i][j]: the images of homs i and j commute elementwise, that
+    is, each generator image of hom i commutes with each one of hom j."""
+    homs = _single_homs()
+    return [
+        [all(_compose(a, b) == _compose(b, a) for a in f for b in g) for g in homs]
+        for f in homs
+    ]
 
 
-def _product_set(s1: frozenset, s2: frozenset) -> int:
-    """|S1 * S2| = |S1| |S2| / |S1 meet S2| for finite subgroups."""
-    inter = len(s1 & s2)
-    assert (len(s1) * len(s2)) % inter == 0
-    return len(s1) * len(s2) // inter
+def _product_set(s1: int, s2: int) -> int:
+    """|S1 * S2| = |S1| |S2| / |S1 meet S2| for finite subgroups, each given
+    as a bit set of element codes."""
+    size = s1.bit_count() * s2.bit_count()
+    inter = (s1 & s2).bit_count()
+    assert size % inter == 0
+    return size // inter
 
 
 def sur_a5_bruteforce(e: int, k: int) -> int:
@@ -148,7 +115,7 @@ def sur_a5_bruteforce(e: int, k: int) -> int:
         return sum(
             1
             for combo in itertools.product(range(n), repeat=k)
-            if _tuple_image_size(combo) == target_size
+            if _tuple_image(combo).bit_count() == target_size
         )
 
     # e == 2
@@ -170,22 +137,27 @@ def sur_a5_bruteforce(e: int, k: int) -> int:
 
 
 @lru_cache(maxsize=32768)
-def _tuple_image(combo: tuple[int, ...]) -> frozenset:
-    """Image of x -> (f_{c1}(x), ..., f_{ck}(x)) as a set of tuples."""
-    maps = [_hom_as_map(c) for c in combo]
-    return frozenset(tuple(m[x] for m in maps) for x in _a5())
-
-
-def _tuple_image_size(combo: tuple[int, ...]) -> int:
-    return len(_tuple_image(combo))
+def _tuple_image(combo: tuple[int, ...]) -> int:
+    """Image of x -> (f_{c1}(x), ..., f_{ck}(x)) as a bit set over A5**k,
+    where the tuple of element indices (i_1, ..., i_k) has code
+    i_1 + 60 i_2 + ... + 60**(k-1) i_k."""
+    codes, place = [0] * 60, 1
+    for c in combo:
+        codes = [code + place * image for code, image in zip(codes, _hom_as_map(c))]
+        place *= 60
+    image = 0
+    for code in codes:
+        image |= 1 << code
+    return image
 
 
 @lru_cache(maxsize=256)
-def _hom_as_map(idx: int) -> dict[Element, Element]:
-    """Extend the generator-image pair to the full map on A5 by closure."""
+def _hom_as_map(idx: int) -> list[int]:
+    """Extend the generator-image pair to the full map on A5 by closure:
+    entry i is the index in _a5() of the image of element i."""
     x, y = _single_homs()[idx]
-    # A5 is generated by a = (0 1 2 3 4) and some b with the presented
-    # relations; walk words in the generators to cover the whole group.
+    # walk words in the generators; reaching all 60 elements confirms that
+    # they generate A5
     gen_a, gen_b = _generators()
     mapping = {_IDENTITY: _IDENTITY}
     frontier = [_IDENTITY]
@@ -205,20 +177,12 @@ def _hom_as_map(idx: int) -> dict[Element, Element]:
                     )
         frontier = nxt
     assert len(mapping) == 60
-    return mapping
+    index = {g: i for i, g in enumerate(_a5())}
+    return [index[mapping[g]] for g in _a5()]
 
 
 @lru_cache(maxsize=1)
 def _generators() -> tuple[Element, Element]:
-    """A pair (a, b) generating A5 with a^5 = b^2 = (ab)^3 = identity."""
-    for a in _a5():
-        if _power(a, 5) != _IDENTITY or a == _IDENTITY:
-            continue
-        for b in _a5():
-            if b == _IDENTITY or _power(b, 2) != _IDENTITY:
-                continue
-            if _power(_compose(a, b), 3) != _IDENTITY:
-                continue
-            if len(_closure(frozenset((a, b)))) == 60:
-                return a, b
-    raise AssertionError("A5 generators not found")
+    """A pair (a, b) generating A5 with a^5 = b^2 = (ab)^3 = identity: any
+    relation pair but the trivial one, since A5 is simple."""
+    return next(pair for pair in _single_homs() if pair != (_IDENTITY, _IDENTITY))

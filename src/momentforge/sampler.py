@@ -64,11 +64,15 @@ class SamplerConfig:
             raise InputError(f"seed must fit in 64 bits, got {self.seed}")
 
 
-def _draw_matrix(config: SamplerConfig, index: int) -> np.ndarray:
-    bitgen = np.random.Philox(key=np.array([config.seed, index], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    q = config.p**config.cap
-    return gen.integers(0, q, size=(config.n, config.n + config.u), dtype=np.int64)
+def _draw_matrices(config: SamplerConfig, indices: Iterable[int]) -> Iterator[np.ndarray]:
+    """Draw i for each i of indices, from the Philox stream keyed by (seed, i): one
+    bit generator is reset for each draw, which is cheaper than building a new one."""
+    bitgen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    gen, fresh, shape = np.random.Generator(bitgen), bitgen.state, (config.n, config.n + config.u)
+    for i in indices:
+        fresh["state"]["key"][1] = i  # the state of a fresh Philox(key=[seed, i])
+        bitgen.state = fresh
+        yield gen.integers(0, config.p**config.cap, size=shape, dtype=np.int64)
 
 
 def _valuations(a: np.ndarray, p: int, cap: int) -> np.ndarray:
@@ -120,10 +124,11 @@ def cokernel_partition(mats: np.ndarray, p: int, cap: int) -> list[tuple[int, ..
 def _prefix_measures(config: SamplerConfig, counts: Sequence[int]) -> Iterator[Measure]:
     """Empirical measure of the first t draws, for each t of the increasing counts."""
     step = max(1, _CHUNK_ENTRIES // max(1, config.n * (config.n + config.u)))
+    draws = _draw_matrices(config, range(counts[-1]))
     tally: Counter = Counter()
     for done, t in zip([0, *counts], counts):
         for start in range(done, t, step):
-            stack = [_draw_matrix(config, i) for i in range(start, min(start + step, t))]
+            stack = [next(draws) for _ in range(start, min(start + step, t))]
             tally.update(cokernel_partition(np.stack(stack), config.p, config.cap))
         groups = {FinAbGroup.from_dict({config.p: k}): c for k, c in tally.items()}
         yield Measure({g: Fraction(c, t) for g, c in groups.items()})
@@ -133,7 +138,7 @@ def sample_cokernel(config: SamplerConfig, index: int = 0) -> FinAbGroup:
     """Cokernel of the index-th random matrix draw, in canonical form."""
     if not 0 <= index:
         raise InputError(f"draw index must be nonnegative, got {index}")
-    parts = cokernel_partition(_draw_matrix(config, index)[None], config.p, config.cap)[0]
+    parts = cokernel_partition(next(_draw_matrices(config, [index]))[None], config.p, config.cap)[0]
     return FinAbGroup.from_dict({config.p: parts})
 
 

@@ -16,7 +16,6 @@ from momentforge.finab import (
     enumerate_groups,
     extension_class_count,
     extension_pair_count,
-    extension_pair_count_direct,
     group_count,
     hom_count,
     hom_count_bruteforce,
@@ -30,6 +29,13 @@ from momentforge.finab import (
 from momentforge.localize import ModuleMomentTable, localized_moments
 from momentforge.qseries import SimpleType
 from momentforge.surjcount import TypeBasis, sur_single
+
+from element_tables import (
+    aut_by_tables,
+    extension_pair_count_direct,
+    kernel_profile_by_tables,
+    sur_by_tables,
+)
 
 Z = FinAbGroup.from_orders
 triv = FinAbGroup.trivial()
@@ -188,6 +194,63 @@ class TestHomAut:
         for a in pool:
             for b in pool:
                 assert hom_count_bruteforce(a, b) == hom_count(a, b)
+
+
+class TestSpanOraclesAgainstElementTables:
+    """The oracles decide bijectivity, surjectivity and kernel ranks from F_p
+    spans of generator images; the element-table versions in the tests map
+    every element instead. Both must agree, refusals included."""
+
+    GROUPS = enumerate_groups({2, 3}, 32)
+    BUDGET = Budget(max_candidates=2**15)  # keeps the element tables to seconds
+
+    @staticmethod
+    def outcome(oracle, *args):
+        try:
+            return oracle(*args)
+        except BudgetExceededError as exc:
+            return f"refused: {exc}"
+
+    def test_aut(self):
+        for A in self.GROUPS:
+            assert self.outcome(aut_bruteforce, A, self.BUDGET) == self.outcome(
+                aut_by_tables, A, self.BUDGET
+            ), A
+
+    @pytest.mark.parametrize(
+        "oracle, reference",
+        [(sur_bruteforce, sur_by_tables), (surjection_kernel_profile, kernel_profile_by_tables)],
+        ids=["sur", "kernel_profile"],
+    )
+    def test_pairs(self, oracle, reference):
+        for A in self.GROUPS:
+            for B in self.GROUPS:
+                assert self.outcome(oracle, A, B, self.BUDGET) == self.outcome(
+                    reference, A, B, self.BUDGET
+                ), (A, B)
+
+    def test_refusal_messages(self):
+        E4, E6 = FinAbGroup.elementary(2, 4), FinAbGroup.elementary(2, 6)
+        tail = "exceed the budget of 4000000 (override with MOMENTFORGE_BUDGET)"
+        cases = [
+            (
+                lambda: aut_bruteforce(E6, Budget()),
+                f"aut enumeration {E6}: 68719476736 candidate tuples {tail}",
+            ),
+            (
+                lambda: surjection_kernel_profile(E6, E4, Budget()),
+                f"kernel enumeration {E6} -> {E4}: 16777216 candidate tuples {tail}",
+            ),
+            (
+                lambda: aut_bruteforce(Z(2**17), Budget()),
+                "aut enumeration Z/131072: group order 131072 exceeds the element-table "
+                "cap of 65536 (override with MOMENTFORGE_BUDGET)",
+            ),
+        ]
+        for call, message in cases:
+            with pytest.raises(BudgetExceededError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestSurjectionOracles:

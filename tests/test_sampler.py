@@ -13,7 +13,7 @@ from momentforge.inversion import Bracket
 from momentforge.rationals import format_rational
 from momentforge.sampler import (
     SamplerConfig,
-    _draw_matrix,
+    _draw_matrices,
     cokernel_partition,
     convergence_report,
     empirical_moments,
@@ -147,9 +147,26 @@ def test_batched_smith_matches_per_matrix_oracle(p, cap, n, u, count, seed, spar
 def _oracle_draws(config, count):
     """Cokernels of draws 0 .. count-1, one matrix at a time through the oracle."""
     return [
-        FinAbGroup.from_dict({config.p: smith_partition_oracle(_draw_matrix(config, i), config.p, config.cap)})
-        for i in range(count)
+        FinAbGroup.from_dict({config.p: smith_partition_oracle(mat, config.p, config.cap)})
+        for mat in _draw_matrices(config, range(count))
     ]
+
+
+def test_reused_philox_matches_fresh_philox_per_draw():
+    # one bit generator per run, reset for each draw, gives the stream a
+    # fresh Philox keyed by (seed, index) gives
+    for config in (
+        SamplerConfig(p=2, cap=3, n=8, seed=2024, count=1),
+        SamplerConfig(p=3, cap=2, n=5, u=2, seed=2**64 - 1, count=1),
+    ):
+        for i, got in enumerate(_draw_matrices(config, range(2000))):
+            fresh = np.random.Generator(
+                np.random.Philox(key=np.array([config.seed, i], dtype=np.uint64))
+            )
+            want = fresh.integers(
+                0, config.p**config.cap, size=(config.n, config.n + config.u), dtype=np.int64
+            )
+            assert np.array_equal(got, want), (config, i)
 
 
 @pytest.mark.parametrize(
