@@ -25,7 +25,7 @@ ENV_VAR = "MOMENTFORGE_BUDGET"
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for exhaustive enumeration.
+    """Caps for exhaustive enumeration, each a positive integer.
 
     max_candidates: largest number of generator-image tuples a single
         enumeration may visit.
@@ -34,6 +34,12 @@ class Budget:
 
     max_candidates: int = 4_000_000
     max_order: int = 65_536
+
+    def __post_init__(self):
+        for name in ("max_candidates", "max_order"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise InputError(f"budget field {name} must be a positive integer, got {value!r}")
 
     def check_candidates(self, count: int, what: str) -> None:
         if count > self.max_candidates:
@@ -61,7 +67,7 @@ def budget_from_env() -> Budget:
             fields = json.loads(raw)
             return Budget(**fields)
         return Budget(max_candidates=int(raw))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, InputError) as exc:
         raise InputError(f"cannot parse {ENV_VAR}={raw!r}: {exc}") from exc
 
 

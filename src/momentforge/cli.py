@@ -201,6 +201,13 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+_TABLE_HELP = (
+    "module moment-table JSON path; the table must hold the group plus a vertical "
+    "strip of up to {depth} boxes at each basis prime, and any order_bound field "
+    "is read but not enforced"
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="momentforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -227,7 +234,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("localize", help="localized moments at a fixed group")
-    p.add_argument("--file", required=True, help="module moment-table JSON path")
+    p.add_argument("--file", required=True, help=_TABLE_HELP.format(depth="--kbound"))
     p.add_argument("--group", required=True, help="group JSON, e.g. '{\"2\":[1]}'")
     p.add_argument("--primes", help="basis primes, comma separated (default: table primes)")
     p.add_argument("--kbound", required=True, help="moment depth(s), comma separated")
@@ -235,7 +242,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_localize)
 
     p = sub.add_parser("reconstruct", help="bracket the mass of a group from moments")
-    p.add_argument("--file", required=True, help="module moment-table JSON path")
+    p.add_argument("--file", required=True, help=_TABLE_HELP.format(depth="--rmax"))
     p.add_argument("--group", required=True, help="group JSON, e.g. '{\"2\":[1]}'")
     p.add_argument("--primes", help="basis primes, comma separated (default: table primes)")
     p.add_argument("--rmax", required=True, help="truncation depth(s), comma separated")

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, prod
+from math import prod
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .budget import Budget, resolve
@@ -229,51 +229,6 @@ def _enumerate_cached(ps: tuple[int, ...], order_bound: int) -> tuple[FinAbGroup
     rec(0, order_bound, [])
     out.sort(key=FinAbGroup.sort_key)
     return tuple(out)
-
-
-_PARTITION_COUNTS = [1]  # partition_count(n) for every n computed so far
-
-
-def partition_count(n: int) -> int:
-    """Number of partitions of n, by Euler's pentagonal-number recurrence
-    p(m) = sum_{k>=1} (-1)**(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
-    table = _PARTITION_COUNTS
-    while len(table) <= n:
-        m, total, k = len(table), 0, 1
-        while k * (3 * k - 1) // 2 <= m:
-            sign = 1 if k % 2 else -1
-            total += sign * table[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                total += sign * table[m - k * (3 * k + 1) // 2]
-            k += 1
-        table.append(total)
-    return table[n]
-
-
-def group_count(primes: Iterable[int], order_bound: int, stop: int | None = None) -> int:
-    """Number of groups supported on `primes` of order <= order_bound,
-    without building them: the sum over exponent vectors (a_p) with
-    prod p**a_p <= order_bound of prod partition_count(a_p).
-
-    With `stop`, counting ends once the count exceeds it and some value
-    above `stop` is returned, so the work is bounded by `stop` and the
-    number of primes, however large the bound. `primes` must be primes;
-    unlike enumerate_groups, this does not check them. enumerate_groups is
-    the oracle for it.
-    """
-    ps = sorted(set(primes))
-    limit = inf if stop is None else stop
-
-    def count(i: int, bound: int) -> int:  # groups on ps[i:] of order <= bound
-        if i == len(ps):
-            return 1
-        total, a, pa = 0, 0, 1
-        while pa <= bound and total <= limit:
-            total += partition_count(a) * count(i + 1, bound // pa)
-            a, pa = a + 1, pa * ps[i]
-        return total
-
-    return count(0, order_bound) if order_bound >= 1 else 0
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .budget import budget_from_env
 from .errors import BudgetExceededError, MomentforgeError
 from .finab import (
     FinAbGroup,
@@ -310,6 +311,7 @@ def check_sur_smart_vs_bruteforce() -> tuple[bool, str]:
 
 
 def run_all(seed: int, quick: bool = False) -> list[CheckResult]:
+    budget_from_env()  # a malformed budget is an input error, not a failed check
     ext_bound = 24 if quick else 72
     e2e_support = 12 if quick else 72
     e2e_target = 8 if quick else 24

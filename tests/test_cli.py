@@ -155,7 +155,7 @@ def test_budget_env_override(monkeypatch):
 def test_localize_ignores_budget(monkeypatch, tmp_path, capsys):
     # extension-class counts are closed forms, so a unit budget that would
     # refuse any enumeration leaves the output unchanged
-    table = ModuleMomentTable([2], 4, {g: 1 for g in enumerate_groups([2], 4)})
+    table = ModuleMomentTable([2], {g: 1 for g in enumerate_groups([2], 4)})
     path = tmp_path / "ones.json"
     path.write_text(table.dumps())
     argv = ("localize", "--file", str(path), "--group", '{"2":[1]}', "--kbound", "1")
@@ -256,15 +256,70 @@ def test_reconstruct_non_prime_table_primes_exit_1(primes, tmp_path, capsys):
     assert code == 1 and "not prime" in err
 
 
-def test_huge_order_bound_exits_1_quickly(half_table_path, capsys):
-    # completeness is counted, so 10**40 costs no more than the table's size
+def test_huge_order_bound_is_read_not_enforced(half_table_path, capsys):
+    # order_bound is not enforced: a claim of completeness to 10**40 changes nothing
+    argv = ("reconstruct", "--file", str(half_table_path), "--group", "{}", "--rmax", "1")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
     obj = json.loads(half_table_path.read_text())
     obj["order_bound"] = 10**40
     half_table_path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == plain
+
+
+def test_uncovered_basis_prime_names_missing_middle(half_table_path, capsys):
+    # a 2-group table cannot localize at 5: the first middle it lacks is Z/5
+    code, out, err = run(
+        capsys, "reconstruct", "--file", str(half_table_path), "--group", "{}",
+        "--primes", "5", "--rmax", "1",
+    )
+    assert code == 1 and out == "" and "lacks middles" in err and err.rstrip().endswith(": Z/5")
+
+
+def _report_brackets_contain_frequencies(out: str) -> list[dict]:
+    records = [json.loads(line) for line in out.splitlines()]
+    for rec in records:
+        assert Bracket.from_json_obj(rec["bracket"]).contains(Fraction(rec["frequency"])), rec
+    return records
+
+
+def test_report_with_all_draws_trivial_exits_0(capsys):
+    # seed 1 draws one trivial cokernel, so the moment table has no primes
+    code, out, _ = run(
+        capsys, "sample", "--report", "--p", "2", "--cap", "3", "--n", "8", "--count", "1",
+        "--seed", "1", "--ts", "1", "--target", "{}", "--rmax", "0",
+    )
+    assert code == 0
+    records = _report_brackets_contain_frequencies(out)
+    assert [rec["frequency"] for rec in records] == ["1"]
+
+
+def test_deep_report_reads_only_needed_middles(capsys):
+    # moments are computed at the 602 middles the sums read, not at every
+    # 2-group of order <= 4 * 2**200
     start = time.perf_counter()
-    code, _, err = run(capsys, "reconstruct", "--file", str(half_table_path), "--group", "{}", "--rmax", "1")
+    code, out, _ = run(
+        capsys, "sample", "--report", "--p", "2", "--cap", "3", "--n", "8", "--count", "100",
+        "--seed", "1", "--ts", "50,100", "--target", "{}", "--target", '{"2":[2]}',
+        "--rmax", "200",
+    )
+    assert time.perf_counter() - start < 3
+    assert code == 0 and len(_report_brackets_contain_frequencies(out)) == 4
+
+
+@pytest.mark.parametrize(
+    "budget",
+    ['{"max_candidates":"x"}', '{"max_candidates":null}', '"5"', "-1", "0",
+     '{"max_order":1.5}', '{"max_order":true}'],
+)
+def test_verify_bad_budget_exits_1(budget, monkeypatch, capsys):
+    # resolved once before the checks: no traceback, and no check runs or fails
+    monkeypatch.setenv("MOMENTFORGE_BUDGET", budget)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--quick", "--seed", "1")
     assert time.perf_counter() - start < 2
-    assert code == 1 and f"up to order {10**40}; missing Z/2 x Z/2 x Z/2 x Z/2 x Z/2, " in err
+    assert code == 1 and out == "" and err.startswith("error: cannot parse MOMENTFORGE_BUDGET")
 
 
 def test_oversized_sample_matrix_exits_1(capsys):

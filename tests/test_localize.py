@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -10,12 +9,12 @@ from momentforge.finab import (
     FinAbGroup,
     Measure,
     aut_count,
+    candidate_middles,
     enumerate_groups,
     sur_bruteforce,
 )
 from momentforge.localize import (
     ModuleMomentTable,
-    complete_order_bound,
     localized_moments,
     mu_local_direct,
     reconstruct_probability,
@@ -30,6 +29,8 @@ F2 = FinAbGroup.elementary(2, 1)
 B2 = TypeBasis.abelian_primes([2])
 B23 = TypeBasis.abelian_primes([2, 3])
 HALF = Fraction(1, 2)
+# the all-ones {2,3} table, complete far enough for |M| <= 6 at depth (3, 2)
+FULL_23 = ModuleMomentTable([2, 3], {g: 1 for g in enumerate_groups([2, 3], 6 * 2**3 * 3**2)})
 
 
 @pytest.fixture(scope="module")
@@ -43,49 +44,40 @@ def table_half(mu_half):
 
 
 class TestModuleMomentTable:
-    def test_completeness_enforced(self):
-        with pytest.raises(InputError, match="not complete"):
-            ModuleMomentTable([2], 4, {triv: 1, Z(2): 1, Z(4): 1})  # missing Z/2 x Z/2
-
     def test_negative_rejected(self):
         with pytest.raises(InputError):
-            ModuleMomentTable([2], 1, {triv: Fraction(-1)})
+            ModuleMomentTable([2], {triv: Fraction(-1)})
 
     def test_prime_support_checked(self):
         with pytest.raises(InputError):
-            ModuleMomentTable([2], 2, {triv: 1, Z(2): 1, Z(3): 1})
+            ModuleMomentTable([2], {triv: 1, Z(2): 1, Z(3): 1})
 
     def test_json_roundtrip(self):
         table = ModuleMomentTable(
-            [2, 3], 4, {g: Fraction(1, 1 + g.order) for g in enumerate_groups([2, 3], 4)}
+            [2, 3], {g: Fraction(1, 1 + g.order) for g in enumerate_groups([2, 3], 4)}
         )
-        again = ModuleMomentTable.from_json_obj(table.to_json_obj())
+        obj = table.to_json_obj()
+        assert "order_bound" not in obj
+        again = ModuleMomentTable.from_json_obj(obj)
         assert again.values == table.values
-        assert again.order_bound == 4
         assert again.primes == (2, 3)
-
-    def test_complete_order_bound(self):
-        keys = set(enumerate_groups([2], 8)) | {FinAbGroup.elementary(2, 5)}
-        # no 2-group has order strictly between 8 and 16
-        assert complete_order_bound([2], keys) == 15
-        assert complete_order_bound([2], {triv}) == 1
-        assert complete_order_bound([2], set()) == 0
+        # a legacy order_bound is read, not enforced: nothing here is complete to 10**40
+        again = ModuleMomentTable.from_json_obj({**obj, "order_bound": 10**40})
+        assert again.values == table.values
 
     @pytest.mark.parametrize("primes", [[4], [1], [6], [2, 4]])
     def test_non_prime_table_primes_rejected(self, primes):
-        # primes [4] with only the trivial group up to order 3 would pass a
-        # bare count: no power 4**a with a >= 1 is <= 3
         with pytest.raises(InputError, match="not prime"):
-            ModuleMomentTable(primes, 3, {triv: 1})
+            ModuleMomentTable(primes, {triv: 1})
 
     @pytest.mark.parametrize("field, value", [
         ("primes", [2.0]), ("primes", [True]), ("primes", 2), ("order_bound", 16.5),
         ("order_bound", True), ("order_bound", "16"),
     ])
     def test_non_integer_fields_rejected(self, field, value):
-        args = {"primes": [2], "order_bound": 1, field: value}
+        obj = {"primes": [2], "order_bound": 1, "moments": [{"group": {}, "value": "1"}]}
         with pytest.raises(InputError, match=field):
-            ModuleMomentTable(args["primes"], args["order_bound"], {triv: 1})
+            ModuleMomentTable.from_json_obj({**obj, field: value})
 
     def test_duplicate_json_group_rejected(self):
         obj = {"primes": [2], "order_bound": 1, "moments": [
@@ -93,33 +85,32 @@ class TestModuleMomentTable:
         with pytest.raises(InputError, match="duplicate"):
             ModuleMomentTable.from_json_obj(obj)
 
-    @given(st.sets(st.sampled_from(enumerate_groups([2, 3], 200)), max_size=30),
-           st.integers(1, 200))
-    @settings(max_examples=60, deadline=None)
-    def test_incompleteness_message_matches_enumeration(self, drop, bound):
-        # oracle: build every group up to the bound and list the absent ones
-        keys = {g: 1 for g in enumerate_groups([2, 3], 200) if g not in drop}
-        missing = [g for g in enumerate_groups([2, 3], bound) if g not in keys]
-        if not missing:
-            assert ModuleMomentTable([2, 3], bound, keys).order_bound == bound
+    @given(
+        st.sets(st.sampled_from(enumerate_groups([2, 3], 72)), max_size=4),
+        st.sampled_from([triv, Z(2), Z(3), Z(6), Z(2, 2)]),
+        st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_table_needs_only_the_middles_read(self, drop, M, r_max):
+        # a table with groups dropped answers as the complete one unless a
+        # dropped group is a middle of some 0 -> N_k -> M' -> M -> 0, k <= r_max
+        sparse = ModuleMomentTable([2, 3], {g: 1 for g in FULL_23.values if g not in drop})
+        needed = {
+            mid
+            for k2 in range(r_max[0] + 1)
+            for k3 in range(r_max[1] + 1)
+            for mid in candidate_middles(FinAbGroup.from_dict({2: [1] * k2, 3: [1] * k3}), M)
+        }
+        lost = {str(g) for g in drop & needed}
+        if not lost:
+            assert reconstruct_probability(sparse, M, B23, r_max) == (
+                reconstruct_probability(FULL_23, M, B23, r_max)
+            )
             return
-        with pytest.raises(InputError) as info:
-            ModuleMomentTable([2, 3], bound, keys)
-        assert str(info.value) == (
-            f"moment table is not complete up to order {bound}; missing "
-            + ", ".join(str(g) for g in missing[:8]) + ("..." if len(missing) > 8 else "")
-        )
-        assert complete_order_bound([2, 3], set(keys)) == missing[0].order - 1
-
-    def test_huge_order_bound_names_first_missing_quickly(self):
-        # only groups up to the ninth missing one are built, not up to 10**40
-        keys = {g: 1 for g in enumerate_groups([3], 3**14)}
-        start = time.perf_counter()
-        with pytest.raises(InputError) as info:
-            ModuleMomentTable([3], 10**40, keys)
-        assert time.perf_counter() - start < 2
-        first = [g for g in enumerate_groups([3], 3**15) if g.order == 3**15][:8]
-        assert str(info.value).endswith(", ".join(map(str, first)) + "...")
+        with pytest.raises(InputError, match="lacks middles") as info:
+            reconstruct_probability(sparse, M, B23, r_max)
+        named = str(info.value).rsplit("): ", 1)[1].removesuffix("...").split(", ")
+        assert named and set(named) <= lost
 
 
 class TestLocalizedMoments:
@@ -144,10 +135,10 @@ class TestLocalizedMoments:
 
     def test_zero_weight_middles_not_needed(self, table_half):
         # 0 -> F2 -> (Z/2)**3 -> Z/4 -> 0 is not exact for any maps, so a
-        # table may lack (Z/2)**3 beyond its order bound
+        # table may lack (Z/2)**3 although it holds both other groups of order 8
         values = {g: table_half(g) for g in enumerate_groups([2], 4)}
         values.update({g: table_half(g) for g in (Z(8), Z(4, 2))})
-        partial = ModuleMomentTable([2], 4, values)
+        partial = ModuleMomentTable([2], values)
         assert localized_moments(partial, Z(4), B2, (1,)).values == (
             localized_moments(table_half, Z(4), B2, (1,)).values
         )
@@ -227,7 +218,7 @@ class TestReconstruct:
     def test_cohen_lenstra_fixed_point(self, p):
         # all moments equal to 1: the mass of M is prod(1 - p**-k) / |Aut M|
         bound = p**14
-        table = ModuleMomentTable([p], bound, {g: 1 for g in enumerate_groups([p], bound)})
+        table = ModuleMomentTable([p], {g: 1 for g in enumerate_groups([p], bound)})
         basis = TypeBasis.abelian_primes([p])
         tol = Fraction(1, 10**9)
         for M in (triv, Z(p), Z(p * p)):

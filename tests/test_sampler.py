@@ -256,10 +256,11 @@ class TestEmpiricalMoments:
         assert table(Z(2)) == Fraction(1, 2)
         assert table(Z(3)) == 0
 
-    def test_needs_trivial_target(self):
+    def test_table_holds_exactly_the_targets(self):
         mu = Measure({Z(2): Fraction(1)})
-        with pytest.raises(InputError):
-            empirical_moments(mu, [Z(2)])
+        table = empirical_moments(mu, [Z(2), Z(4), Z(2)])
+        assert table.values == {Z(2): 1, Z(4): 0}
+        assert empirical_moments(mu, []).values == {}
 
 
 class TestConvergenceReport:
