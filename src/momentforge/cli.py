@@ -10,7 +10,9 @@ renderings and indentation. Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from .inversion import MomentTable, multi_invert_zero
 from .localize import ModuleMomentTable, localized_moments, reconstruct_probability
 from .qseries import SimpleType, inversion_coefficient
 from .rationals import format_rational
-from .surjcount import TypeBasis, sur_product, sur_single
+from .surjcount import TypeBasis, sur_product
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,32 +63,43 @@ def _per_type(text: str, name: str, types: int) -> tuple[int, ...]:
     return values
 
 
+def _loads(text: str, what: str):
+    """json.loads, with an integer past Python's digit limit refused like bad syntax."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"{what}: {exc}") from exc
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    return _loads(text, f"{path} is not valid JSON")
 
 
 def _parse_group(text: str) -> FinAbGroup:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"group must be JSON like '{{\"2\":[1]}}': {exc}") from exc
-    return FinAbGroup.from_json_obj(obj)
+    return FinAbGroup.from_json_obj(_loads(text, "group must be JSON like '{\"2\":[1]}'"))
 
 
 def _emit(obj, pretty: bool) -> None:
     print(json.dumps(obj, indent=2 if pretty else None))
 
 
+def _decimal(value: Fraction) -> float:
+    """float(value), or an infinity of its sign where the value is out of float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _emit_scalar(value: Fraction, pretty: bool) -> None:
     text = format_rational(value)
     if pretty and value.denominator != 1:
-        print(f"{text} ~= {float(value):.10g}")
+        print(f"{text} ~= {_decimal(value):.10g}")
     else:
         print(text)
 
@@ -94,32 +107,23 @@ def _emit_scalar(value: Fraction, pretty: bool) -> None:
 def _bracket_obj(bracket, pretty: bool) -> dict:
     obj = bracket.to_json_obj()
     if pretty:
-        obj["lower_decimal"] = repr(float(bracket.lower))
-        obj["upper_decimal"] = repr(float(bracket.upper))
+        obj["lower_decimal"] = repr(_decimal(bracket.lower))
+        obj["upper_decimal"] = repr(_decimal(bracket.upper))
     return obj
 
 
 def _cmd_coeffs(args) -> int:
-    t = _simple_type(args)
-    if args.k < 0:
-        raise InputError("--k must be nonnegative")
-    _emit_scalar(inversion_coefficient(t, args.k), args.pretty)
+    _emit_scalar(inversion_coefficient(_simple_type(args), args.k), args.pretty)
     return 0
 
 
 def _cmd_sur(args) -> int:
     if args.basis is not None:
-        basis = TypeBasis.from_json_obj(json.loads(args.basis))
-        e = _int_list(args.e, "--e")
-        k = _int_list(args.k, "--k")
-        _emit_scalar(Fraction(sur_product(basis, e, k)), args.pretty)
-        return 0
-    t = _simple_type(args)
-    e = _int_list(args.e, "--e")
-    k = _int_list(args.k, "--k")
-    if len(e) != 1 or len(k) != 1:
-        raise InputError("scalar --e and --k expected without --basis")
-    _emit_scalar(Fraction(sur_single(t, e[0], k[0])), args.pretty)
+        basis = TypeBasis.from_json_obj(_loads(args.basis, "bad JSON"))
+    else:
+        basis = TypeBasis([_simple_type(args)])
+    e, k = _int_list(args.e, "--e"), _int_list(args.k, "--k")
+    _emit_scalar(Fraction(sur_product(basis, e, k)), args.pretty)
     return 0
 
 
@@ -173,14 +177,7 @@ def _cmd_sample(args) -> int:
         return 0
     mu = sample_measure(config)
     obj = mu.to_json_obj()
-    obj["config"] = {
-        "p": config.p,
-        "cap": config.cap,
-        "n": config.n,
-        "u": config.u,
-        "seed": config.seed,
-        "count": config.count,
-    }
+    obj["config"] = dataclasses.asdict(config)
     _emit(obj, args.pretty)
     return 0
 
@@ -284,9 +281,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MomentforgeError as exc:  # InputError and any other library failure
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON: {exc}", file=sys.stderr)
         return 1
 
 

@@ -7,11 +7,12 @@ truncation on each side produces an exact-rational interval that is sound
 unconditionally; it shrinks to a point as soon as the moments vanish
 beyond the truncation.
 
-Several types are eliminated one at a time: each stage brackets the inner
-sum over one exponent, and later stages consume those intervals with
-monotone (sign-directed) interval arithmetic, so soundness survives the
-induction. multi_invert_zero is the only inversion: a one-type table is
-its m = 1 case, and an empty basis returns the single moment as a point.
+Several types are eliminated one at a time: each stage turns the inner
+sum over one exponent into a Bracket, and later stages consume those
+Brackets with monotone (sign-directed) interval arithmetic, so soundness
+survives the induction. multi_invert_zero is the only inversion: a
+one-type table is its m = 1 case, and an empty basis returns the single
+moment as a point.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InfeasibleMomentsError, InputError
-from .qseries import SimpleType, inversion_coefficient
+from .qseries import SimpleType, inversion_coefficients
 from .rationals import format_rational, parse_rational
 from .surjcount import MultiIndex, TypeBasis, check_index
 
@@ -37,8 +38,8 @@ class Bracket:
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
-            raise InfeasibleMomentsError(
-                f"bracket lower bound {self.lower} exceeds upper bound {self.upper}; "
+            raise InfeasibleMomentsError(  # no numbers: they may pass the digit limit
+                "bracket lower bound exceeds upper bound; "
                 "the inputs are not moments of any nonnegative measure"
             )
 
@@ -93,7 +94,7 @@ class MomentTable:
             k = check_index(basis, k, "moment index")
             v = Fraction(v)
             if v < 0:
-                raise InputError(f"moment at {k} is negative: {v}")
+                raise InputError(f"moment at {k} is negative")
             table[k] = v
         for k in itertools.product(*(range(b + 1) for b in self.bound)):
             if k not in table:
@@ -161,44 +162,32 @@ class MomentTable:
         return json.dumps(self.to_json_obj())
 
 
-def _bracket_from_intervals(
-    t: SimpleType, intervals: Sequence[tuple[Fraction, Fraction]], r_max: int
-) -> tuple[Fraction, Fraction]:
+def _bracket_from_intervals(t: SimpleType, intervals: Sequence[Bracket]) -> Bracket:
     """Best even-truncation upper bound and odd-truncation lower bound of
-    sum_k c_k * interval_k, evaluated endpoint-wise by the sign of c_k."""
-    lo_sum = Fraction(0)
-    hi_sum = Fraction(0)
-    best_upper = None
-    best_lower = Fraction(0)  # masses are nonnegative
-    for r in range(r_max + 1):
-        c = inversion_coefficient(t, r)
-        lo_k, hi_k = intervals[r]
-        if c > 0:
-            lo_sum += c * lo_k
-            hi_sum += c * hi_k
-        else:
-            lo_sum += c * hi_k
-            hi_sum += c * lo_k
-        if r % 2 == 0:
-            best_upper = hi_sum if best_upper is None else min(best_upper, hi_sum)
-        else:
+    sum_k c_k * interval_k, evaluated endpoint-wise by the sign of c_k, with
+    the coefficients c_k of t taken in order from one running sequence."""
+    lo_sum = hi_sum = Fraction(0)
+    best_lower, best_upper = Fraction(0), intervals[0].upper  # masses are nonnegative; c_0 = 1
+    for r, (c, iv) in enumerate(zip(inversion_coefficients(t), intervals)):
+        lo, hi = (iv.lower, iv.upper) if c > 0 else (iv.upper, iv.lower)
+        lo_sum += c * lo
+        hi_sum += c * hi
+        if r % 2:
             best_lower = max(best_lower, lo_sum)
-    if best_lower > best_upper:
-        raise InfeasibleMomentsError(
-            "odd-truncation lower bound exceeds even-truncation upper bound; "
-            "the inputs are not moments of any nonnegative measure"
-        )
-    return best_lower, best_upper
+        else:
+            best_upper = min(best_upper, hi_sum)
+    return Bracket(best_lower, best_upper)
 
 
 def multi_invert_zero(moments: MomentTable, r_max: Sequence[int]) -> Bracket:
     """Certified bracket for the mass at the all-zero multi-index.
 
     Types are eliminated in basis order. Stage j turns, for each remaining
-    index, the family of (interval-valued) moments over k_j into one
-    interval via the even/odd truncation bounds; stage-one inputs are exact
-    points. The result contains the mass at (0,...,0) of any nonnegative
-    mass function with the given joint moments.
+    index, the family of Brackets over k_j into one Bracket via the
+    even/odd truncation bounds; stage-one inputs are exact points. A stage
+    whose bounds cross raises InfeasibleMomentsError from Bracket itself.
+    The result contains the mass at (0,...,0) of any nonnegative mass
+    function with the given joint moments.
     """
     r_max = check_index(moments.basis, r_max, "r_max")
     for i, (r, b) in enumerate(zip(r_max, moments.bound)):
@@ -207,16 +196,14 @@ def multi_invert_zero(moments: MomentTable, r_max: Sequence[int]) -> Bracket:
                 f"r_max={r_max} exceeds the table bound {moments.bound} at type {i}"
             )
     # current[idx] for idx over the remaining types j..m-1
-    current: dict[MultiIndex, tuple[Fraction, Fraction]] = {
-        idx: (moments.values[idx],) * 2
+    current: dict[MultiIndex, Bracket] = {
+        idx: Bracket(moments.values[idx], moments.values[idx])
         for idx in itertools.product(*(range(r + 1) for r in r_max))
     }
     for j, t in enumerate(moments.basis):
         rest = [range(r + 1) for r in r_max[j + 1 :]]
-        nxt: dict[MultiIndex, tuple[Fraction, Fraction]] = {}
-        for tail in itertools.product(*rest):
-            intervals = [current[(k,) + tail] for k in range(r_max[j] + 1)]
-            nxt[tail] = _bracket_from_intervals(t, intervals, r_max[j])
-        current = nxt
-    lo, hi = current[()]
-    return Bracket(lo, hi)
+        current = {
+            tail: _bracket_from_intervals(t, [current[(k,) + tail] for k in range(r_max[j] + 1)])
+            for tail in itertools.product(*rest)
+        }
+    return current[()]

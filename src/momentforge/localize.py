@@ -66,7 +66,7 @@ class ModuleMomentTable:
             if type(v) is not Fraction:
                 v = Fraction(v)
             if v < 0:
-                raise InputError(f"moment at {g} is negative: {v}")
+                raise InputError(f"moment at {g} is negative")
             table[g] = v
         self.values = table
 

@@ -8,10 +8,11 @@ coefficients are `fractions.Fraction`. Floating point never enters.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import InputError
 
@@ -160,17 +161,23 @@ def q_binomial(e: int, k: int, h: int) -> int:
     return num // den
 
 
-def inversion_coefficient(t: SimpleType, k: int) -> Rational:
-    """k-th coefficient of the alternating inversion sum for type t.
+def inversion_coefficients(t: SimpleType) -> Iterator[Rational]:
+    """The coefficients c_0, c_1, ... of the alternating inversion sum for type t.
 
-    Abelian: (-1)**k / ((h-1)(h**2-1)...(h**k-1)).
-    Non-abelian: (-1)**k / (k! * aut**k).
-    Always 1 at k = 0. Signs alternate and magnitudes decay
-    superexponentially, which is what makes truncations two-sided bounds.
+    c_0 = 1, and c_k = -c_(k-1) / (h**k - 1) for an abelian type with field
+    size h, or -c_(k-1) / (k * aut) for a non-abelian one; one step per term,
+    so the first r terms cost r products, not r q-Pochhammer products. Signs
+    alternate and magnitudes decay superexponentially, which is what makes
+    truncations two-sided bounds.
     """
+    sign, den = 1, 1
+    for k in itertools.count(1):
+        yield Fraction(sign, den)
+        sign, den = -sign, den * (t.h**k - 1 if t.is_abelian else k * t.aut)
+
+
+def inversion_coefficient(t: SimpleType, k: int) -> Rational:
+    """The k-th term of inversion_coefficients(t)."""
     if k < 0:
         raise InputError(f"inversion_coefficient needs k >= 0, got {k}")
-    sign = -1 if k % 2 else 1
-    if t.is_abelian:
-        return Fraction(sign, q_pochhammer(t.h, k))
-    return Fraction(sign, math.factorial(k) * t.aut**k)
+    return next(itertools.islice(inversion_coefficients(t), k, None))

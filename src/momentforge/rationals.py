@@ -4,14 +4,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 
 
 def format_rational(x: Fraction | int) -> str:
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise BudgetExceededError(f"the exact result is too long to print: {exc}") from exc
 
 
 def parse_rational(s) -> Fraction:

@@ -35,16 +35,16 @@ from .surjcount import TypeBasis
 MAX_MATRIX_ENTRIES = 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SamplerConfig:
     """Cokernel sampler parameters; seed and draw index fully determine a draw."""
 
     p: int
     cap: int
     n: int
+    u: int = 0
     seed: int
     count: int
-    u: int = 0
 
     def __post_init__(self) -> None:
         if self.cap < 1:
@@ -86,22 +86,15 @@ def _valuations(a: np.ndarray, p: int, cap: int) -> np.ndarray:
 _CHUNK_ENTRIES = 64 * 8 * 8
 
 
-def _unit_inverses(units: np.ndarray, p: int, cap: int) -> np.ndarray:
-    """u**(phi(p**cap) - 1) mod p**cap for each unit u, by square-and-multiply;
-    every product stays below p**(2*cap) < 2**62."""
-    q, out = p**cap, np.ones_like(units)
-    for bit in bin(p ** (cap - 1) * (p - 1) - 1)[2:]:
-        out = out * out % q * (units if bit == "1" else 1) % q
-    return out
-
-
 def cokernel_partition(mats: np.ndarray, p: int, cap: int) -> list[tuple[int, ...]]:
     """Exponent partition of (Z/p**cap)**rows / columnspan(mat) for each mat
     of a (B, rows, cols) stack, one reduction step for the whole stack.
 
     Smith-style reduction over the chain ring Z/p**cap: repeatedly move a
-    minimum-valuation entry to the pivot, normalize it to a power of p and
-    clear its row and column. Pivot p**v contributes a Z/p**v factor;
+    minimum-valuation entry u * p**v (u a unit) to the pivot and clear its
+    column by the invertible row operations row_i <- u * row_i -
+    (a_i0 / p**v) * row_0, so no unit is ever inverted; every product stays
+    below p**(2*cap) < 2**62. Pivot p**v contributes a Z/p**v factor;
     pivotless rows and zero blocks (v = cap) contribute Z/p**cap.
     """
     q = p**cap
@@ -115,9 +108,9 @@ def cokernel_partition(mats: np.ndarray, p: int, cap: int) -> list[tuple[int, ..
         i, j = np.divmod(val.argmin(axis=1), ncols - r)
         a[idx, 0], a[idx, i] = a[idx, i], a[idx, 0]
         a[idx, :, 0], a[idx, :, j] = a[idx, :, j], a[idx, :, 0]
-        uinv = _unit_inverses(np.where(v < cap, a[:, 0, 0] // p**v, 1), p, cap)
-        colfac = a[:, 1:, 0] // p ** v[:, None] * uinv[:, None] % q
-        a = (a[:, 1:, 1:] - colfac[:, :, None] * a[:, :1, 1:]) % q
+        unit = np.where(v < cap, a[:, 0, 0] // p**v, 1)[:, None, None]
+        colfac = (a[:, 1:, 0] // p ** v[:, None])[:, :, None]
+        a = (unit * a[:, 1:, 1:] - colfac * a[:, :1, 1:]) % q
     return [tuple(sorted(filter(None, row), reverse=True)) for row in exps.tolist()]
 
 

@@ -35,7 +35,7 @@ from .inversion import MomentTable, multi_invert_zero
 from .localize import reconstruct_probability
 from .nonab_oracle import hom_a5_count, sur_a5_bruteforce
 from .qseries import SimpleType, inversion_coefficient, q_binomial, q_pochhammer
-from .sampler import empirical_moments
+from .sampler import empirical_moments, reference_mass
 from .surjcount import TypeBasis, sur_product, sur_single
 
 
@@ -186,18 +186,11 @@ def check_bracketing_soundness(seed: int, cases: int = 200) -> tuple[bool, str]:
     return True, f"{2 * cases} randomized mass functions bracketed soundly"
 
 
-def euler_reference(p: int, factors: int = 30) -> Fraction:
-    out = Fraction(1)
-    for k in range(1, factors + 1):
-        out *= 1 - Fraction(1, p**k)
-    return out
-
-
 def check_euler_constant() -> tuple[bool, str]:
     t = SimpleType.abelian(2)
     moments = MomentTable.one_type(t, [1] * 13)
     br = multi_invert_zero(moments, (12,))
-    ref = euler_reference(2)
+    ref = reference_mass(2, 0, FinAbGroup.trivial())
     tol = Fraction(1, 10**9)
     if br.width >= Fraction(1, 10**6):
         return False, f"bracket width {float(br.width)} is not below 1e-6"

@@ -23,7 +23,6 @@ from momentforge.verify import (
     check_nonabelian_a5,
     check_product_splitting,
     check_q_identities,
-    euler_reference,
 )
 
 SEED = 20260810

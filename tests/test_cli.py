@@ -405,3 +405,125 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     code, out, err = run(capsys, "verify", "--seed", "3", "--quick")
     assert code == 2
     assert any(l.startswith("FAIL") for l in out.splitlines())
+
+
+_HUGE_INT = "1" * 5001  # past Python's 4300-digit limit for int <-> str
+_ONE_TYPE = '{"basis":[{"kind":"abelian","h":2}],"bound":[%s],"moments":[%s]}'
+
+
+@pytest.mark.parametrize(
+    "table, argv, want_code, want_out",
+    [
+        # exact results longer than the digit limit are refused as too big to print
+        (None, ["coeffs", "--abelian", "2", "--k", "200"], 3, ""),
+        (None, ["sur", "--abelian", "2", "--e", "200", "--k", "100"], 3, ""),
+        # JSON integers past the digit limit are bad input, wherever they come in
+        (_ONE_TYPE % (0, '{"k":[0],"value":%s}' % _HUGE_INT), ["invert", "--rmax", "0"], 1, ""),
+        ('{"primes":[2],"moments":[{"group":{},"value":"1"}]}',
+         ["reconstruct", "--group", '{"2":[%s]}' % _HUGE_INT, "--rmax", "0"], 1, ""),
+        (None, ["sur", "--basis", '[{"kind":"abelian","h":%s}]' % _HUGE_INT, "--e", "1", "--k", "1"],
+         1, ""),
+        # infeasible moments past the digit limit: the message carries no numbers
+        (_ONE_TYPE % (3, ",".join('{"k":[%d],"value":"%s"}' % kv for kv in
+                                  enumerate(["1e5000", "0", "3e5000", "0"]))),
+         ["invert", "--rmax", "3"], 1, ""),
+        # negative moments past the digit limit: the messages carry no numbers
+        (_ONE_TYPE % (0, '{"k":[0],"value":"-1e5000"}'), ["invert", "--rmax", "0"], 1, ""),
+        ('{"primes":[2],"moments":[{"group":{},"value":"-1e5000"}]}',
+         ["reconstruct", "--group", "{}", "--rmax", "0"], 1, ""),
+        # decimal renderings out of float range read inf
+        (_ONE_TYPE % (0, '{"k":[0],"value":"1e400"}'), ["invert", "--pretty", "--rmax", "0"], 0,
+         '"upper_decimal": "inf"'),
+    ],
+    ids=["coeffs", "sur", "file-int", "group-int", "basis-int", "infeasible", "negative-moment",
+         "negative-table-moment", "pretty-inf"],
+)
+def test_digit_and_float_limits_exit_cleanly(table, argv, want_code, want_out, tmp_path, capsys):
+    if table is not None:
+        path = tmp_path / "input.json"
+        path.write_text(table)
+        argv = [*argv, "--file", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == want_code and "Traceback" not in err
+    if want_code:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert want_out in out
+
+
+def test_decimal_of_out_of_range_values():
+    from momentforge.cli import _decimal
+
+    assert _decimal(Fraction(10**400, 3)) == float("inf")
+    assert _decimal(Fraction(-(10**400), 3)) == float("-inf")
+    assert _decimal(Fraction(1, 3)) == 1 / 3
+
+
+def test_deep_report_consumes_the_coefficient_sequence(capsys):
+    # each stage takes c_0..c_r from one running recurrence, so depth 600
+    # costs 600 products per bracket, not 600 q-Pochhammer products
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "sample", "--report", "--p", "2", "--cap", "3", "--n", "8", "--count", "100",
+        "--seed", "1", "--ts", "50,100", "--target", "{}", "--target", '{"2":[2]}',
+        "--rmax", "600",
+    )
+    assert time.perf_counter() - start < 6
+    assert code == 0 and len(_report_brackets_contain_frequencies(out)) == 4
+
+
+def test_pretty_scalar_and_bracket_decimals(half_table_path, capsys):
+    code, out, _ = run(capsys, "coeffs", "--abelian", "2", "--k", "3", "--pretty")
+    assert code == 0 and out == f"-1/21 ~= {float(Fraction(-1, 21)):.10g}\n"
+    code, out, _ = run(capsys, "coeffs", "--abelian", "2", "--k", "0", "--pretty")
+    assert code == 0 and out == "1\n"  # integers print without a decimal
+    code, out, _ = run(
+        capsys, "reconstruct", "--file", str(half_table_path), "--group", "{}", "--rmax", "2",
+        "--pretty",
+    )
+    obj = json.loads(out)
+    assert code == 0 and out.startswith("{\n  ")
+    for end in ("lower", "upper"):
+        assert obj[f"{end}_decimal"] == repr(float(Fraction(obj[end])))
+
+
+def test_single_depth_applies_to_every_type(tmp_path, capsys):
+    table = ModuleMomentTable([2, 3], {g: 1 for g in enumerate_groups([2, 3], 6 * 4 * 9)})
+    path = tmp_path / "ones.json"
+    path.write_text(table.dumps())
+    outs = []
+    for rmax in ("2", "2,2"):
+        code, out, _ = run(
+            capsys, "reconstruct", "--file", str(path), "--group", '{"2":[1]}', "--rmax", rmax
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    code, out, _ = run(capsys, "localize", "--file", str(path), "--group", "{}", "--kbound", "1")
+    assert code == 0 and json.loads(out)["bound"] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reconstruct", "--group", "{}", "--rmax", "1", "--file", "{bad_file}"], "is not valid JSON"),
+        (["reconstruct", "--group", "{2:[1]}", "--rmax", "1", "--file", "{table}"], "group must be JSON"),
+        (["sur", "--basis", "[{bad", "--e", "1", "--k", "1"], "bad JSON"),
+        (["invert", "--rmax", "1", "--order", "0,0", "--file", "{moments}"], "not a permutation"),
+        (["invert", "--rmax", "1", "--file", "{binary}"], ""),  # not text in every locale
+    ],
+    ids=["bad-file", "bad-group", "bad-basis", "order-0-0", "binary-file"],
+)
+def test_bad_json_and_order_exit_1(argv, message, half_table_path, tmp_path, capsys):
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text('{"primes": [2],')
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    moments = tmp_path / "moments.json"
+    basis = [{"kind": "abelian", "h": 2}, {"kind": "abelian", "h": 3}]
+    values = [{"k": [i, j], "value": "1"} for i in range(2) for j in range(2)]
+    moments.write_text(json.dumps({"basis": basis, "bound": [1, 1], "moments": values}))
+    paths = {"{bad_file}": bad_file, "{table}": half_table_path, "{moments}": moments,
+             "{binary}": binary}
+    code, out, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
+    assert code == 1 and out == "" and err.startswith("error: ") and message in err

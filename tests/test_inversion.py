@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from momentforge.errors import InfeasibleMomentsError, InputError
+from momentforge.finab import FinAbGroup
 from momentforge.inversion import Bracket, MomentTable, multi_invert_zero
 from momentforge.qseries import SimpleType, inversion_coefficient
+from momentforge.sampler import reference_mass
 from momentforge.surjcount import TypeBasis, sur_product, sur_single
-from momentforge.verify import euler_reference, one_type_moments, random_mass_function
+from momentforge.verify import one_type_moments, random_mass_function
 
 T2 = SimpleType.abelian(2)
 T3 = SimpleType.abelian(3)
@@ -57,7 +59,7 @@ def test_invert_zero_examples():
 
 def test_euler_limit():
     br = multi_invert_zero(all_ones(12), (12,))
-    ref = euler_reference(2)
+    ref = reference_mass(2, 0, FinAbGroup.trivial())
     assert br.width < Fraction(1, 10**6)
     assert br.lower - Fraction(1, 10**9) <= ref <= br.upper + Fraction(1, 10**9)
     assert abs(ref - Fraction("0.2887880951")) < Fraction(1, 10**9)
@@ -128,7 +130,7 @@ def test_multi_invert_all_ones_hits_euler_product():
     values = {(i, j): 1 for i in range(13) for j in range(9)}
     table = MomentTable(BASIS, (12, 8), values)
     br = multi_invert_zero(table, (12, 8))
-    ref = euler_reference(2) * euler_reference(3)
+    ref = reference_mass(2, 0, FinAbGroup.trivial()) * reference_mass(3, 0, FinAbGroup.trivial())
     assert br.width < Fraction(1, 10**6)
     assert br.lower - Fraction(1, 10**7) <= ref <= br.upper + Fraction(1, 10**7)
 

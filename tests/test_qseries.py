@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from momentforge.qseries import (
     PRIME_TEST_LIMIT,
     SimpleType,
     inversion_coefficient,
+    inversion_coefficients,
     is_prime,
     is_prime_power,
     q_binomial,
@@ -97,6 +100,29 @@ def test_coefficient_sign_and_decay(t):
             assert abs(cn) / abs(ck) <= Fraction(1, t.h ** (k + 1) - 1)
         else:
             assert abs(cn) / abs(ck) == Fraction(1, (k + 1) * t.aut)
+
+
+def closed_form_coefficient(t, k):
+    """Oracle for the recurrence: (-1)**k / q_pochhammer(h, k) for abelian
+    types, (-1)**k / (k! * aut**k) for nonabelian ones."""
+    if t.is_abelian:
+        return Fraction((-1) ** k, q_pochhammer(t.h, k))
+    return Fraction((-1) ** k, math.factorial(k) * t.aut**k)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [SimpleType.abelian(h) for h in (2, 3, 4, 5)]
+    + [SimpleType.nonabelian(aut) for aut in (1, 6, 60, 120)],
+)
+def test_coefficient_sequence_matches_closed_forms(t):
+    seq = list(itertools.islice(inversion_coefficients(t), 41))
+    assert seq == [closed_form_coefficient(t, k) for k in range(41)]
+    assert [inversion_coefficient(t, k) for k in (0, 1, 2, 17, 40)] == [
+        seq[k] for k in (0, 1, 2, 17, 40)
+    ]
+    with pytest.raises(InputError, match="k >= 0"):
+        inversion_coefficient(t, -1)
 
 
 def test_prime_power_validation():
