@@ -40,8 +40,8 @@ from .localize import (
     reconstruct_probability,
 )
 from .nonab_oracle import hom_a5_count, sur_a5_bruteforce
-from .qseries import Rational, SimpleType, inversion_coefficient, q_binomial, q_pochhammer
-from .surjcount import MultiIndex, TypeBasis, sur_product, sur_single
+from .qseries import SimpleType, inversion_coefficient, q_binomial, q_pochhammer
+from .surjcount import MultiIndex, sur_product, sur_single
 
 __all__ = [
     "Budget",
@@ -51,12 +51,10 @@ __all__ = [
     "InfeasibleMomentsError",
     "ConsistencyError",
     "BudgetExceededError",
-    "Rational",
     "SimpleType",
     "q_pochhammer",
     "q_binomial",
     "inversion_coefficient",
-    "TypeBasis",
     "MultiIndex",
     "sur_single",
     "sur_product",

@@ -16,13 +16,13 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ConsistencyError, InputError, MomentforgeError
+from .errors import ConsistencyError, InputError, MomentforgeError
 from .finab import FinAbGroup
 from .inversion import MomentTable, multi_invert_zero
 from .localize import ModuleMomentTable, localized_moments, reconstruct_probability
 from .qseries import SimpleType, inversion_coefficient
-from .rationals import format_rational
-from .surjcount import TypeBasis, sur_product
+from .rationals import check_printable, format_rational
+from .surjcount import basis_from_json_obj, check_index, sur_product
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,17 +112,33 @@ def _bracket_obj(bracket, pretty: bool) -> dict:
     return obj
 
 
+def _sur_bits(t: SimpleType, e: int, k: int) -> int:
+    """Lower bound on log2 Sur(t**e, t**k) for k <= e: each factor h**e - h**j is at
+    least h**(e-1), and e!/(e-k)! aut**k at least (aut * max(e-k+1, k/4))**k."""
+    if t.is_abelian:
+        return (e - 1) * k * (t.h.bit_length() - 1)
+    return k * (t.aut.bit_length() + max((e - k + 1).bit_length(), (k >> 2).bit_length()) - 2)
+
+
 def _cmd_coeffs(args) -> int:
-    _emit_scalar(inversion_coefficient(_simple_type(args), args.k), args.pretty)
+    t, k = _simple_type(args), args.k
+    if k > 0 and t.is_abelian:  # c_k = +-1/den with den >= h**(k(k-1)/2)
+        check_printable(k * (k - 1) // 2 * (t.h.bit_length() - 1))
+    elif k > 0:  # den = k! aut**k = Sur(t**k, t**k)
+        check_printable(_sur_bits(t, k, k))
+    _emit_scalar(inversion_coefficient(t, k), args.pretty)
     return 0
 
 
 def _cmd_sur(args) -> int:
     if args.basis is not None:
-        basis = TypeBasis.from_json_obj(_loads(args.basis, "bad JSON"))
+        basis = basis_from_json_obj(_loads(args.basis, "bad JSON"))
     else:
-        basis = TypeBasis([_simple_type(args)])
-    e, k = _int_list(args.e, "--e"), _int_list(args.k, "--k")
+        basis = (_simple_type(args),)
+    e = check_index(basis, _int_list(args.e, "--e"), "e")
+    k = check_index(basis, _int_list(args.k, "--k"), "k")
+    if all(ki <= ei for ei, ki in zip(e, k)):  # otherwise the count is 0
+        check_printable(sum(_sur_bits(t, ei, ki) for t, ei, ki in zip(basis, e, k)))
     _emit_scalar(Fraction(sur_product(basis, e, k)), args.pretty)
     return 0
 
@@ -136,26 +152,25 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _table_and_basis(args) -> tuple[ModuleMomentTable, TypeBasis]:
+def _table_and_primes(args) -> tuple[ModuleMomentTable, tuple[int, ...]]:
     table = ModuleMomentTable.from_json_obj(_load_json(args.file))
-    primes = _int_list(args.primes, "--primes") if args.primes else table.primes
-    return table, TypeBasis.abelian_primes(primes)
+    return table, _int_list(args.primes, "--primes") if args.primes else table.primes
 
 
 def _cmd_localize(args) -> int:
-    table, basis = _table_and_basis(args)
+    table, primes = _table_and_primes(args)
     M = _parse_group(args.group)
-    k_bound = _per_type(args.kbound, "--kbound", len(basis))
-    moments = localized_moments(table, M, basis, k_bound)
+    k_bound = _per_type(args.kbound, "--kbound", len(primes))
+    moments = localized_moments(table, M, primes, k_bound)
     _emit(moments.to_json_obj(), args.pretty)
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    table, basis = _table_and_basis(args)
+    table, primes = _table_and_primes(args)
     M = _parse_group(args.group)
-    r_max = _per_type(args.rmax, "--rmax", len(basis))
-    bracket = reconstruct_probability(table, M, basis, r_max)
+    r_max = _per_type(args.rmax, "--rmax", len(primes))
+    bracket = reconstruct_probability(table, M, primes, r_max)
     _emit(_bracket_obj(bracket, args.pretty), args.pretty)
     return 0
 
@@ -203,6 +218,7 @@ _TABLE_HELP = (
     "strip of up to {depth} boxes at each basis prime, and any order_bound field "
     "is read but not enforced"
 )
+_PRIMES_HELP = "distinct primes to localize at, comma separated (default: the table's primes)"
 
 
 def build_parser() -> _Parser:
@@ -233,7 +249,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("localize", help="localized moments at a fixed group")
     p.add_argument("--file", required=True, help=_TABLE_HELP.format(depth="--kbound"))
     p.add_argument("--group", required=True, help="group JSON, e.g. '{\"2\":[1]}'")
-    p.add_argument("--primes", help="basis primes, comma separated (default: table primes)")
+    p.add_argument("--primes", help=_PRIMES_HELP)
     p.add_argument("--kbound", required=True, help="moment depth(s), comma separated")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(fn=_cmd_localize)
@@ -241,7 +257,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reconstruct", help="bracket the mass of a group from moments")
     p.add_argument("--file", required=True, help=_TABLE_HELP.format(depth="--rmax"))
     p.add_argument("--group", required=True, help="group JSON, e.g. '{\"2\":[1]}'")
-    p.add_argument("--primes", help="basis primes, comma separated (default: table primes)")
+    p.add_argument("--primes", help=_PRIMES_HELP)
     p.add_argument("--rmax", required=True, help="truncation depth(s), comma separated")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(fn=_cmd_reconstruct)
@@ -273,15 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except BudgetExceededError as exc:
+    except MomentforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MomentforgeError as exc:  # InputError and any other library failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: bad input -> 1, internal consistency
-failure -> 2, enumeration budget exceeded -> 3.
+Each class carries the exit code the CLI returns for it: bad input -> 1,
+internal consistency failure -> 2, enumeration budget exceeded -> 3.
 """
 
 
 class MomentforgeError(Exception):
-    pass
+    exit_code = 1
 
 
 class InputError(MomentforgeError, ValueError):
@@ -24,6 +24,10 @@ class InfeasibleMomentsError(InputError):
 class ConsistencyError(MomentforgeError):
     """An internal cross-check failed (e.g. a non-integer extension-class count)."""
 
+    exit_code = 2
+
 
 class BudgetExceededError(MomentforgeError):
-    """A brute-force enumeration would exceed the configured resource budget."""
+    """A brute-force enumeration would exceed its budget, or a result the digit limit."""
+
+    exit_code = 3

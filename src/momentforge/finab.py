@@ -728,7 +728,8 @@ def count_surjective_matrices(h: int, e: int, k: int, budget: Budget | None = No
         for c in range(h):
             shift = sub[:, mul[c, vec]].T  # (children, n): x - c*v
             children |= spans[parent[:, None], shift]
-        spans, inverse = np.unique(children, axis=0, return_inverse=True)
+        packed, inverse = np.unique(np.packbits(children, axis=1), axis=0, return_inverse=True)
+        spans = np.unpackbits(packed, axis=1, count=n).astype(bool)
         weights, mult = mult[parent], np.zeros(len(spans), dtype=np.int64)
         np.add.at(mult, inverse.reshape(-1), weights)
     raise AssertionError("unreachable")

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 from .errors import InfeasibleMomentsError, InputError
 from .qseries import SimpleType, inversion_coefficients
 from .rationals import format_rational, parse_rational
-from .surjcount import MultiIndex, TypeBasis, check_index
+from .surjcount import Basis, MultiIndex, basis_from_json_obj, check_index
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,15 @@ class MomentTable:
 
     def __init__(
         self,
-        basis: TypeBasis,
+        basis: Sequence[SimpleType],
         bound: Sequence[int],
         values: Mapping[MultiIndex, Fraction | int],
     ):
-        self.basis = basis
-        self.bound = check_index(basis, bound, "bound")
+        self.basis: Basis = tuple(basis)
+        self.bound = check_index(self.basis, bound, "bound")
         table: dict[MultiIndex, Fraction] = {}
         for k, v in values.items():
-            k = check_index(basis, k, "moment index")
+            k = check_index(self.basis, k, "moment index")
             v = Fraction(v)
             if v < 0:
                 raise InputError(f"moment at {k} is negative")
@@ -107,7 +107,7 @@ class MomentTable:
     ) -> "MomentTable":
         """Table over a single type from the list of moments at k = 0, 1, ..."""
         return cls(
-            TypeBasis([t]),
+            (t,),
             (len(values) - 1,),
             {(k,): v for k, v in enumerate(values)},
         )
@@ -126,7 +126,7 @@ class MomentTable:
         perm = tuple(perm)
         if sorted(perm) != list(range(len(self.basis))):
             raise InputError(f"not a permutation of 0..{len(self.basis) - 1}: {perm}")
-        basis = TypeBasis(self.basis[i] for i in perm)
+        basis = tuple(self.basis[i] for i in perm)
         bound = tuple(self.bound[i] for i in perm)
         values = {
             tuple(k[i] for i in perm): v for k, v in self.values.items()
@@ -135,7 +135,7 @@ class MomentTable:
 
     def to_json_obj(self) -> dict:
         return {
-            "basis": self.basis.to_json_obj(),
+            "basis": [t.to_json_obj() for t in self.basis],
             "bound": list(self.bound),
             "moments": [
                 {"k": list(k), "value": format_rational(v)}
@@ -146,7 +146,7 @@ class MomentTable:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "MomentTable":
         try:
-            basis = TypeBasis.from_json_obj(obj["basis"])
+            basis = basis_from_json_obj(obj["basis"])
             bound = obj["bound"]
             values: dict[tuple, Fraction] = {}
             for rec in obj["moments"]:

@@ -7,9 +7,9 @@ mass at 0, which is |Aut(M)| times the mass of M itself. The pipeline
 consumes moment tables only; measures appear in the brute-force oracle
 mu_local_direct used to cross-check it.
 
-The sums read the table only at the middles of extensions of M by a
-semisimple group: M plus a vertical strip at each basis prime. A table
-needs those groups and no others, so it may be sparse.
+Localization is at a set of primes p, the simple groups Z/p: the sums read
+the table only at the middles of extensions of M by products of the F_p**k_p,
+M plus a vertical strip at each p. A table needs those groups and no others.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .finab import (
     surjection_kernel_profile,
 )
 from .inversion import Bracket, MomentTable, multi_invert_zero
+from .qseries import SimpleType
 from .rationals import format_rational, parse_rational
-from .surjcount import MultiIndex, TypeBasis, check_index
+from .surjcount import MultiIndex, check_index
 
 
 class ModuleMomentTable:
@@ -110,19 +111,6 @@ class ModuleMomentTable:
         return json.dumps(self.to_json_obj())
 
 
-def _basis_primes(basis: TypeBasis) -> tuple[int, ...]:
-    ps = []
-    for i, t in enumerate(basis):
-        if not t.is_abelian or not is_prime(t.h):
-            raise InputError(
-                f"localization needs prime-field abelian basis entries, got {t} at {i}"
-            )
-        if t.h in ps:
-            raise InputError(f"duplicate prime {t.h} in basis")
-        ps.append(t.h)
-    return tuple(ps)
-
-
 def _semisimple_target(primes: Sequence[int], k: MultiIndex) -> FinAbGroup:
     return FinAbGroup.from_dict({p: [1] * ki for p, ki in zip(primes, k) if ki})
 
@@ -130,10 +118,11 @@ def _semisimple_target(primes: Sequence[int], k: MultiIndex) -> FinAbGroup:
 def localized_moments(
     table: ModuleMomentTable,
     M: FinAbGroup,
-    basis: TypeBasis,
+    primes: Sequence[int],
     k_bound: Sequence[int],
 ) -> MomentTable:
-    """Moments of the localized measure at M, one per multi-index k <= k_bound.
+    """Moments of the localized measure at M, one per multi-index k <= k_bound,
+    with k_i the exponent of F_p for the i-th of the distinct `primes`.
 
     The k-th localized moment is the extension-class sum
     sum_{M'} classCount(N_k, M', M) * table(M') / |Hom(M, N_k)| over middles
@@ -142,12 +131,16 @@ def localized_moments(
     a positive class count. They are the only groups the table must hold: a
     missing one is a hard error naming it, and no other entry is looked up.
     """
-    ps = _basis_primes(basis)
+    primes = tuple(primes)
+    not_prime = any(type(p) is not int or not is_prime(p) for p in primes)
+    if not_prime or len(set(primes)) < len(primes):
+        raise InputError(f"localization needs distinct primes, got {list(primes)}")
+    basis = tuple(SimpleType.abelian(p) for p in primes)
     k_bound = check_index(basis, k_bound, "k_bound")
 
     values: dict[MultiIndex, Fraction] = {}
     for k in itertools.product(*(range(b + 1) for b in k_bound)):
-        target = _semisimple_target(ps, k)
+        target = _semisimple_target(primes, k)
         middles = candidate_middles(target, M)
         missing = [mid for mid in middles if mid not in table]
         if missing:
@@ -188,11 +181,12 @@ def mu_local_direct(mu: Measure, M: FinAbGroup, N: FinAbGroup) -> Fraction:
 def reconstruct_probability(
     table: ModuleMomentTable,
     M: FinAbGroup,
-    basis: TypeBasis,
+    primes: Sequence[int],
     r_max: Sequence[int],
 ) -> Bracket:
     """Certified bracket for the mass at M of any nonnegative measure with
-    the given moments: invert the localized moments, then divide by |Aut(M)|."""
-    moments = localized_moments(table, M, basis, r_max)
+    the given moments: invert the moments localized at the given primes, then
+    divide by |Aut(M)|."""
+    moments = localized_moments(table, M, primes, r_max)
     bracket = multi_invert_zero(moments, r_max)
     return bracket.scale(Fraction(1, aut_count(M)))

@@ -16,8 +16,6 @@ from typing import Iterator
 
 from .errors import InputError
 
-Rational = Fraction
-
 ABELIAN = "abelian"
 NONABELIAN = "nonabelian"
 
@@ -161,7 +159,7 @@ def q_binomial(e: int, k: int, h: int) -> int:
     return num // den
 
 
-def inversion_coefficients(t: SimpleType) -> Iterator[Rational]:
+def inversion_coefficients(t: SimpleType) -> Iterator[Fraction]:
     """The coefficients c_0, c_1, ... of the alternating inversion sum for type t.
 
     c_0 = 1, and c_k = -c_(k-1) / (h**k - 1) for an abelian type with field
@@ -176,7 +174,7 @@ def inversion_coefficients(t: SimpleType) -> Iterator[Rational]:
         sign, den = -sign, den * (t.h**k - 1 if t.is_abelian else k * t.aut)
 
 
-def inversion_coefficient(t: SimpleType, k: int) -> Rational:
+def inversion_coefficient(t: SimpleType, k: int) -> Fraction:
     """The k-th term of inversion_coefficients(t)."""
     if k < 0:
         raise InputError(f"inversion_coefficient needs k >= 0, got {k}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InputError
@@ -15,6 +17,14 @@ def format_rational(x: Fraction | int) -> str:
         return f"{x.numerator}/{x.denominator}"
     except ValueError as exc:  # past sys.get_int_max_str_digits()
         raise BudgetExceededError(f"the exact result is too long to print: {exc}") from exc
+
+
+def check_printable(bits: int) -> None:
+    """Refuse before computing, as format_rational would after, a result known to
+    be at least 2**bits when that has more digits than sys.get_int_max_str_digits()."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and bits >= (limit + 1) / math.log10(2):
+        raise BudgetExceededError(f"the exact result is too long to print: over {limit} digits")
 
 
 def parse_rational(s) -> Fraction:

@@ -23,10 +23,8 @@ import numpy as np
 
 from .errors import InputError
 from .finab import FinAbGroup, Measure, aut_count, candidate_middles, is_prime, sur_count
-from .inversion import Bracket
 from .localize import ModuleMomentTable, reconstruct_probability
 from .rationals import format_rational
-from .surjcount import TypeBasis
 
 
 # Entry cap on one drawn matrix, checked before anything is allocated: an
@@ -196,7 +194,6 @@ def convergence_report(
                 f"{config.cap - 1}"
             )
 
-    basis = TypeBasis.abelian_primes([config.p])
     # the localized sums at M read only the middles of 0 -> F_p**k -> M' -> M -> 0
     moment_targets = [
         mid
@@ -209,7 +206,7 @@ def convergence_report(
     for t, mu in zip(counts, _prefix_measures(config, counts)):
         table = empirical_moments(mu, moment_targets)
         for M in targets:
-            bracket = reconstruct_probability(table, M, basis, (r_max,))
+            bracket = reconstruct_probability(table, M, (config.p,), (r_max,))
             records.append(
                 {
                     "t": t,

@@ -3,59 +3,29 @@
 For an abelian type with endomorphism field of size h,
 Sur(G**e, G**k) = (h**e - 1)(h**e - h)...(h**e - h**(k-1)), the number of
 surjective k x e matrices over the field. For a non-abelian simple type,
-Sur(G**e, G**k) = e(e-1)...(e+1-k) * aut**k. Counts across a basis of
-pairwise non-isomorphic types multiply coordinatewise.
+Sur(G**e, G**k) = e(e-1)...(e+1-k) * aut**k. Counts across a basis, a
+tuple of types taken as pairwise non-isomorphic (distinctness is positional,
+not checked), multiply coordinatewise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .qseries import SimpleType
 
 MultiIndex = tuple[int, ...]
+Basis = tuple[SimpleType, ...]
 
 
-@dataclass(frozen=True)
-class TypeBasis:
-    """Ordered list of simple types, treated as pairwise non-isomorphic.
-
-    Distinctness is positional: the constructor does not compare entries
-    for abstract isomorphism.
-    """
-
-    types: tuple[SimpleType, ...]
-
-    def __init__(self, types: Iterable[SimpleType]):
-        object.__setattr__(self, "types", tuple(types))
-
-    def __len__(self) -> int:
-        return len(self.types)
-
-    def __iter__(self):
-        return iter(self.types)
-
-    def __getitem__(self, i: int) -> SimpleType:
-        return self.types[i]
-
-    @classmethod
-    def abelian_primes(cls, primes: Sequence[int]) -> "TypeBasis":
-        """Basis of prime-field types F_p, one per prime, in the given order."""
-        return cls(SimpleType.abelian(p) for p in primes)
-
-    def to_json_obj(self) -> list:
-        return [t.to_json_obj() for t in self.types]
-
-    @classmethod
-    def from_json_obj(cls, obj: list) -> "TypeBasis":
-        if not isinstance(obj, list):
-            raise InputError(f"basis JSON must be a list of simple types, got {obj!r}")
-        return cls(SimpleType.from_json_obj(entry) for entry in obj)
+def basis_from_json_obj(obj: list) -> Basis:
+    if not isinstance(obj, list):
+        raise InputError(f"basis JSON must be a list of simple types, got {obj!r}")
+    return tuple(SimpleType.from_json_obj(entry) for entry in obj)
 
 
-def check_index(basis: TypeBasis, idx: Sequence[int], name: str) -> MultiIndex:
+def check_index(basis: Basis, idx: Sequence[int], name: str) -> MultiIndex:
     try:
         idx = tuple(idx)
     except TypeError as exc:
@@ -94,7 +64,7 @@ def sur_single(t: SimpleType, e: int, k: int) -> int:
     return out
 
 
-def sur_product(basis: TypeBasis, e: Sequence[int], k: Sequence[int]) -> int:
+def sur_product(basis: Basis, e: Sequence[int], k: Sequence[int]) -> int:
     """Surjection count between products prod t_i**e_i -> prod t_i**k_i."""
     e = check_index(basis, e, "e")
     k = check_index(basis, k, "k")

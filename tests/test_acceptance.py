@@ -9,11 +9,9 @@ import math
 import time
 from fractions import Fraction
 
-from momentforge.budget import Budget
 from momentforge.finab import FinAbGroup, enumerate_groups, sur_count
 from momentforge.localize import reconstruct_probability
 from momentforge.sampler import SamplerConfig, empirical_moments, sample_measure
-from momentforge.surjcount import TypeBasis
 from momentforge.verify import (
     check_abelian_matrix_oracle,
     check_bracketing_soundness,
@@ -111,9 +109,7 @@ def _sampler_run(seed):
     zscore = abs(float(moment) - 1.0) / sigma
 
     table = empirical_moments(mu, enumerate_groups([2], 2**10))
-    bracket = reconstruct_probability(
-        table, FinAbGroup.trivial(), TypeBasis.abelian_primes([2]), (10,)
-    )
+    bracket = reconstruct_probability(table, FinAbGroup.trivial(), (2,), (10,))
     mid_error = abs(float(bracket.midpoint) - 0.288788)
     assert bracket.contains(mu.mass(FinAbGroup.trivial()))
     return zscore, mid_error

@@ -13,7 +13,7 @@ from momentforge.cli import main
 from momentforge.finab import FinAbGroup, Measure, enumerate_groups
 from momentforge.inversion import Bracket, MomentTable
 from momentforge.localize import ModuleMomentTable
-from momentforge.qseries import SimpleType
+from momentforge.qseries import SimpleType, inversion_coefficient
 
 
 def run(capsys, *argv):
@@ -277,6 +277,29 @@ def test_uncovered_basis_prime_names_missing_middle(half_table_path, capsys):
     assert code == 1 and out == "" and "lacks middles" in err and err.rstrip().endswith(": Z/5")
 
 
+@pytest.mark.parametrize("primes", ["4", "3,3", "1"])
+def test_localization_primes_must_be_distinct_primes(primes, half_table_path, capsys):
+    code, out, err = run(
+        capsys, "reconstruct", "--file", str(half_table_path), "--group", "{}",
+        "--primes", primes, "--rmax", "1",
+    )
+    assert code == 1 and out == ""
+    assert f"localization needs distinct primes, got [{primes.replace(',', ', ')}]" in err
+
+
+@pytest.mark.parametrize("command, depth", [("localize", "--kbound"), ("reconstruct", "--rmax")])
+def test_explicit_table_primes_match_the_default(command, depth, tmp_path, capsys):
+    mu = Measure({FinAbGroup.trivial(): Fraction(1, 2), FinAbGroup.from_orders(6): Fraction(1, 2)})
+    from momentforge.sampler import empirical_moments
+
+    path = tmp_path / "table.json"
+    path.write_text(empirical_moments(mu, enumerate_groups([2, 3], 72)).dumps())
+    argv = (command, "--file", str(path), "--group", '{"2":[1]}', depth, "2,1")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--primes", "2,3") == (0, plain, "")
+
+
 def _report_brackets_contain_frequencies(out: str) -> list[dict]:
     records = [json.loads(line) for line in out.splitlines()]
     for rec in records:
@@ -449,6 +472,29 @@ def test_digit_and_float_limits_exit_cleanly(table, argv, want_code, want_out, t
         assert out == "" and err.startswith("error: ")
     else:
         assert want_out in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--abelian", "2", "--k", "5000"],
+        ["coeffs", "--abelian", "2", "--k", "100000"],
+        ["coeffs", "--nonabelian-aut", "60", "--k", "10000000"],
+        ["sur", "--abelian", "2", "--e", "100000000", "--k", "50000000"],
+    ],
+    ids=["coeffs-5000", "coeffs-100000", "coeffs-nonabelian", "sur"],
+)
+def test_unprintable_results_are_refused_before_computing(argv, capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 2.0
+    assert code == 3 and out == "" and err.startswith("error: the exact result is too long")
+
+
+def test_printable_results_still_print(capsys):
+    # the refusal uses a lower bound on the digits, so c_150 (3,411 characters) prints
+    code, out, _ = run(capsys, "coeffs", "--abelian", "2", "--k", "150")
+    assert code == 0 and Fraction(out.strip()) == inversion_coefficient(SimpleType.abelian(2), 150)
 
 
 def test_decimal_of_out_of_range_values():

@@ -2,7 +2,7 @@ import pytest
 
 from momentforge.errors import InputError
 from momentforge.qseries import SimpleType
-from momentforge.surjcount import TypeBasis, sur_product, sur_single
+from momentforge.surjcount import basis_from_json_obj, sur_product, sur_single
 
 F2 = SimpleType.abelian(2)
 F3 = SimpleType.abelian(3)
@@ -37,16 +37,16 @@ def test_monotone_in_e(t):
 
 
 def test_sur_product():
-    basis = TypeBasis([F2, F3])
+    basis = (F2, F3)
     assert sur_product(basis, (2, 1), (1, 1)) == 6
     assert sur_product(basis, (0, 0), (0, 0)) == 1
     assert sur_product(basis, (1, 0), (0, 1)) == 0
-    mixed = TypeBasis([F2, A5])
+    mixed = (F2, A5)
     assert sur_product(mixed, (2, 2), (1, 1)) == 3 * 240
 
 
 def test_length_mismatch_is_hard_error():
-    basis = TypeBasis([F2, F3])
+    basis = (F2, F3)
     with pytest.raises(InputError):
         sur_product(basis, (1,), (1, 1))
     with pytest.raises(InputError):
@@ -56,5 +56,8 @@ def test_length_mismatch_is_hard_error():
 
 
 def test_basis_json_roundtrip():
-    basis = TypeBasis([F2, A5, F3])
-    assert TypeBasis.from_json_obj(basis.to_json_obj()) == basis
+    basis = (F2, A5, F3)
+    assert basis_from_json_obj([t.to_json_obj() for t in basis]) == basis
+    for bad in ({"kind": "abelian", "h": 2}, "F2", None):
+        with pytest.raises(InputError, match="basis JSON must be a list of simple types"):
+            basis_from_json_obj(bad)
