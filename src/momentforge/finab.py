@@ -59,6 +59,10 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n)
 
 
+# per prime, increasing: the weakly decreasing exponent partition
+Components = tuple[tuple[int, tuple[int, ...]], ...]
+
+
 @dataclass(frozen=True)
 class FinAbGroup:
     """Canonical form of a finite abelian group.
@@ -68,7 +72,7 @@ class FinAbGroup:
     partition, so the trivial group is the empty tuple.
     """
 
-    components: tuple[tuple[int, tuple[int, ...]], ...]
+    components: Components
 
     def __post_init__(self) -> None:
         last_p = 0
@@ -168,23 +172,8 @@ class FinAbGroup:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FinAbGroup":
-        """Group from JSON like {"2": [2, 1], "3": [1]}: prime keys, lists of
-        integer exponents in any order. Canonicalizes in one pass; floats,
-        booleans and strings are rejected, not truncated, and so are prime
-        keys that int() would bend, such as "1_1" or " 3"."""
-        if not isinstance(obj, dict):
-            raise InputError(f"group JSON must be an object, got {obj!r}")
-        comps: dict[int, tuple[int, ...]] = {}
-        for key, parts in obj.items():
-            if not (isinstance(key, str) and key.isascii() and key.isdigit()):  # not "1_1"
-                raise InputError(f"bad group JSON {obj!r}: prime {key!r} is not a decimal integer")
-            p = int(key)
-            if not isinstance(parts, (list, tuple)) or any(type(a) is not int for a in parts):
-                raise InputError(f"bad group JSON {obj!r}: exponents must be a list of integers")
-            if p in comps:
-                raise InputError(f"bad group JSON {obj!r}: prime {p} appears twice")
-            comps[p] = tuple(sorted(parts, reverse=True))
-        return cls(tuple((p, parts) for p, parts in sorted(comps.items()) if parts))
+        """Group from JSON like {"2": [2, 1], "3": [1]}; see group_components."""
+        return cls(group_components(obj))
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -193,6 +182,48 @@ class FinAbGroup:
 
     def sort_key(self):
         return (self.order, self.components)
+
+
+@lru_cache(maxsize=1024)
+def _json_prime(key: str) -> int | None:
+    """The integer a group-JSON key spells in ASCII digits, else None."""
+    return int(key) if key.isascii() and key.isdigit() else None  # not "1_1", " 3", "٣"
+
+
+def group_components(obj) -> Components:
+    """FinAbGroup components of group JSON like {"2": [2, 1], "3": [1]}: prime
+    keys, lists of integer exponents in any order. Canonicalizes in one pass
+    and makes every check FinAbGroup makes, so the result can key a group that
+    is never built. Floats, booleans and strings are rejected, not truncated,
+    and so are prime keys that int() would bend, such as "1_1" or " 3"."""
+    if not isinstance(obj, dict):
+        raise InputError(f"group JSON must be an object, got {obj!r}")
+    comps: dict[int, tuple[int, ...]] = {}
+    for key, parts in obj.items():
+        try:
+            p = _json_prime(key) if isinstance(key, str) else None
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise InputError(f"bad group JSON: a {len(key)}-digit prime key is too large") from None
+        if p is None:
+            raise InputError(f"bad group JSON {obj!r}: prime {key!r} is not a decimal integer")
+        if not isinstance(parts, (list, tuple)):
+            raise InputError(f"bad group JSON {obj!r}: exponents must be a list of integers")
+        for a in parts:
+            if type(a) is not int:
+                raise InputError(f"bad group JSON {obj!r}: exponents must be a list of integers")
+        if p in comps:
+            raise InputError(f"bad group JSON {obj!r}: prime {p} appears twice")
+        comps[p] = tuple(sorted(parts, reverse=True))
+    out = []
+    for p in sorted(comps):
+        parts = comps[p]
+        if parts:
+            if not is_prime(p):
+                raise InputError(f"{p} is not prime")
+            if parts[-1] < 1:
+                raise InputError(f"partition for prime {p} must be weakly decreasing >= 1")
+            out.append((p, parts))
+    return tuple(out)
 
 
 def enumerate_groups(primes: Iterable[int], order_bound: int) -> list[FinAbGroup]:

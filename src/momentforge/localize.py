@@ -10,6 +10,9 @@ mu_local_direct used to cross-check it.
 Localization is at a set of primes p, the simple groups Z/p: the sums read
 the table only at the middles of extensions of M by products of the F_p**k_p,
 M plus a vertical strip at each p. A table needs those groups and no others.
+Its records are keyed by canonical exponent data, and every one of them is
+validated when the table is loaded, but a group is built only for a record
+that is read.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .finab import (
+    Components,
     FinAbGroup,
     Measure,
     aut_count,
     candidate_middles,
     extension_class_count,
+    group_components,
     hom_count,
     is_prime,
     surjection_kernel_profile,
@@ -40,11 +45,14 @@ class ModuleMomentTable:
     """Moments of a measure at finite abelian targets: group -> integral of
     the surjection count onto it.
 
-    The table promises exactly the groups it lists. Reconstruction at M
-    reads only M plus a vertical strip at each basis prime (see
-    localized_moments), and names any of those the table lacks; nothing
-    else is required. A legacy `order_bound` field in JSON is type-checked
-    and otherwise ignored.
+    Records are keyed by canonical exponent data, FinAbGroup.components.
+    Every record is validated when the table is made, but a group is built
+    only for a record that is read, and a value read from JSON as plain
+    digits becomes a Fraction only then. The table promises exactly the
+    groups it lists. Reconstruction at M reads only M plus a vertical strip
+    at each basis prime (see localized_moments), and names any of those the
+    table lacks; nothing else is required. A legacy `order_bound` field in
+    JSON is type-checked and otherwise ignored.
     """
 
     def __init__(self, primes: Iterable[int], values: Mapping[FinAbGroup, Fraction | int]):
@@ -58,27 +66,34 @@ class ModuleMomentTable:
         for p in self.primes:
             if not is_prime(p):
                 raise InputError(f"{p} is not prime")
-        table: dict[FinAbGroup, Fraction] = {}
+        self._store: dict[Components, Fraction | int] = {}
         for g, v in values.items():
             if not isinstance(g, FinAbGroup):
                 raise InputError(f"moment keys must be groups, got {g!r}")
-            if any(p not in self.primes for p in g.primes):
+            self._put(g.components, Fraction(v))
+
+    def _put(self, comps: Components, value: Fraction | int) -> None:
+        for p, _ in comps:
+            if p not in self.primes:
+                g = FinAbGroup(comps)
                 raise InputError(f"group {g} is not supported on primes {self.primes}")
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            if v < 0:
-                raise InputError(f"moment at {g} is negative")
-            table[g] = v
-        self.values = table
+        if value < 0:
+            raise InputError(f"moment at {FinAbGroup(comps)} is negative")
+        self._store[comps] = value
 
     def __contains__(self, g: FinAbGroup) -> bool:
-        return g in self.values
+        return g.components in self._store
 
     def __call__(self, g: FinAbGroup) -> Fraction:
         try:
-            return self.values[g]
+            return Fraction(self._store[g.components])
         except KeyError:
             raise InputError(f"moment table has no entry for {g}") from None
+
+    @property
+    def values(self) -> dict[FinAbGroup, Fraction]:
+        """Every record as group -> value; builds them all."""
+        return {FinAbGroup(comps): Fraction(v) for comps, v in self._store.items()}
 
     def to_json_obj(self) -> dict:
         return {
@@ -91,24 +106,38 @@ class ModuleMomentTable:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "ModuleMomentTable":
+        """Table from JSON, every record checked in one pass: its group, the
+        group's support on the table primes, duplicates after
+        canonicalization, and its value, which must parse and be >= 0."""
         try:
-            primes = obj["primes"]
+            table = cls(obj["primes"], {})
             if "order_bound" in obj:
                 order_bound = obj["order_bound"]
                 if type(order_bound) is not int or order_bound < 1:
                     raise InputError(f"order_bound must be an integer >= 1, got {order_bound!r}")
-            values: dict[FinAbGroup, Fraction] = {}
             for rec in obj["moments"]:
-                g = FinAbGroup.from_json_obj(rec["group"])
-                if g in values:
-                    raise InputError(f"duplicate group {g} in module moment-table JSON")
-                values[g] = parse_rational(rec["value"])
+                comps = group_components(rec["group"])
+                if comps in table._store:
+                    raise InputError(
+                        f"duplicate group {FinAbGroup(comps)} in module moment-table JSON"
+                    )
+                table._put(comps, _parse_value(rec["value"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad module moment-table JSON: {exc}") from exc
-        return cls(primes, values)
+        return table
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj())
+
+
+def _parse_value(v) -> Fraction | int:
+    """A record's value: plain ASCII digits as an int, anything else by parse_rational."""
+    if type(v) is str and v.isascii() and v.isdigit():
+        try:
+            return int(v)
+        except ValueError:  # past sys.get_int_max_str_digits(): parse_rational says so
+            pass
+    return parse_rational(v)
 
 
 def _semisimple_target(primes: Sequence[int], k: MultiIndex) -> FinAbGroup:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -27,7 +28,14 @@ def check_printable(bits: int) -> None:
         raise BudgetExceededError(f"the exact result is too long to print: over {limit} digits")
 
 
+# the exponent that ends Fraction's decimal syntax, e.g. "1.5e-3"
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_rational(s) -> Fraction:
+    """Fraction from a JSON value: an int, or a string Fraction() reads. An
+    exponent past sys.get_int_max_str_digits() in magnitude is refused before
+    Fraction() builds 10**exponent."""
     if isinstance(s, bool):
         raise InputError(f"not a rational: {s!r}")
     if isinstance(s, int):
@@ -35,6 +43,10 @@ def parse_rational(s) -> Fraction:
     if not isinstance(s, str):
         raise InputError(f"rational values must be strings or integers, got {s!r}")
     try:
+        exponent = _EXPONENT.search(s)
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"exponent past {limit} in magnitude")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse rational {s!r}: {exc}") from exc

@@ -10,6 +10,7 @@ import pytest
 
 import momentforge
 from momentforge.cli import main
+from momentforge.errors import InputError
 from momentforge.finab import FinAbGroup, Measure, enumerate_groups
 from momentforge.inversion import Bracket, MomentTable
 from momentforge.localize import ModuleMomentTable
@@ -355,6 +356,7 @@ def test_oversized_sample_matrix_exits_1(capsys):
 _NO_NUMPY_SCRIPT = """
 import json, sys
 from momentforge.cli import main
+from momentforge.errors import InputError
 table, moments = sys.argv[1], sys.argv[2]
 runs = [
     ["reconstruct", "--file", table, "--group", '{"2":[1]}', "--rmax", "3"],
@@ -448,11 +450,11 @@ _ONE_TYPE = '{"basis":[{"kind":"abelian","h":2}],"bound":[%s],"moments":[%s]}'
          1, ""),
         # infeasible moments past the digit limit: the message carries no numbers
         (_ONE_TYPE % (3, ",".join('{"k":[%d],"value":"%s"}' % kv for kv in
-                                  enumerate(["1e5000", "0", "3e5000", "0"]))),
+                                  enumerate(["1e4300", "0", "3e4300", "0"]))),
          ["invert", "--rmax", "3"], 1, ""),
         # negative moments past the digit limit: the messages carry no numbers
-        (_ONE_TYPE % (0, '{"k":[0],"value":"-1e5000"}'), ["invert", "--rmax", "0"], 1, ""),
-        ('{"primes":[2],"moments":[{"group":{},"value":"-1e5000"}]}',
+        (_ONE_TYPE % (0, '{"k":[0],"value":"-1e4300"}'), ["invert", "--rmax", "0"], 1, ""),
+        ('{"primes":[2],"moments":[{"group":{},"value":"-1e4300"}]}',
          ["reconstruct", "--group", "{}", "--rmax", "0"], 1, ""),
         # decimal renderings out of float range read inf
         (_ONE_TYPE % (0, '{"k":[0],"value":"1e400"}'), ["invert", "--pretty", "--rmax", "0"], 0,
@@ -573,3 +575,83 @@ def test_bad_json_and_order_exit_1(argv, message, half_table_path, tmp_path, cap
              "{binary}": binary}
     code, out, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
     assert code == 1 and out == "" and err.startswith("error: ") and message in err
+
+
+# one faulty record, appended after every group of a {2,3} table: reconstruct
+# at 0 reads none of them, yet each is refused when the table is loaded
+_FAULTS = {
+    "non-prime-key": ([{"4": [1]}], "1", "4 is not prime"),
+    "padded-key": ([{"2": [1], "02": [1]}], "1",
+                   "bad group JSON {'2': [1], '02': [1]}: prime 2 appears twice"),
+    "float-exponent": ([{"2": [1.0]}], "1",
+                       "bad group JSON {'2': [1.0]}: exponents must be a list of integers"),
+    "true-exponent": ([{"2": [True]}], "1",
+                      "bad group JSON {'2': [True]}: exponents must be a list of integers"),
+    "zero-exponent": ([{"2": [0]}], "1", "partition for prime 2 must be weakly decreasing >= 1"),
+    "off-table-prime": ([{"5": [1]}], "1", "group Z/5 is not supported on primes (2, 3)"),
+    "reordered-duplicate": ([{"2": [1, 2]}], "1",
+                            "duplicate group Z/4 x Z/2 in module moment-table JSON"),
+    "negative": ([{"3": [9]}], "-1", "moment at Z/19683 is negative"),
+    "not-a-number": ([{"3": [9]}], "x", "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+    "zero-denominator": ([{"3": [9]}], "1/0", "cannot parse rational '1/0': Fraction(1, 0)"),
+    "5000-digits": ([{"3": [9]}], "1" * 5000, "cannot parse rational '" + "1" * 5000 + "': Exceeds"),
+}
+
+
+@pytest.fixture(scope="module")
+def table_23_records():
+    table = ModuleMomentTable([2, 3], {g: 1 for g in enumerate_groups([2, 3], 6 * 2**4 * 3**3)})
+    return table.to_json_obj()
+
+
+@pytest.mark.parametrize("fault", _FAULTS, ids=list(_FAULTS))
+def test_unread_records_are_still_validated(fault, table_23_records, tmp_path, capsys):
+    groups, value, message = _FAULTS[fault]
+    path = tmp_path / "table.json"
+    argv = ("reconstruct", "--file", str(path), "--group", "{}", "--rmax", "1")
+    path.write_text(json.dumps(table_23_records))
+    assert run(capsys, *argv)[0] == 0
+    extra = [{"group": g, "value": value} for g in groups]
+    path.write_text(json.dumps({**table_23_records,
+                                "moments": table_23_records["moments"] + extra}))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["reconstruct", "--group", "{}", "--rmax", "1"],
+         '{"primes":[2],"moments":[{"group":{},"value":"1"},{"group":{"2":[1]},"value":"1"},'
+         '{"group":{"2":[1,1]},"value":"%s"}]}'),
+        (["localize", "--group", "{}", "--kbound", "0"],
+         '{"primes":[2],"moments":[{"group":{},"value":"1"},{"group":{"2":[5]},"value":"%s"}]}'),
+        (["invert", "--rmax", "0"], _ONE_TYPE % (1, '{"k":[0],"value":"1"},{"k":[1],"value":"%s"}')),
+    ],
+    ids=["reconstruct", "localize", "invert"],
+)
+@pytest.mark.parametrize("value", ["1e10000000", "1E-10000000", "-2.5e+4301", "1e4_301"])
+def test_exponents_past_the_digit_limit_are_refused_at_load(argv, table, value, tmp_path, capsys):
+    # Fraction() would build 10**exponent first: 16 s for an unread "1e10000000"
+    path = tmp_path / "table.json"
+    path.write_text(table % value)
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--file", str(path))
+    assert time.perf_counter() - started < 2.0
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse rational {value!r}: exponent past 4300 in magnitude\n"
+
+
+def test_exponents_at_the_digit_limit_still_parse(capsys, tmp_path):
+    from momentforge.rationals import parse_rational
+
+    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational("-1e-4300") == Fraction(-1, 10**4300)
+    with pytest.raises(InputError, match="exponent past 4300"):
+        Measure.from_json_obj({"masses": [{"group": {}, "value": "1e-4301"}]})
+    # a read value of 10**5000 used to exit 3 when printed; it now exits 1 at load
+    path = tmp_path / "table.json"
+    path.write_text('{"primes":[2],"moments":[{"group":{},"value":"1e5000"}]}')
+    code, _, err = run(capsys, "reconstruct", "--file", str(path), "--group", "{}", "--rmax", "0")
+    assert code == 1 and "exponent past 4300" in err

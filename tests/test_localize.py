@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from momentforge import localize
 from momentforge.errors import InputError
 from momentforge.finab import (
     FinAbGroup,
@@ -19,6 +21,7 @@ from momentforge.localize import (
     mu_local_direct,
     reconstruct_probability,
 )
+from momentforge.rationals import parse_rational
 from momentforge.sampler import empirical_moments, reference_mass
 from momentforge.verify import synthetic_measure
 
@@ -110,6 +113,97 @@ class TestModuleMomentTable:
             reconstruct_probability(sparse, M, P23, r_max)
         named = str(info.value).rsplit("): ", 1)[1].removesuffix("...").split(", ")
         assert named and set(named) <= lost
+
+
+@pytest.fixture(scope="module")
+def wide_23():
+    """The {2,3} table the cl-2x3-wide benchmark reads, as JSON: 17,388 groups."""
+    groups = enumerate_groups([2, 3], 6 * 2**8 * 3**6)
+    return {"primes": [2, 3], "moments": [{"group": g.to_json_obj(), "value": "1"} for g in groups]}
+
+
+@pytest.fixture
+def groups_built(monkeypatch):
+    """Counts the FinAbGroups made from here on."""
+    built = [0]
+    check = FinAbGroup.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        check(self)
+
+    monkeypatch.setattr(FinAbGroup, "__post_init__", counted)
+    return built
+
+
+class TestTableIngest:
+    def test_json_ingest_builds_no_group_per_record(self, wide_23, groups_built):
+        table = ModuleMomentTable.from_json_obj(wide_23)
+        assert len(wide_23["moments"]) == 17_388
+        assert groups_built[0] <= 2
+        assert Z(2, 3) in table and table(Z(2, 3)) == 1
+
+    @pytest.mark.parametrize("M", [triv, Z(2), Z(3), Z(6)], ids=str)
+    def test_reconstruct_builds_only_the_groups_it_reads(self, M, wide_23, groups_built,
+                                                          monkeypatch):
+        table = ModuleMomentTable.from_json_obj(wide_23)
+        middles = []
+
+        def counted_middles(N, M):
+            found = candidate_middles(N, M)
+            middles.extend(found)
+            return found
+
+        monkeypatch.setattr(localize, "candidate_middles", counted_middles)
+        groups_built[0] = 0
+        reconstruct_probability(table, M, P23, (8, 6))
+        # one group per middle read, one per target N_k (63 at depth (8, 6)), no more
+        assert groups_built[0] <= len(middles) + 9 * 7 + 2
+
+    @given(st.dictionaries(
+        st.sampled_from(["2", "02", "3", "11", "1_1", " 3", "4", "٣"]),
+        st.lists(st.sampled_from([0, -1, 1, 2, 1.0, True, "1"]), max_size=3),
+        max_size=3,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_table_accepts_the_group_json_finabgroup_accepts(self, group):
+        obj = {"primes": [2, 3, 11], "moments": [{"group": group, "value": "1"}]}
+        try:
+            g = FinAbGroup.from_json_obj(group)
+        except InputError as exc:
+            with pytest.raises(InputError) as info:
+                ModuleMomentTable.from_json_obj(obj)
+            assert str(info.value) == str(exc)
+        else:
+            assert ModuleMomentTable.from_json_obj(obj).values == {g: 1}
+
+    @pytest.mark.parametrize("value", [
+        "1", "00", " 1 ", "+1", "1_000", "-0", "\u0661", True, 1.5, -1, 7, "3/6", "-1/2", "x",
+        "1" * 4300, "1" * 4301, "1e4301",
+    ])
+    def test_values_read_as_parse_rational_reads_them(self, value):
+        obj = {"primes": [2], "moments": [{"group": {}, "value": value}]}
+        try:
+            want = parse_rational(value)
+            if want < 0:
+                raise InputError("moment at 0 is negative")
+        except InputError as exc:
+            with pytest.raises(InputError) as info:
+                ModuleMomentTable.from_json_obj(obj)
+            assert str(info.value) == str(exc)
+        else:
+            got = ModuleMomentTable.from_json_obj(obj)(triv)
+            assert type(got) is Fraction and got == want
+
+    def test_init_table_survives_json(self):
+        values = {g: (g.order if g.order % 2 else Fraction(1, g.order)) for g in
+                  enumerate_groups([2, 3], 72)}
+        values[triv] = 0
+        table = ModuleMomentTable([3, 2], values)
+        again = ModuleMomentTable.from_json_obj(json.loads(table.dumps()))
+        assert again.primes == table.primes == (2, 3)
+        assert again.values == table.values == values
+        assert all(type(v) is Fraction for v in again.values.values())
 
 
 class TestLocalizedMoments:
