@@ -81,7 +81,15 @@ def _load_json(path: str):
 
 
 def _parse_group(text: str) -> FinAbGroup:
-    return FinAbGroup.from_json_obj(_loads(text, "group must be JSON like '{\"2\":[1]}'"))
+    """A group from JSON, refused where its order has more digits than str()
+    allows, which is judged from the exponents before any p**a is formed."""
+    M = FinAbGroup.from_json_obj(_loads(text, "group must be JSON like '{\"2\":[1]}'"))
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    # log10 p > 1/4, so a total exponent past 4 * limit is past the limit at any p
+    digits = sum(min(sum(parts), 4 * limit) * math.log10(p) for p, parts in M.components)
+    if limit and digits >= limit:
+        raise InputError(f"group {M} is too large: its order has over {limit} digits")
+    return M
 
 
 def _emit(obj, pretty: bool) -> None:

@@ -18,21 +18,23 @@ extension_pair_count's lives with the tests). Every oracle that walks
 homomorphisms gets them from one enumerator, _hom_images, which meters the
 search by a Budget and yields generator images (any element of B, found by
 scanning B, that the generator order kills). No element of A is mapped: each
-oracle reads F_p spans of the images at each prime p, of socle rows
-p**(a-1) phi(e) in B[p] for injectivity and kernel ranks and of Frattini
-rows phi(e) mod p in B/pB for surjectivity. The oracles are deliberately
-dumb and used only to check the closed forms. Only they need numpy, and
-they import it when they run, so the closed-form path never loads it.
+oracle reads F_p ranks of the images at each prime p from masks of their
+spans (_span_ranks), of socle rows p**(a-1) phi(e) in B[p] for injectivity
+and kernel ranks and of Frattini rows phi(e) mod p in B/pB for surjectivity.
+The oracles are deliberately dumb and used only to check the closed forms.
+Only they need numpy, and they import it when they run, so the closed-form
+path never loads it.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import log10, prod
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .budget import Budget, resolve
@@ -161,12 +163,6 @@ class FinAbGroup:
         """Orders of the canonical cyclic factors, primes ascending."""
         return tuple(p**a for p, parts in self.components for a in parts)
 
-    def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
-        comps: dict[int, list[int]] = {p: list(parts) for p, parts in self.components}
-        for p, parts in other.components:
-            comps.setdefault(p, []).extend(parts)
-        return FinAbGroup.from_dict(comps)
-
     def to_json_obj(self) -> dict:
         return {str(p): list(parts) for p, parts in self.components}
 
@@ -178,10 +174,16 @@ class FinAbGroup:
     def __str__(self) -> str:
         if self.is_trivial:
             return "0"
-        return " x ".join(f"Z/{d}" for d in self.cyclic_moduli)
+        return " x ".join(_cyclic_name(p, a) for p, parts in self.components for a in parts)
 
     def sort_key(self):
         return (self.order, self.components)
+
+
+def _cyclic_name(p: int, a: int) -> str:
+    """Z/p**a, written Z/p^a where p**a has more digits than str() allows."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    return f"Z/{p}^{a}" if limit and a >= limit / log10(p) else f"Z/{p**a}"
 
 
 @lru_cache(maxsize=1024)
@@ -278,14 +280,33 @@ def _killed_by(B: FinAbGroup, d: int) -> np.ndarray:
     return coords[(coords * d % np.array(B.cyclic_moduli, dtype=np.int64) == 0).all(axis=1)]
 
 
+@lru_cache(maxsize=8)
+def _fp_tables(p: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sub, mul) for F_p**c, a vector coded base p, first coordinate most
+    significant: sub[x, w] codes x - w and mul[s, v] codes s*v."""
+    import numpy as np
+
+    place = p ** np.arange(c - 1, -1, -1, dtype=np.int64)
+    digits = np.unravel_index(np.arange(p**c), (p,) * c)  # one array per coordinate
+    sub = sum((d[:, None] - d) % p * w for d, w in zip(digits, place))
+    mul = sum(np.arange(p)[:, None] * d % p * w for d, w in zip(digits, place))
+    return sub, mul
+
+
+def _inner(choices: list[np.ndarray]) -> int:
+    """The last generator with the most choices, or -1 for a trivial A."""
+    return max(range(len(choices)), key=lambda i: (len(choices[i]), i), default=-1)
+
+
 def _hom_images(
     A: FinAbGroup, B: FinAbGroup, budget: Budget, what: str
 ) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
-    """Every homomorphism A -> B, as pairs (choices, block): candidate t of
-    the block sends generator i of A to choices[i][block[t, i]], and
+    """Every homomorphism A -> B once, as pairs (choices, block): candidate t
+    of the block sends generator i of A to choices[i][block[t, i]], and
     choices[i] holds every element of B killed by the order of generator i,
-    so every tuple is a homomorphism. Blocks run through all tuples
-    lexicographically, each in whole runs of the last generator's choices.
+    so every tuple is a homomorphism. Blocks run through the tuples
+    lexicographically with the _inner generator varying fastest, in whole
+    runs of its choices, so _span_ranks handles the others once per run.
     Both orders and the number of tuples are metered by the budget, naming
     `what`, before anything is built."""
     import numpy as np
@@ -295,11 +316,14 @@ def _hom_images(
     choices = [_killed_by(B, d) for d in A.cyclic_moduli]
     total = prod(len(ch) for ch in choices)
     budget.check_candidates(total, what)
-    step = max(1, _BLOCK // len(choices[-1])) * len(choices[-1]) if choices else 1
+    inner = _inner(choices)
+    runs = len(choices[inner]) if choices else 1
+    step = max(1, _BLOCK // runs) * runs
+    digits = sorted(range(len(choices)), key=lambda i: i == inner)  # inner last
     for start in range(0, total, step):
         rest = np.arange(start, min(start + step, total), dtype=np.int64)
         block = np.empty((len(rest), len(choices)), dtype=np.int64, order="F")
-        for i in range(len(choices) - 1, -1, -1):  # lexicographic digits
+        for i in reversed(digits):  # the last digit varies fastest
             rest, block[:, i] = np.divmod(rest, len(choices[i]))
         yield choices, block
 
@@ -320,34 +344,45 @@ def _span_ranks(
     socle rank is rank_p(A), onto at p iff its Frattini rank is rank_p(B)
     (Burnside basis theorem), and rank_p(ker phi) = rank_p(A) - socle rank.
 
-    Ranks come from Gaussian elimination over F_p, one generator's row at a
-    time against the rows before it. The block holds whole runs of the last
-    generator's choices, so the other rows are reduced once per run and the
-    last generator's rows once per candidate, as (run, choice, column)."""
+    A row is its _fp_tables code in [0, p**c), c = rank_p(B). Along a run of
+    the block only the _inner generator's row moves, so each run keeps a
+    boolean mask over F_p**c of the span of the other rows, grown by a row v
+    with p - 1 gathers through the difference table; the inner row then adds
+    ~span[run, code] to the rank, one gather per candidate. The inner
+    generator has at least p**c choices, so the masks are no larger than the
+    block, and the table, p**2c entries, is built only for a second row at
+    p, when the search has p**2c candidates."""
     import numpy as np
 
     gens = [(p, a) for p, parts in A.components for a in parts]
     factors = [(p, b) for p, parts in B.components for b in parts]
-    runs = len(choices[-1]) if choices else 1
+    inner = _inner(choices)
+    runs = len(choices[inner]) if choices else 1
     ranks = np.zeros((len(block) // runs, runs, len(primes)), dtype=np.int64)
     for j, p in enumerate(primes):
         cols = [c for c, (q, _) in enumerate(factors) if q == p]
-        if not cols:
-            continue  # B has no p-part, so the rank at p is 0
+        rows = [i for i, (q, _) in enumerate(gens) if q == p and i != inner]
+        inner_at_p = bool(choices) and gens[inner][0] == p
+        if not cols or not (rows or inner_at_p):
+            continue  # no p-part in B or in A, so the rank at p is 0
         low = np.array([p ** (factors[c][1] - 1) for c in cols], dtype=np.int64)
-        basis = []  # (row, its pivot column, its pivot entry or 1 where the row is 0)
-        for i in [i for i, (q, _) in enumerate(gens) if q == p]:
+        place = p ** np.arange(len(cols) - 1, -1, -1, dtype=np.int64)
+
+        def codes(i: int) -> np.ndarray:  # the code of generator i's row, per choice
             y = choices[i][:, cols]
-            rows = (y * p ** (gens[i][1] - 1) // low % p if socle else y % p).astype(np.uint64)
-            v = rows[None] if i == len(gens) - 1 else rows[block[::runs, i]][:, None]
-            for row, col, lead in basis:  # clear column col: lead v - c row, kept unsigned
-                c = np.take_along_axis(v, col[:, None, None], axis=2)
-                v = (lead[:, None, None] * v + (p - c) * row) % p
-            col = (v != 0).argmax(axis=2)
-            lead = np.take_along_axis(v, col[..., None], axis=2)[..., 0]
-            ranks[..., j] += lead != 0
-            if i < len(gens) - 1:  # no row comes after the last generator's
-                basis.append((v, col[:, 0], np.where(lead[:, 0] != 0, lead[:, 0], 1)))
+            return (y * p ** (gens[i][1] - 1) // low % p if socle else y % p) @ place
+
+        span = np.zeros((len(ranks), p ** len(cols)), dtype=bool)
+        span[:, 0] = True
+        for n, i in enumerate(rows):
+            v = codes(i)[block[::runs, i]]
+            ranks[..., j] += ~span[np.arange(len(span)), v][:, None]
+            if n + 1 < len(rows) or inner_at_p:
+                sub, mul = _fp_tables(p, len(cols))
+                for s in range(1, p):  # spans are symmetric: s*v - x serves for x - s*v
+                    span |= np.take_along_axis(span, sub[mul[s, v]], axis=1)
+        if inner_at_p:
+            ranks[..., j] += ~span[:, codes(inner)]
     return ranks.reshape(len(block), len(primes))
 
 
@@ -676,10 +711,6 @@ class Measure:
     def items(self) -> list[tuple[FinAbGroup, Fraction]]:
         return sorted(self._masses.items(), key=lambda kv: kv[0].sort_key())
 
-    @property
-    def total_mass(self) -> Fraction:
-        return sum(self._masses.values(), Fraction(0))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Measure) and self._masses == other._masses
 
@@ -740,11 +771,7 @@ def count_surjective_matrices(h: int, e: int, k: int, budget: Budget | None = No
     budget.check_order(n, f"matrix oracle over F_{h}^{e}")
     budget.check_candidates(n * n, f"matrix oracle difference table over F_{h}^{e}")
 
-    digits = np.array(np.unravel_index(np.arange(n), (h,) * e), dtype=np.int64).T
-    place = h ** np.arange(e - 1, -1, -1, dtype=np.int64)
-    sub = ((digits[:, None, :] - digits[None, :, :]) % h) @ place  # sub[x, w] = x - w
-    mul = ((np.arange(h)[:, None, None] * digits[None, :, :]) % h) @ place  # mul[c, v]
-
+    sub, mul = _fp_tables(h, e)
     spans = np.zeros((1, n), dtype=bool)
     spans[0, 0] = True
     mult = np.ones(1, dtype=np.int64)  # prefixes with each span
@@ -756,9 +783,8 @@ def count_surjective_matrices(h: int, e: int, k: int, budget: Budget | None = No
         budget.check_candidates(tuples, f"matrix oracle level {level + 1}")
         parent, vec = np.nonzero(valid)
         children = np.zeros((len(parent), n), dtype=bool)
-        for c in range(h):
-            shift = sub[:, mul[c, vec]].T  # (children, n): x - c*v
-            children |= spans[parent[:, None], shift]
+        for c in range(h):  # spans are symmetric, so c*v - x serves for x - c*v
+            children |= spans[parent[:, None], sub[mul[c, vec]]]
         packed, inverse = np.unique(np.packbits(children, axis=1), axis=0, return_inverse=True)
         spans = np.unpackbits(packed, axis=1, count=n).astype(bool)
         weights, mult = mult[parent], np.zeros(len(spans), dtype=np.int64)

@@ -173,9 +173,12 @@ def localized_moments(
         middles = candidate_middles(target, M)
         missing = [mid for mid in middles if mid not in table]
         if missing:
+            try:
+                order = f" (order {target.order * M.order})"
+            except ValueError:  # past sys.get_int_max_str_digits()
+                order = ""
             raise InputError(
-                f"moment table lacks middles for N={target}, M={M} "
-                f"(order {target.order * M.order}): "
+                f"moment table lacks middles for N={target}, M={M}{order}: "
                 + ", ".join(str(g) for g in missing[:8])
                 + ("..." if len(missing) > 8 else "")
             )

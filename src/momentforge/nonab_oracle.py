@@ -6,6 +6,16 @@ Homomorphisms out of A5 are enumerated through the presentation
 A5^e is an e-tuple of homomorphisms whose images commute elementwise,
 and it is surjective when the product of the images is the whole target.
 
+All of it runs on arrays: an element of A5 is its index 0..59 in _a5(),
+and a homomorphism A5 -> A5 a row of 60 image indices. The image of a
+k-tuple of them, x -> (f_1(x), ..., f_k(x)), is a bitset over A5^k with the
+element (i_1, ..., i_k) at the uint16 code i_1 60^(k-1) + ... + i_k. The
+121^k images, lexicographically, are the rows of one uint8 array packed by
+np.packbits, 60^k / 8 bytes a row, built one leading (k-1)-prefix at a
+time. Orders are popcounts from a table; for e = 2, |S1 S2| is
+|S1| |S2| / |S1 meet S2| over chunks of the tuples of commuting pairs.
+numpy is imported when the oracle runs, since the package imports this module.
+
 This module exists to certify the closed-form count
 e(e-1)...(e+1-k) * 120**k for the concrete group A5; it is not a general
 group-theory library.
@@ -14,59 +24,42 @@ group-theory library.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import BudgetExceededError, ConsistencyError, InputError
 
 MAX_POWER = 2  # enumeration budget: e, k beyond this are refused
 
-Element = tuple[int, int, int, int, int]
 
-_IDENTITY: Element = (0, 1, 2, 3, 4)
-
-
-def _parity(perm: Element) -> int:
-    seen = [False] * 5
-    sign = 0
-    for i in range(5):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        sign += length - 1
-    return sign % 2
-
-
-def _compose(p: Element, q: Element) -> Element:
-    return (p[q[0]], p[q[1]], p[q[2]], p[q[3]], p[q[4]])
-
-
-def _power(p: Element, n: int) -> Element:
-    out = _IDENTITY
-    for _ in range(n):
-        out = _compose(out, p)
-    return out
+@lru_cache(maxsize=1)
+def _a5() -> list[tuple[int, ...]]:
+    """The elements of A5, the even permutations of {0,...,4}, identity first."""
+    perms = itertools.permutations(range(5))
+    return [p for p in perms if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
 
 
 @lru_cache(maxsize=1)
-def _a5() -> list[Element]:
-    """The elements of A5, the even permutations of {0,...,4}."""
-    return [p for p in itertools.permutations(range(5)) if _parity(p) == 0]
+def _times():
+    """times[i, j]: the index of element i composed after element j."""
+    import numpy as np
+
+    elements, place = np.array(_a5()), 5 ** np.arange(5)
+    index = np.zeros(5**5, dtype=np.int64)
+    index[elements @ place] = np.arange(60)
+    return index[elements[:, elements] @ place]
 
 
 @lru_cache(maxsize=1)
-def _single_homs() -> list[tuple[Element, Element]]:
-    """All relation-satisfying generator-image pairs, i.e. Hom(A5, A5)."""
-    return [
-        (x, y)
-        for x in _a5()
-        for y in _a5()
-        if _power(x, 5) == _power(y, 2) == _power(_compose(x, y), 3) == _IDENTITY
-    ]
+def _single_homs():
+    """Hom(A5, A5) as its relation-satisfying generator-image pairs (x, y),
+    one row each, the trivial pair first."""
+    import numpy as np
+
+    x, y = np.divmod(np.arange(3600), 60)
+    ok = True
+    for z, n in ((x, 5), (y, 2), (_times()[x, y], 3)):  # z**n is the identity, index 0
+        ok = ok & (reduce(lambda w, _: _times()[w, z], range(n - 1), z) == 0)
+    return np.stack([x[ok], y[ok]], axis=1)
 
 
 def hom_a5_count() -> int:
@@ -75,23 +68,27 @@ def hom_a5_count() -> int:
 
 
 @lru_cache(maxsize=1)
-def _commuting() -> list[list[bool]]:
-    """commuting[i][j]: the images of homs i and j commute elementwise, that
-    is, each generator image of hom i commutes with each one of hom j."""
-    homs = _single_homs()
-    return [
-        [all(_compose(a, b) == _compose(b, a) for a in f for b in g) for g in homs]
-        for f in homs
-    ]
+def _maps():
+    """maps[h, i]: the image of element i under homomorphism h, by closure
+    over words in a generating pair (any relation pair but the trivial one,
+    since A5 is simple). Checking every edge of the Cayley graph after makes
+    each row a homomorphism."""
+    import numpy as np
 
-
-def _product_set(s1: int, s2: int) -> int:
-    """|S1 * S2| = |S1| |S2| / |S1 meet S2| for finite subgroups, each given
-    as a bit set of element codes."""
-    size = s1.bit_count() * s2.bit_count()
-    inter = (s1 & s2).bit_count()
-    assert size % inter == 0
-    return size // inter
+    homs, times = _single_homs(), _times()
+    gens = homs[1]
+    maps = np.zeros((len(homs), 60), dtype=np.int64)
+    order = [0]
+    for w in order:  # breadth first from the identity
+        for g in (0, 1):
+            u = int(times[w, gens[g]])
+            if u not in order:
+                order.append(u)
+                maps[:, u] = times[maps[:, w], homs[:, g]]
+    for g in (0, 1):
+        if len(order) < 60 or (maps[:, times[:, gens[g]]] != times[maps, homs[:, g, None]]).any():
+            raise ConsistencyError(f"relation pairs on {gens} do not extend to maps on A5")
+    return maps
 
 
 def sur_a5_bruteforce(e: int, k: int) -> int:
@@ -102,87 +99,62 @@ def sur_a5_bruteforce(e: int, k: int) -> int:
         raise BudgetExceededError(
             f"A5 oracle supports powers up to {MAX_POWER}, got e={e}, k={k}"
         )
-    target_size = 60**k
-    if e == 0:
-        return 1 if k == 0 else 0
-    n = len(_single_homs())
+    if e == 0 or k == 0:
+        return int(k == 0)
+    import numpy as np
 
-    # A hom A5**e -> A5**k is an e-tuple of k-tuples of single homs, with
-    # the commuting constraint applied per target component.
+    bits, sizes = _images(k)
     if e == 1:
-        if k == 0:
-            return 1
-        return sum(
-            1
-            for combo in itertools.product(range(n), repeat=k)
-            if _tuple_image(combo).bit_count() == target_size
-        )
+        return int((sizes == 60**k).sum())
 
-    # e == 2
-    commuting = _commuting()
-    pairs_per_component = [
-        (i, j) for i in range(n) for j in range(n) if commuting[i][j]
-    ]
-    if k == 0:
-        return 1
+    # e == 2: k pairs (f_m, g_m) of homomorphisms whose images commute give
+    # S1, the image of (f_1, ..., f_k), and S2, that of (g_1, ..., g_k)
+    homs, times = _single_homs(), _times()
+    a, b = homs[:, None, :, None], homs[None, :, None, :]
+    pairs = np.argwhere((times[a, b] == times[b, a]).all(axis=(2, 3)))
+    f = g = np.zeros(1, dtype=np.int64)
+    for _ in range(k):  # their rows in _images
+        f = (f[:, None] * len(homs) + pairs[:, 0]).ravel()
+        g = (g[:, None] * len(homs) + pairs[:, 1]).ravel()
     count = 0
-    for combos in itertools.product(pairs_per_component, repeat=k):
-        f_combo = tuple(c[0] for c in combos)
-        g_combo = tuple(c[1] for c in combos)
-        s1 = _tuple_image(f_combo)
-        s2 = _tuple_image(g_combo)
-        if _product_set(s1, s2) == target_size:
-            count += 1
+    for start in range(0, len(f), 4096):
+        fs, gs = f[start : start + 4096], g[start : start + 4096]
+        size, meet = sizes[fs] * sizes[gs], _popcount(bits[fs] & bits[gs])
+        if (size % meet).any():
+            raise ConsistencyError("an image of a homomorphism out of A5 is not a subgroup")
+        count += int((size == 60**k * meet).sum())
     return count
 
 
-@lru_cache(maxsize=32768)
-def _tuple_image(combo: tuple[int, ...]) -> int:
-    """Image of x -> (f_{c1}(x), ..., f_{ck}(x)) as a bit set over A5**k,
-    where the tuple of element indices (i_1, ..., i_k) has code
-    i_1 + 60 i_2 + ... + 60**(k-1) i_k."""
-    codes, place = [0] * 60, 1
-    for c in combo:
-        codes = [code + place * image for code, image in zip(codes, _hom_as_map(c))]
-        place *= 60
-    image = 0
-    for code in codes:
-        image |= 1 << code
-    return image
+@lru_cache(maxsize=MAX_POWER)
+def _images(k: int):
+    """(bits, sizes): row t of bits is the image of the t-th k-tuple of
+    homomorphisms, lexicographically, packed as the module describes, and
+    sizes[t] is its order. Codes in uint16 and rows of even width hold for
+    k <= 2."""
+    import numpy as np
+
+    maps = _maps().astype(np.uint16)
+    n = len(maps)
+    prefixes = np.zeros((1, 60), dtype=np.uint16)  # the empty tuple sends x to ()
+    for _ in range(k - 1):
+        prefixes = (prefixes[:, None] * 60 + maps).reshape(-1, 60)
+    bits = np.empty((n * len(prefixes), -(-(60**k) // 8)), dtype=np.uint8)
+    for t, prefix in enumerate(prefixes):
+        image = np.zeros((n, 60**k), dtype=bool)
+        image[np.arange(n)[:, None], prefix * 60 + maps] = True
+        bits[t * n : (t + 1) * n] = np.packbits(image, axis=1)
+    return bits, _popcount(bits)
 
 
-@lru_cache(maxsize=256)
-def _hom_as_map(idx: int) -> list[int]:
-    """Extend the generator-image pair to the full map on A5 by closure:
-    entry i is the index in _a5() of the image of element i."""
-    x, y = _single_homs()[idx]
-    # walk words in the generators; reaching all 60 elements confirms that
-    # they generate A5
-    gen_a, gen_b = _generators()
-    mapping = {_IDENTITY: _IDENTITY}
-    frontier = [_IDENTITY]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g, img in ((gen_a, x), (gen_b, y)):
-                wn = _compose(w, g)
-                val = _compose(mapping[w], img)
-                known = mapping.get(wn)
-                if known is None:
-                    mapping[wn] = val
-                    nxt.append(wn)
-                elif known != val:
-                    raise ConsistencyError(
-                        f"relation pair {(x, y)} does not extend to a map on A5"
-                    )
-        frontier = nxt
-    assert len(mapping) == 60
-    index = {g: i for i, g in enumerate(_a5())}
-    return [index[mapping[g]] for g in _a5()]
+def _popcount(bits):
+    """Set bits per row of a packed uint8 array of even width, two bytes at a
+    time from a table of uint8 counts (np.bitwise_count needs numpy 2)."""
+    return _bit_counts()[bits.view("u2")].sum(axis=1, dtype="i8")
 
 
 @lru_cache(maxsize=1)
-def _generators() -> tuple[Element, Element]:
-    """A pair (a, b) generating A5 with a^5 = b^2 = (ab)^3 = identity: any
-    relation pair but the trivial one, since A5 is simple."""
-    return next(pair for pair in _single_homs() if pair != (_IDENTITY, _IDENTITY))
+def _bit_counts():
+    import numpy as np
+
+    return np.unpackbits(np.arange(1 << 16, dtype="u2").view("u1")).reshape(-1, 16).sum(1, "u1")

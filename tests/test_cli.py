@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +17,9 @@ from momentforge.finab import FinAbGroup, Measure, enumerate_groups
 from momentforge.inversion import Bracket, MomentTable
 from momentforge.localize import ModuleMomentTable
 from momentforge.qseries import SimpleType, inversion_coefficient
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def run(capsys, *argv):
@@ -105,7 +110,7 @@ def test_sample_roundtrip_and_determinism(capsys):
     code, out2, _ = run(capsys, *args)
     assert out1 == out2
     mu = Measure.from_json_obj(json.loads(out1))
-    assert mu.total_mass == 1
+    assert sum(v for _, v in mu.items()) == 1
 
 
 def test_sample_report_lines(capsys):
@@ -415,12 +420,27 @@ def test_large_prime_inputs_exit_1(half_table_path, capsys):
     assert code == 1 and err.startswith("error: ")
 
 
+def _benchmark_check_names() -> tuple[str, ...]:
+    """The check names the benchmark's per-layer `verify.*` metrics are read from."""
+    spec = importlib.util.spec_from_file_location("workloads_under_test", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.VERIFY_CHECK_NAMES
+
+
 def test_verify_quick(capsys):
+    # a renamed check fails here rather than turning a benchmark metric absent
     code, out, _ = run(capsys, "verify", "--seed", "3", "--quick")
     assert code == 0
-    lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert len(lines) >= 8
-    assert all(l.startswith("PASS") for l in lines)
+    *checks, closing = out.strip().splitlines()
+    assert [line.split(": ", 1)[0] for line in checks] == [
+        f"PASS {name}" for name in _benchmark_check_names()
+    ]
+    assert closing == "all 10 checks passed"
 
 
 def test_verify_failure_exits_2(monkeypatch, capsys):
@@ -491,6 +511,38 @@ def test_unprintable_results_are_refused_before_computing(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - started < 2.0
     assert code == 3 and out == "" and err.startswith("error: the exact result is too long")
+
+
+@pytest.mark.parametrize("command", ["localize", "reconstruct"])
+@pytest.mark.parametrize("exponent", [20000, 100_000_000])
+def test_group_orders_past_the_digit_limit_are_refused(command, exponent, tmp_path, capsys):
+    # judged from the exponents: 3**100000000 is never formed, and the
+    # message names the group as a power
+    path = tmp_path / "table.json"
+    path.write_text('{"primes":[3],"moments":[{"group":{},"value":"1"}]}')
+    depth = "--kbound" if command == "localize" else "--rmax"
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, command, "--file", str(path), "--group", '{"3":[%d]}' % exponent, depth, "1"
+    )
+    assert time.perf_counter() - started < 2.0
+    limit = sys.get_int_max_str_digits()
+    assert code == 1 and out == ""
+    assert err == f"error: group Z/3^{exponent} is too large: its order has over {limit} digits\n"
+
+
+def test_group_at_the_digit_limit_names_its_missing_middles(tmp_path, capsys):
+    # 3**a has exactly the digit limit's digits, so the group is read; its
+    # middles at k = 1 are one digit longer, and the error still comes out
+    a = math.ceil(sys.get_int_max_str_digits() / math.log10(3)) - 1
+    assert len(str(3**a)) == sys.get_int_max_str_digits()
+    path = tmp_path / "table.json"
+    path.write_text('{"primes":[3],"moments":[{"group":{"3":[%d]},"value":"1"}]}' % a)
+    code, out, err = run(
+        capsys, "reconstruct", "--file", str(path), "--group", '{"3":[%d]}' % a, "--rmax", "1"
+    )
+    assert code == 1 and out == ""
+    assert err.rstrip().endswith(f"lacks middles for N=Z/3, M=Z/{3**a}: Z/{3**a} x Z/3, Z/3^{a + 1}")
 
 
 def test_printable_results_still_print(capsys):
