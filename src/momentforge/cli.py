@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ConsistencyError, InputError, MomentforgeError
-from .finab import FinAbGroup
+from .finab import MAX_ORDER_BITS, FinAbGroup
 from .inversion import MomentTable, multi_invert_zero
 from .localize import ModuleMomentTable, localized_moments, reconstruct_probability
 from .qseries import SimpleType, inversion_coefficient
@@ -81,15 +81,7 @@ def _load_json(path: str):
 
 
 def _parse_group(text: str) -> FinAbGroup:
-    """A group from JSON, refused where its order has more digits than str()
-    allows, which is judged from the exponents before any p**a is formed."""
-    M = FinAbGroup.from_json_obj(_loads(text, "group must be JSON like '{\"2\":[1]}'"))
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    # log10 p > 1/4, so a total exponent past 4 * limit is past the limit at any p
-    digits = sum(min(sum(parts), 4 * limit) * math.log10(p) for p, parts in M.components)
-    if limit and digits >= limit:
-        raise InputError(f"group {M} is too large: its order has over {limit} digits")
-    return M
+    return FinAbGroup.from_json_obj(_loads(text, "group must be JSON like '{\"2\":[1]}'"))
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -226,6 +218,10 @@ _TABLE_HELP = (
     "strip of up to {depth} boxes at each basis prime, and any order_bound field "
     "is read but not enforced"
 )
+_GROUP_HELP = (
+    "group JSON, e.g. '{\"2\":[1]}'; refused where the sum over p of its exponents times "
+    f"ceil(log2 p) passes MAX_ORDER_BITS = {MAX_ORDER_BITS}, so orders are < 2**{MAX_ORDER_BITS}"
+)
 _PRIMES_HELP = "distinct primes to localize at, comma separated (default: the table's primes)"
 
 
@@ -256,7 +252,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("localize", help="localized moments at a fixed group")
     p.add_argument("--file", required=True, help=_TABLE_HELP.format(depth="--kbound"))
-    p.add_argument("--group", required=True, help="group JSON, e.g. '{\"2\":[1]}'")
+    p.add_argument("--group", required=True, help=_GROUP_HELP)
     p.add_argument("--primes", help=_PRIMES_HELP)
     p.add_argument("--kbound", required=True, help="moment depth(s), comma separated")
     p.add_argument("--pretty", action="store_true")
@@ -264,7 +260,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reconstruct", help="bracket the mass of a group from moments")
     p.add_argument("--file", required=True, help=_TABLE_HELP.format(depth="--rmax"))
-    p.add_argument("--group", required=True, help="group JSON, e.g. '{\"2\":[1]}'")
+    p.add_argument("--group", required=True, help=_GROUP_HELP)
     p.add_argument("--primes", help=_PRIMES_HELP)
     p.add_argument("--rmax", required=True, help="truncation depth(s), comma separated")
     p.add_argument("--pretty", action="store_true")
@@ -279,7 +275,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--report", action="store_true", help="emit a convergence report")
     p.add_argument("--ts", help="sample counts for the report, comma separated")
-    p.add_argument("--target", action="append", help="target group JSON (repeatable)")
+    p.add_argument("--target", action="append", help=_GROUP_HELP + " (repeatable)")
     p.add_argument("--rmax", type=int, default=8, help="truncation depth for the report")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(fn=_cmd_sample)

@@ -6,6 +6,12 @@ exponents, so Z/4 x Z/2 x Z/3 is {2: (2, 1), 3: (1,)}. The canonical form
 is unique per isomorphism class, which lets groups serve as dict keys for
 measures and moment tables.
 
+Every group is bounded: FinAbGroup and group_components refuse one whose sum
+over p of (sum of exponents) * ceil(log2 p), read off the exponents without
+forming p**a, passes MAX_ORDER_BITS = 2048. So every order is below 2**2048 <
+10**617 and prints under any digit limit Python allows (640 or more), far
+above the groups a localization reads: M plus a vertical strip at each prime.
+
 Production counts are closed forms on these partitions: hom_count,
 aut_count, and the Hall numbers g^lambda_{mu,(1^m)}(p) of Macdonald,
 Symmetric Functions and Hall Polynomials, ch. II (4.6), from which
@@ -29,12 +35,10 @@ path never loads it.
 from __future__ import annotations
 
 import itertools
-import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import log10, prod
+from math import prod
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .budget import Budget, resolve
@@ -64,6 +68,18 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
 # per prime, increasing: the weakly decreasing exponent partition
 Components = tuple[tuple[int, tuple[int, ...]], ...]
 
+# bound on sum_p (sum of exponents at p) * ceil(log2 p), and so on log2 |G|
+MAX_ORDER_BITS = 2048
+
+
+def _too_large(comps: Components, bits: int) -> InputError:
+    """The refusal of a group past MAX_ORDER_BITS, named by its first Z/p^a factors."""
+    names = [f"Z/{p}^{a}" if a > 1 else f"Z/{p}" for p, parts in comps for a in parts]
+    return InputError(
+        f"group {' x '.join(names[:8])}{' x ...' * (len(names) > 8)} is too large: "
+        f"its order has up to {bits} bits, past the bound of {MAX_ORDER_BITS}"
+    )
+
 
 @dataclass(frozen=True)
 class FinAbGroup:
@@ -77,17 +93,20 @@ class FinAbGroup:
     components: Components
 
     def __post_init__(self) -> None:
-        last_p = 0
+        last_p = bits = 0
         for p, parts in self.components:
             if p <= last_p:
-                raise InputError(f"primes must be strictly increasing, got {self}")
+                raise InputError(f"primes must be strictly increasing, got {self.components}")
             if not is_prime(p):
                 raise InputError(f"{p} is not prime")
             if not parts:
                 raise InputError(f"empty partition for prime {p}")
             if parts[-1] < 1 or tuple(sorted(parts, reverse=True)) != parts:
                 raise InputError(f"partition for prime {p} must be weakly decreasing >= 1")
+            bits += sum(parts) * (p - 1).bit_length()  # ceil(log2 p)
             last_p = p
+        if bits > MAX_ORDER_BITS:
+            raise _too_large(self.components, bits)
 
     @classmethod
     def from_dict(cls, comps: Mapping[int, Sequence[int]]) -> "FinAbGroup":
@@ -172,18 +191,10 @@ class FinAbGroup:
         return cls(group_components(obj))
 
     def __str__(self) -> str:
-        if self.is_trivial:
-            return "0"
-        return " x ".join(_cyclic_name(p, a) for p, parts in self.components for a in parts)
+        return " x ".join(f"Z/{p**a}" for p, parts in self.components for a in parts) or "0"
 
     def sort_key(self):
         return (self.order, self.components)
-
-
-def _cyclic_name(p: int, a: int) -> str:
-    """Z/p**a, written Z/p^a where p**a has more digits than str() allows."""
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    return f"Z/{p}^{a}" if limit and a >= limit / log10(p) else f"Z/{p**a}"
 
 
 @lru_cache(maxsize=1024)
@@ -195,9 +206,10 @@ def _json_prime(key: str) -> int | None:
 def group_components(obj) -> Components:
     """FinAbGroup components of group JSON like {"2": [2, 1], "3": [1]}: prime
     keys, lists of integer exponents in any order. Canonicalizes in one pass
-    and makes every check FinAbGroup makes, so the result can key a group that
-    is never built. Floats, booleans and strings are rejected, not truncated,
-    and so are prime keys that int() would bend, such as "1_1" or " 3"."""
+    and makes every check FinAbGroup makes, MAX_ORDER_BITS included, so the
+    result can key a group that is never built. Floats, booleans and strings
+    are rejected, not truncated, and so are prime keys that int() would bend,
+    such as "1_1" or " 3"."""
     if not isinstance(obj, dict):
         raise InputError(f"group JSON must be an object, got {obj!r}")
     comps: dict[int, tuple[int, ...]] = {}
@@ -216,7 +228,7 @@ def group_components(obj) -> Components:
         if p in comps:
             raise InputError(f"bad group JSON {obj!r}: prime {p} appears twice")
         comps[p] = tuple(sorted(parts, reverse=True))
-    out = []
+    out, bits = [], 0
     for p in sorted(comps):
         parts = comps[p]
         if parts:
@@ -224,7 +236,10 @@ def group_components(obj) -> Components:
                 raise InputError(f"{p} is not prime")
             if parts[-1] < 1:
                 raise InputError(f"partition for prime {p} must be weakly decreasing >= 1")
+            bits += sum(parts) * (p - 1).bit_length()
             out.append((p, parts))
+    if bits > MAX_ORDER_BITS:
+        raise _too_large(out, bits)
     return tuple(out)
 
 
@@ -582,20 +597,22 @@ def _kernel_profile(X: FinAbGroup, M: FinAbGroup, budget: Budget) -> tuple:
 
     Returns ((elementary_group, multiplicity), ...): how many surjections
     have a kernel whose quotient mod the radical is that group, read off
-    the p-ranks of the kernels: rank_p(X) minus the rank on the socle X[p].
+    the p-ranks of the kernels: rank_p(X) minus the rank on the socle X[p],
+    counted as mixed-radix codes with digit j in [0, rank_p(X)], p = X.primes[j].
     """
     import numpy as np
 
-    counts: Counter[tuple[int, ...]] = Counter()
-    full = np.array([X.rank(p) for p in X.primes], dtype=np.int64)
+    dims = np.array([X.rank(p) + 1 for p in X.primes], dtype=np.int64)
+    place = np.array([prod(dims[j + 1 :]) for j in range(len(dims))], dtype=np.int64)
+    counts = np.zeros(prod(dims), dtype=np.int64)
     for choices, block in _hom_images(X, M, budget, f"kernel enumeration {X} -> {M}"):
         onto = _onto(X, M, choices, block)
-        ranks = full - _span_ranks(X, M, choices, block, X.primes, socle=True)[onto]
-        rows, mult = np.unique(ranks, axis=0, return_counts=True)
-        counts.update(dict(zip(map(tuple, rows.tolist()), mult.tolist())))
+        ranks = dims - 1 - _span_ranks(X, M, choices, block, X.primes, socle=True)[onto]
+        counts += np.bincount(ranks @ place, minlength=len(counts))
     profile = [
-        (FinAbGroup.from_dict({p: [1] * r for p, r in zip(X.primes, row)}), n)
-        for row, n in counts.items()
+        (FinAbGroup.from_dict({p: [1] * r for p, r in zip(X.primes, np.unravel_index(c, dims))}), n)
+        for c, n in enumerate(counts.tolist())
+        if n
     ]
     return tuple(sorted(profile, key=lambda kv: kv[0].sort_key()))
 

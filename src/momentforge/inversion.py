@@ -47,10 +47,6 @@ class Bracket:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
-
     def contains(self, value: Fraction | int) -> bool:
         return self.lower <= value <= self.upper
 
@@ -111,15 +107,6 @@ class MomentTable:
             (len(values) - 1,),
             {(k,): v for k, v in enumerate(values)},
         )
-
-    def __call__(self, k: Sequence[int]) -> Fraction:
-        k = check_index(self.basis, k, "moment index")
-        for i, (v, b) in enumerate(zip(k, self.bound)):
-            if v > b:
-                raise InputError(
-                    f"moment index {k} exceeds the table bound {self.bound} at type {i}"
-                )
-        return self.values[k]
 
     def reorder(self, perm: Sequence[int]) -> "MomentTable":
         """Table with the basis types permuted; entry i comes from perm[i]."""

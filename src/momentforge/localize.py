@@ -51,8 +51,10 @@ class ModuleMomentTable:
     digits becomes a Fraction only then. The table promises exactly the
     groups it lists. Reconstruction at M reads only M plus a vertical strip
     at each basis prime (see localized_moments), and names any of those the
-    table lacks; nothing else is required. A legacy `order_bound` field in
-    JSON is type-checked and otherwise ignored.
+    table lacks; nothing else is required. A record whose group passes
+    finab.MAX_ORDER_BITS (2048 bits of order, judged from its exponents) is
+    invalid: no middle comes near it. A legacy `order_bound` field in JSON
+    is type-checked and otherwise ignored.
     """
 
     def __init__(self, primes: Iterable[int], values: Mapping[FinAbGroup, Fraction | int]):
@@ -172,13 +174,10 @@ def localized_moments(
         target = _semisimple_target(primes, k)
         middles = candidate_middles(target, M)
         missing = [mid for mid in middles if mid not in table]
-        if missing:
-            try:
-                order = f" (order {target.order * M.order})"
-            except ValueError:  # past sys.get_int_max_str_digits()
-                order = ""
+        if missing:  # the middles are bounded groups, so their order prints
             raise InputError(
-                f"moment table lacks middles for N={target}, M={M}{order}: "
+                f"moment table lacks middles for N={target}, M={M} "
+                f"(order {target.order * M.order}): "
                 + ", ".join(str(g) for g in missing[:8])
                 + ("..." if len(missing) > 8 else "")
             )

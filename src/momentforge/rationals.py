@@ -30,12 +30,13 @@ def check_printable(bits: int) -> None:
 
 # the exponent that ends Fraction's decimal syntax, e.g. "1.5e-3"
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+MAX_DECIMAL_EXPONENT = 4300  # 10**4300 has the digits of Python's default int-string limit
 
 
 def parse_rational(s) -> Fraction:
     """Fraction from a JSON value: an int, or a string Fraction() reads. An
-    exponent past sys.get_int_max_str_digits() in magnitude is refused before
-    Fraction() builds 10**exponent."""
+    exponent past MAX_DECIMAL_EXPONENT in magnitude is refused before
+    Fraction() builds 10**exponent, whatever the interpreter's digit limit."""
     if isinstance(s, bool):
         raise InputError(f"not a rational: {s!r}")
     if isinstance(s, int):
@@ -44,9 +45,8 @@ def parse_rational(s) -> Fraction:
         raise InputError(f"rational values must be strings or integers, got {s!r}")
     try:
         exponent = _EXPONENT.search(s)
-        limit = sys.get_int_max_str_digits()  # 0: no limit
-        if exponent and limit and abs(int(exponent[1])) > limit:
-            raise ValueError(f"exponent past {limit} in magnitude")
+        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"exponent past {MAX_DECIMAL_EXPONENT} in magnitude")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse rational {s!r}: {exc}") from exc

@@ -13,7 +13,7 @@ import pytest
 import momentforge
 from momentforge.cli import main
 from momentforge.errors import InputError
-from momentforge.finab import FinAbGroup, Measure, enumerate_groups
+from momentforge.finab import MAX_ORDER_BITS, FinAbGroup, Measure, aut_count, enumerate_groups
 from momentforge.inversion import Bracket, MomentTable
 from momentforge.localize import ModuleMomentTable
 from momentforge.qseries import SimpleType, inversion_coefficient
@@ -516,8 +516,9 @@ def test_unprintable_results_are_refused_before_computing(argv, capsys):
 @pytest.mark.parametrize("command", ["localize", "reconstruct"])
 @pytest.mark.parametrize("exponent", [20000, 100_000_000])
 def test_group_orders_past_the_digit_limit_are_refused(command, exponent, tmp_path, capsys):
-    # judged from the exponents: 3**100000000 is never formed, and the
-    # message names the group as a power
+    # judged from the exponents against MAX_ORDER_BITS, whatever the digit
+    # limit: 3**100000000 is never formed, and the message names the group
+    # as a power
     path = tmp_path / "table.json"
     path.write_text('{"primes":[3],"moments":[{"group":{},"value":"1"}]}')
     depth = "--kbound" if command == "localize" else "--rmax"
@@ -526,23 +527,65 @@ def test_group_orders_past_the_digit_limit_are_refused(command, exponent, tmp_pa
         capsys, command, "--file", str(path), "--group", '{"3":[%d]}' % exponent, depth, "1"
     )
     assert time.perf_counter() - started < 2.0
-    limit = sys.get_int_max_str_digits()
     assert code == 1 and out == ""
-    assert err == f"error: group Z/3^{exponent} is too large: its order has over {limit} digits\n"
-
-
-def test_group_at_the_digit_limit_names_its_missing_middles(tmp_path, capsys):
-    # 3**a has exactly the digit limit's digits, so the group is read; its
-    # middles at k = 1 are one digit longer, and the error still comes out
-    a = math.ceil(sys.get_int_max_str_digits() / math.log10(3)) - 1
-    assert len(str(3**a)) == sys.get_int_max_str_digits()
-    path = tmp_path / "table.json"
-    path.write_text('{"primes":[3],"moments":[{"group":{"3":[%d]},"value":"1"}]}' % a)
-    code, out, err = run(
-        capsys, "reconstruct", "--file", str(path), "--group", '{"3":[%d]}' % a, "--rmax", "1"
+    assert err == (
+        f"error: group Z/3^{exponent} is too large: its order has up to {2 * exponent} bits, "
+        f"past the bound of {MAX_ORDER_BITS}\n"
     )
-    assert code == 1 and out == ""
-    assert err.rstrip().endswith(f"lacks middles for N=Z/3, M=Z/{3**a}: Z/{3**a} x Z/3, Z/3^{a + 1}")
+
+
+def test_group_at_the_order_bound_is_read_and_its_middles_refused(tmp_path, capsys):
+    # Z/3^1024 takes exactly MAX_ORDER_BITS (ceil(log2 3) = 2 bits per
+    # exponent), so a table record and --group read it; its k = 1 middles
+    # take 2 more bits and are refused, and so is a record of Z/3^1025
+    a = MAX_ORDER_BITS // 2
+    table = '{"primes":[3],"moments":[{"group":{"3":[%d]},"value":"1"}]}'
+    path = tmp_path / "table.json"
+    cases = [
+        (a, "0", 0, ""),
+        (a, "1", 1, f"error: group Z/3^{a} x Z/3 is too large: its order has up to "
+                    f"{MAX_ORDER_BITS + 2} bits, past the bound of {MAX_ORDER_BITS}\n"),
+        (a + 1, "0", 1, f"error: group Z/3^{a + 1} is too large: its order has up to "
+                        f"{MAX_ORDER_BITS + 2} bits, past the bound of {MAX_ORDER_BITS}\n"),
+    ]
+    for record, rmax, want_code, want_err in cases:
+        path.write_text(table % record)
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "reconstruct", "--file", str(path), "--group", '{"3":[%d]}' % a, "--rmax", rmax
+        )
+        assert time.perf_counter() - started < 2.0
+        assert (code, err) == (want_code, want_err)
+        if code == 0:
+            M = FinAbGroup.from_dict({3: [a]})
+            assert json.loads(out)["upper"] == f"1/{2 * 3 ** (a - 1)}" == f"1/{aut_count(M)}"
+
+
+def test_bounds_hold_with_the_digit_limit_off(tmp_path):
+    # the group bound and the decimal-exponent bound are constants, so with
+    # Python's int-string digit limit switched off both inputs still fail fast
+    one = tmp_path / "one.json"
+    one.write_text('{"primes":[3],"moments":[{"group":{},"value":"1"}]}')
+    unread = tmp_path / "unread.json"
+    unread.write_text(
+        '{"primes":[3],"moments":[{"group":{},"value":"1"},'
+        '{"group":{"3":[2]},"value":"1e100000000"}]}'
+    )
+    src = Path(momentforge.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "0"}
+    for path, group, message in [
+        (one, '{"3":[100000000]}', "error: group Z/3^100000000 is too large"),
+        (unread, "{}", "error: cannot parse rational '1e100000000': exponent past 4300"),
+    ]:
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentforge.cli", "reconstruct", "--file", str(path),
+             "--group", group, "--rmax", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert time.perf_counter() - started < 2.0
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
 
 
 def test_printable_results_still_print(capsys):

@@ -1,5 +1,4 @@
 import math
-import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -25,6 +24,7 @@ from momentforge.finab import (
     hom_count,
     hom_count_bruteforce,
     kernel_pair_count,
+    partitions,
     sur_bruteforce,
     sur_count,
     surjection_kernel_profile,
@@ -114,16 +114,6 @@ class TestCanonicalForm:
         assert FinAbGroup.from_json_obj(g.to_json_obj()) == g
 
 
-class TestNames:
-    def test_moduli_past_the_digit_limit_are_written_as_powers(self):
-        limit = sys.get_int_max_str_digits()
-        edge = math.ceil(limit / math.log10(3)) - 1  # the last a with 3**a printable
-        for a in range(edge - 2, edge + 3):
-            name = str(FinAbGroup.from_dict({3: [a]}))
-            assert name == (f"Z/{3**a}" if a <= edge else f"Z/3^{a}")
-        assert str(FinAbGroup.from_dict({2: [1], 3: [20000]})) == "Z/2 x Z/3^20000"
-
-
 class TestEnumeration:
     def test_counts(self):
         assert [str(g) for g in enumerate_groups({2}, 1)] == ["0"]
@@ -165,6 +155,15 @@ class TestHomAut:
         assert aut_count(Z(4, 2)) == 8
         assert aut_count(FinAbGroup.elementary(2, 3)) == 168
         assert aut_count(Z(6)) == 2
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_cohen_lenstra_mass_identity(self, p):
+        # sum_{lam |- n} 1/|Aut lam| = p**-n prod_{i<=n} (1 - p**-i)**-1
+        # (Cohen-Lenstra 1984; Macdonald, Symmetric Functions, ch. II)
+        for n in range(21):
+            mass = sum(Fraction(1, aut_count(FinAbGroup.from_dict({p: lam}))) for lam in partitions(n))
+            euler = math.prod(1 - Fraction(1, p**i) for i in range(1, n + 1))
+            assert mass == Fraction(1, p**n) / euler, (p, n)
 
     def test_closed_forms_match_bruteforce(self):
         # every group where full endomorphism enumeration fits the budget
@@ -457,11 +456,21 @@ class TestExtensions:
         assert extension_classes(F3, Z(3)) == {Z(9): 2, Z(3, 3): 1}
 
     def test_total_classes_equal_hom_count(self):
-        # summed over middles, extension classes of N by M number |Hom(M, N)|
-        for N in (F2, FinAbGroup.elementary(2, 2), F3, Z(6)):
-            for M in enumerate_groups({2, 3}, 12):
-                total = sum(extension_classes(N, M).values())
-                assert total == hom_count(M, N), (N, M)
+        # summed over middles, extension classes of N by M number |Hom(M, N)|;
+        # checked far past the oracles for N = F_p**k, middles up to order p**14
+        cases = [
+            (N, M)
+            for N in (F2, FinAbGroup.elementary(2, 2), F3, Z(6))
+            for M in enumerate_groups({2, 3}, 12)
+        ] + [
+            (FinAbGroup.elementary(p, k), M)
+            for p in (2, 3)
+            for k in (1, 2)
+            for M in enumerate_groups({p}, p ** (14 - k))
+        ]
+        for N, M in cases:
+            total = sum(extension_classes(N, M).values())
+            assert total == hom_count(M, N), (N, M)
 
     def test_entries_are_nonnegative_integers(self):
         for N in (F2, FinAbGroup.elementary(2, 2), F3, Z(6)):

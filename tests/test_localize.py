@@ -209,17 +209,17 @@ class TestTableIngest:
 class TestLocalizedMoments:
     def test_spec_values(self, table_half):
         lm = localized_moments(table_half, triv, P2, (1,))
-        assert lm((0,)) == 1
-        assert lm((1,)) == HALF
+        assert lm.values[(0,)] == 1
+        assert lm.values[(1,)] == HALF
 
         lm = localized_moments(table_half, Z(2), P2, (1,))
-        assert lm((0,)) == HALF
-        assert lm((1,)) == 0
+        assert lm.values[(0,)] == HALF
+        assert lm.values[(1,)] == 0
 
     def test_zeroth_moment_is_table_value(self, table_half):
         for M in enumerate_groups([2], 8):
             lm = localized_moments(table_half, M, P2, (0,))
-            assert lm((0,)) == table_half(M)
+            assert lm.values[(0,)] == table_half(M)
 
     def test_missing_middles_named(self, mu_half):
         small = empirical_moments(mu_half, enumerate_groups([2], 4))
@@ -284,7 +284,7 @@ def test_localized_moments_match_direct_definition():
                     ),
                     Fraction(0),
                 )
-                assert lm((k2, k3)) == direct, (M, N)
+                assert lm.values[(k2, k3)] == direct, (M, N)
 
 
 class TestReconstruct:
