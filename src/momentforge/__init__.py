@@ -3,7 +3,9 @@ from their surjection moments, with certified rational brackets.
 
 Every closed-form count in the package is paired with an independent
 brute-force oracle, and truncated inversion always returns a two-sided
-exact-rational interval rather than a point estimate.
+exact-rational interval rather than a point estimate. The oracles live in
+momentforge.oracle and momentforge.nonab_oracle and are not exported here,
+so importing the package loads no oracle.
 
 The sampler names load `momentforge.sampler`, and with it numpy, on first
 use, so importing the package stays cheap for the closed-form commands.
@@ -20,26 +22,14 @@ from .errors import (
 from .finab import (
     FinAbGroup,
     Measure,
-    aut_bruteforce,
     aut_count,
-    count_surjective_matrices,
     enumerate_groups,
     extension_class_count,
     hom_count,
-    hom_count_bruteforce,
-    kernel_pair_count,
-    sur_bruteforce,
     sur_count,
-    surjection_kernel_profile,
 )
 from .inversion import Bracket, MomentTable, multi_invert_zero
-from .localize import (
-    ModuleMomentTable,
-    localized_moments,
-    mu_local_direct,
-    reconstruct_probability,
-)
-from .nonab_oracle import hom_a5_count, sur_a5_bruteforce
+from .localize import ModuleMomentTable, localized_moments, reconstruct_probability
 from .qseries import SimpleType, inversion_coefficient, q_binomial, q_pochhammer
 from .surjcount import MultiIndex, sur_product, sur_single
 
@@ -62,23 +52,14 @@ __all__ = [
     "Measure",
     "enumerate_groups",
     "hom_count",
-    "hom_count_bruteforce",
     "aut_count",
-    "aut_bruteforce",
-    "sur_bruteforce",
     "sur_count",
-    "surjection_kernel_profile",
-    "kernel_pair_count",
     "extension_class_count",
-    "count_surjective_matrices",
-    "hom_a5_count",
-    "sur_a5_bruteforce",
     "MomentTable",
     "Bracket",
     "multi_invert_zero",
     "ModuleMomentTable",
     "localized_moments",
-    "mu_local_direct",
     "reconstruct_probability",
     "SamplerConfig",
     "sample_cokernel",

@@ -2,10 +2,10 @@
 
 The production path (closed-form hom, aut, surjection and extension counts)
 enumerates no group elements and takes no budget. Only the oracles that
-check it do: each exhaustive search is metered by the number of candidate
-generator-image tuples it would visit, not by group order, because a
-cyclic group of order 2**20 admits a 20-element image search while
-(Z/2)**10 admits 2**100, so order is the wrong resource measure.
+check it, in momentforge.oracle, do: each exhaustive search is metered by
+the number of candidate generator-image tuples it would visit, not by group
+order, because a cyclic group of order 2**20 admits a 20-element image
+search while (Z/2)**10 admits 2**100, so order is the wrong resource measure.
 
 The environment variable MOMENTFORGE_BUDGET overrides the candidate cap
 (a bare integer) or any field (a JSON object such as

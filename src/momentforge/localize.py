@@ -5,7 +5,7 @@ The route: moments of the localized measure at M are extension-class sums
 of plain moments; inverting those localized moments brackets the localized
 mass at 0, which is |Aut(M)| times the mass of M itself. The pipeline
 consumes moment tables only; measures appear in the brute-force oracle
-mu_local_direct used to cross-check it.
+oracle.mu_local_direct used to cross-check it.
 
 Localization is at a set of primes p, the simple groups Z/p: the sums read
 the table only at the middles of extensions of M by products of the F_p**k_p,
@@ -26,18 +26,16 @@ from .errors import InputError
 from .finab import (
     Components,
     FinAbGroup,
-    Measure,
     aut_count,
     candidate_middles,
     extension_class_count,
     group_components,
     hom_count,
     is_prime,
-    surjection_kernel_profile,
 )
 from .inversion import Bracket, MomentTable, multi_invert_zero
 from .qseries import SimpleType
-from .rationals import format_rational, parse_rational
+from .rationals import MAX_DIGITS, format_rational, parse_rational
 from .surjcount import MultiIndex, check_index
 
 
@@ -133,8 +131,9 @@ class ModuleMomentTable:
 
 
 def _parse_value(v) -> Fraction | int:
-    """A record's value: plain ASCII digits as an int, anything else by parse_rational."""
-    if type(v) is str and v.isascii() and v.isdigit():
+    """A record's value: plain ASCII digits as an int, anything else, and a run
+    past MAX_DIGITS, by parse_rational."""
+    if type(v) is str and v.isascii() and v.isdigit() and len(v) <= MAX_DIGITS:
         try:
             return int(v)
         except ValueError:  # past sys.get_int_max_str_digits(): parse_rational says so
@@ -189,24 +188,6 @@ def localized_moments(
                 total += extension_class_count(target, M, mid) * v
         values[k] = total / denom
     return MomentTable(basis, k_bound, values)
-
-
-def mu_local_direct(mu: Measure, M: FinAbGroup, N: FinAbGroup) -> Fraction:
-    """Mass the localized measure at M puts on N, by brute force.
-
-    Integrates, over the support of mu, the number of surjections
-    pi: X ->> M whose kernel semisimplifies to N. Oracle for the pipeline;
-    its enumeration is metered by the Budget from the environment.
-    """
-    if not N.is_semisimple:
-        raise InputError(f"N must be semisimple, got {N}")
-    out = Fraction(0)
-    for X, mass in mu.items():
-        profile = surjection_kernel_profile(X, M)
-        count = profile.get(N, 0)
-        if count:
-            out += mass * count
-    return out
 
 
 def reconstruct_probability(

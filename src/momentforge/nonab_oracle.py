@@ -14,7 +14,6 @@ element (i_1, ..., i_k) at the uint16 code i_1 60^(k-1) + ... + i_k. The
 np.packbits, 60^k / 8 bytes a row, built one leading (k-1)-prefix at a
 time. Orders are popcounts from a table; for e = 2, |S1 S2| is
 |S1| |S2| / |S1 meet S2| over chunks of the tuples of commuting pairs.
-numpy is imported when the oracle runs, since the package imports this module.
 
 This module exists to certify the closed-form count
 e(e-1)...(e+1-k) * 120**k for the concrete group A5; it is not a general
@@ -25,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, reduce
+
+import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError, InputError
 
@@ -41,8 +42,6 @@ def _a5() -> list[tuple[int, ...]]:
 @lru_cache(maxsize=1)
 def _times():
     """times[i, j]: the index of element i composed after element j."""
-    import numpy as np
-
     elements, place = np.array(_a5()), 5 ** np.arange(5)
     index = np.zeros(5**5, dtype=np.int64)
     index[elements @ place] = np.arange(60)
@@ -53,8 +52,6 @@ def _times():
 def _single_homs():
     """Hom(A5, A5) as its relation-satisfying generator-image pairs (x, y),
     one row each, the trivial pair first."""
-    import numpy as np
-
     x, y = np.divmod(np.arange(3600), 60)
     ok = True
     for z, n in ((x, 5), (y, 2), (_times()[x, y], 3)):  # z**n is the identity, index 0
@@ -73,8 +70,6 @@ def _maps():
     over words in a generating pair (any relation pair but the trivial one,
     since A5 is simple). Checking every edge of the Cayley graph after makes
     each row a homomorphism."""
-    import numpy as np
-
     homs, times = _single_homs(), _times()
     gens = homs[1]
     maps = np.zeros((len(homs), 60), dtype=np.int64)
@@ -101,8 +96,6 @@ def sur_a5_bruteforce(e: int, k: int) -> int:
         )
     if e == 0 or k == 0:
         return int(k == 0)
-    import numpy as np
-
     bits, sizes = _images(k)
     if e == 1:
         return int((sizes == 60**k).sum())
@@ -132,8 +125,6 @@ def _images(k: int):
     homomorphisms, lexicographically, packed as the module describes, and
     sizes[t] is its order. Codes in uint16 and rows of even width hold for
     k <= 2."""
-    import numpy as np
-
     maps = _maps().astype(np.uint16)
     n = len(maps)
     prefixes = np.zeros((1, 60), dtype=np.uint16)  # the empty tuple sends x to ()
@@ -155,6 +146,4 @@ def _popcount(bits):
 
 @lru_cache(maxsize=1)
 def _bit_counts():
-    import numpy as np
-
     return np.unpackbits(np.arange(1 << 16, dtype="u2").view("u1")).reshape(-1, 16).sum(1, "u1")

@@ -28,25 +28,41 @@ def check_printable(bits: int) -> None:
         raise BudgetExceededError(f"the exact result is too long to print: over {limit} digits")
 
 
-# the exponent that ends Fraction's decimal syntax, e.g. "1.5e-3"
+# the exponent that ends Fraction's decimal syntax, e.g. "1.5e-3", and a run of
+# digits as int() and Fraction() read one, single underscores allowed
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-MAX_DECIMAL_EXPONENT = 4300  # 10**4300 has the digits of Python's default int-string limit
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+# Python's default int-string limit, held fixed: input with a longer run of
+# digits, or a decimal exponent past it, is refused before int() or Fraction()
+# spends quadratic time on it, whatever the interpreter's own limit
+MAX_DIGITS = 4300
+_QUOTED = 200  # characters of input a message quotes
+
+
+def clip(text: str) -> str:
+    """text, or its first _QUOTED characters and its length: input a message quotes."""
+    return text if len(text) <= _QUOTED else f"{text[:_QUOTED]}... ({len(text)} characters)"
 
 
 def parse_rational(s) -> Fraction:
-    """Fraction from a JSON value: an int, or a string Fraction() reads. An
-    exponent past MAX_DECIMAL_EXPONENT in magnitude is refused before
-    Fraction() builds 10**exponent, whatever the interpreter's digit limit."""
+    """Fraction from a JSON value: an int, or a string Fraction() reads. A run
+    of more than MAX_DIGITS digits, or an exponent past MAX_DIGITS in
+    magnitude, is refused before Fraction() converts it or builds
+    10**exponent, whatever the interpreter's digit limit."""
     if isinstance(s, bool):
         raise InputError(f"not a rational: {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     if not isinstance(s, str):
-        raise InputError(f"rational values must be strings or integers, got {s!r}")
+        raise InputError(f"rational values must be strings or integers, got {clip(repr(s))}")
     try:
+        if len(s) > MAX_DIGITS:  # only so long a string holds so long a run
+            run = max((len(r) - r.count("_") for r in _DIGIT_RUN.findall(s)), default=0)
+            if run > MAX_DIGITS:
+                raise ValueError(f"a run of {run} digits is past {MAX_DIGITS}")
         exponent = _EXPONENT.search(s)
-        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"exponent past {MAX_DECIMAL_EXPONENT} in magnitude")
+        if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+            raise ValueError(f"exponent past {MAX_DIGITS} in magnitude")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse rational {s!r}: {exc}") from exc
+        raise InputError(f"cannot parse rational {clip(repr(s))}: {clip(str(exc))}") from exc

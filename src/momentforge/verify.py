@@ -19,21 +19,23 @@ from .errors import BudgetExceededError, MomentforgeError
 from .finab import (
     FinAbGroup,
     Measure,
-    aut_bruteforce,
     aut_count,
     candidate_middles,
-    count_surjective_matrices,
     enumerate_groups,
     extension_class_count,
     hom_count,
-    hom_count_bruteforce,
-    kernel_pair_count,
-    sur_bruteforce,
     sur_count,
 )
 from .inversion import MomentTable, multi_invert_zero
 from .localize import reconstruct_probability
 from .nonab_oracle import hom_a5_count, sur_a5_bruteforce
+from .oracle import (
+    aut_bruteforce,
+    count_surjective_matrices,
+    hom_count_bruteforce,
+    kernel_pair_count,
+    sur_bruteforce,
+)
 from .qseries import SimpleType, inversion_coefficient, q_binomial
 from .sampler import empirical_moments, reference_mass
 from .surjcount import sur_product, sur_single

@@ -1,11 +1,11 @@
-"""Element-table oracles: the reference for the oracles in momentforge.finab.
+"""Element-table oracles: the reference for the oracles in momentforge.oracle.
 
 Each function here maps every element of A under every candidate
 homomorphism A -> B and reads injectivity, surjectivity and kernels off the
 images, with no linear algebra. The package's oracles decide the same
 questions from F_p spans of generator images; the tests require both routes
 to agree, refusals included, so the enumeration below is metered exactly as
-finab._hom_images is.
+oracle._hom_images is.
 """
 
 from __future__ import annotations

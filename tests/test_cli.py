@@ -152,7 +152,7 @@ def test_budget_env_override(monkeypatch):
     # a tiny budget turns a legitimate brute-force count into a refusal
     monkeypatch.setenv("MOMENTFORGE_BUDGET", '{"max_candidates": 1, "max_order": 1}')
     from momentforge.errors import BudgetExceededError
-    from momentforge.finab import sur_bruteforce
+    from momentforge.oracle import sur_bruteforce
 
     with pytest.raises(BudgetExceededError):
         sur_bruteforce(FinAbGroup.from_orders(8), FinAbGroup.from_orders(8))
@@ -371,10 +371,10 @@ runs = [
     ["sur", "--abelian", "2", "--e", "3", "--k", "2"],
 ]
 codes = [main(argv) for argv in runs]
-loaded = "numpy" in sys.modules
+loaded = sorted({"numpy", "momentforge.oracle", "momentforge.nonab_oracle"} & set(sys.modules))
 codes.append(main(["sample", "--p", "2", "--cap", "2", "--n", "3", "--seed", "1", "--count", "5"]))
 import momentforge.verify
-print(json.dumps({"codes": codes, "numpy_before_sample": loaded, "numpy_after": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "loaded_before_sample": loaded, "numpy_after": "numpy" in sys.modules}))
 """
 
 
@@ -389,7 +389,7 @@ def test_closed_form_commands_do_not_load_numpy(half_table_path, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * 6, "numpy_before_sample": False, "numpy_after": True}
+    assert result == {"codes": [0] * 6, "loaded_before_sample": [], "numpy_after": True}
 
 
 def test_sampler_names_at_package_root():
@@ -561,31 +561,55 @@ def test_group_at_the_order_bound_is_read_and_its_middles_refused(tmp_path, caps
             assert json.loads(out)["upper"] == f"1/{2 * 3 ** (a - 1)}" == f"1/{aut_count(M)}"
 
 
+_BOUNDED_RUNS_SCRIPT = """
+import contextlib, io, json, sys, time
+from momentforge.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, time.perf_counter() - started, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
 def test_bounds_hold_with_the_digit_limit_off(tmp_path):
-    # the group bound and the decimal-exponent bound are constants, so with
-    # Python's int-string digit limit switched off both inputs still fail fast
-    one = tmp_path / "one.json"
-    one.write_text('{"primes":[3],"moments":[{"group":{},"value":"1"}]}')
-    unread = tmp_path / "unread.json"
-    unread.write_text(
-        '{"primes":[3],"moments":[{"group":{},"value":"1"},'
-        '{"group":{"3":[2]},"value":"1e100000000"}]}'
-    )
+    # the group bound and MAX_DIGITS are constants, so whatever Python's
+    # int-string digit limit (0 switches it off, 640 is its least) every input
+    # below fails fast, and a refusal quotes a bounded prefix of the value;
+    # one interpreter per limit times each call, start-up left out
+    run = "1" * 10**6
+    unread = '{"primes":[3],"moments":[{"group":{},"value":"1"},{"group":{"3":[2]},"value":"%s"}]}'
+    cases = [
+        ('{"3":[100000000]}', unread % "1", "error: group Z/3^100000000 is too large"),
+        ("{}", unread % "1e100000000",
+         "error: cannot parse rational '1e100000000': exponent past 4300 in magnitude\n"),
+        ("{}", unread % run, "error: cannot parse rational '" + "1" * 199
+         + "... (1000002 characters): a run of 1000000 digits is past 4300\n"),
+        ("{}", unread % ("1/" + run), "error: cannot parse rational '1/" + "1" * 197
+         + "... (1000004 characters): a run of 1000000 digits is past 4300\n"),
+        ("{}", unread % ("x" * 10**6), "error: cannot parse rational 'xxx"),
+        ("{}", '{"primes":[3],"moments":[{"group":{},"value":"1"},{"group":{"%s":[1]},"value":"1"}]}'
+         % run, "error: bad group JSON: a 1000000-digit prime key is too large\n"),
+    ]
+    runs = []
+    for i, (group, table, _) in enumerate(cases):
+        path = tmp_path / f"table{i}.json"
+        path.write_text(table)
+        runs.append(["reconstruct", "--file", str(path), "--group", group, "--rmax", "1"])
     src = Path(momentforge.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "0"}
-    for path, group, message in [
-        (one, '{"3":[100000000]}', "error: group Z/3^100000000 is too large"),
-        (unread, "{}", "error: cannot parse rational '1e100000000': exponent past 4300"),
-    ]:
-        started = time.perf_counter()
+    for limit in ("0", "640", "4300"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": limit}
         proc = subprocess.run(
-            [sys.executable, "-m", "momentforge.cli", "reconstruct", "--file", str(path),
-             "--group", group, "--rmax", "1"],
-            capture_output=True, text=True, env=env, timeout=60,
+            [sys.executable, "-c", _BOUNDED_RUNS_SCRIPT, json.dumps(runs)],
+            capture_output=True, text=True, env=env, timeout=120,
         )
-        assert time.perf_counter() - started < 2.0
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr[:2000]
+        for (code, took, out, err), (_, _, message) in zip(json.loads(proc.stdout), cases):
+            assert (code, out) == (1, "") and took < 1.0, (limit, message, code, took)
+            assert err.startswith(message) and len(err.encode()) < 1024, (limit, err[:300])
 
 
 def test_printable_results_still_print(capsys):
@@ -689,7 +713,9 @@ _FAULTS = {
     "negative": ([{"3": [9]}], "-1", "moment at Z/19683 is negative"),
     "not-a-number": ([{"3": [9]}], "x", "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
     "zero-denominator": ([{"3": [9]}], "1/0", "cannot parse rational '1/0': Fraction(1, 0)"),
-    "5000-digits": ([{"3": [9]}], "1" * 5000, "cannot parse rational '" + "1" * 5000 + "': Exceeds"),
+    "5000-digits": ([{"3": [9]}], "1" * 5000,
+                    "cannot parse rational '" + "1" * 199 + "... (5002 characters): "
+                    "a run of 5000 digits is past 4300\n"),
 }
 
 

@@ -7,30 +7,32 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from momentforge import finab
+from momentforge import finab, oracle
 
 from momentforge.budget import Budget
 from momentforge.errors import BudgetExceededError, InputError
 from momentforge.finab import (
     FinAbGroup,
     Measure,
-    aut_bruteforce,
     aut_count,
     candidate_middles,
-    count_surjective_matrices,
     enumerate_groups,
     extension_class_count,
     extension_pair_count,
     hom_count,
-    hom_count_bruteforce,
-    kernel_pair_count,
     partitions,
-    sur_bruteforce,
     sur_count,
-    surjection_kernel_profile,
 )
 from momentforge.localize import ModuleMomentTable, localized_moments
-from momentforge.qseries import SimpleType
+from momentforge.oracle import (
+    aut_bruteforce,
+    count_surjective_matrices,
+    hom_count_bruteforce,
+    kernel_pair_count,
+    sur_bruteforce,
+    surjection_kernel_profile,
+)
+from momentforge.qseries import SimpleType, q_binomial
 from momentforge.surjcount import sur_single
 
 from element_tables import (
@@ -114,6 +116,14 @@ class TestCanonicalForm:
         assert FinAbGroup.from_json_obj(g.to_json_obj()) == g
 
 
+def test_finab_forwards_only_the_traced_oracles():
+    for name in ("sur_bruteforce", "aut_bruteforce", "hom_count_bruteforce", "kernel_pair_count"):
+        assert getattr(finab, name) is getattr(oracle, name)
+    for name in ("surjection_kernel_profile", "count_surjective_matrices", "_hom_images"):
+        with pytest.raises(AttributeError):
+            getattr(finab, name)
+
+
 class TestEnumeration:
     def test_counts(self):
         assert [str(g) for g in enumerate_groups({2}, 1)] == ["0"]
@@ -164,6 +174,29 @@ class TestHomAut:
             mass = sum(Fraction(1, aut_count(FinAbGroup.from_dict({p: lam}))) for lam in partitions(n))
             euler = math.prod(1 - Fraction(1, p**i) for i in range(1, n + 1))
             assert mass == Fraction(1, p**n) / euler, (p, n)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_surjection_sums(self, p):
+        # sum_{lam |- n} Sur(lam, mu)/|Aut lam| = sum_{nu |- n - |mu|} 1/|Aut nu|
+        # for every mu (Riedtmann's formula and |Ext^1| = |Hom|): the per-mu
+        # constraint on sur_count, far past the reach of sur_bruteforce
+        groups = {n: [FinAbGroup.from_dict({p: lam}) for lam in partitions(n)] for n in range(10)}
+        mass = {n: sum(Fraction(1, aut_count(g)) for g in gs) for n, gs in groups.items()}
+        for n in range(10):
+            for size in range(n + 1):
+                for mu in groups[size]:
+                    total = sum(Fraction(sur_count(g, mu), aut_count(g)) for g in groups[n])
+                    assert total == mass[n - size], (p, n, mu)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_socle_counts(self, p):
+        # sum_mu g^lam_{mu,(1^m)}(p) = [rank_p lam choose m]_p: the elementary
+        # subgroups of rank m all lie in the socle, of rank rank_p lam
+        for n in range(11):
+            for lam in partitions(n):
+                for m in range(len(lam) + 1):
+                    total = sum(finab._hall_number(p, lam, mu, m) for mu in partitions(n - m))
+                    assert total == q_binomial(len(lam), m, p), (p, lam, m)
 
     def test_closed_forms_match_bruteforce(self):
         # every group where full endomorphism enumeration fits the budget
@@ -302,8 +335,8 @@ class TestSpanMasks:
 
     @staticmethod
     def blocks(A, B, size):
-        with mock.patch.object(finab, "_BLOCK", size):
-            return list(finab._hom_images(A, B, Budget(), "test"))
+        with mock.patch.object(oracle, "_BLOCK", size):
+            return list(oracle._hom_images(A, B, Budget(), "test"))
 
     @given(span_group_st, span_group_st, st.sampled_from([4, 64, 1 << 16]))
     @settings(max_examples=80, deadline=None)
@@ -319,7 +352,7 @@ class TestSpanMasks:
         primes = tuple(sorted(set(A.primes) | set(B.primes)))
         for choices, block in self.blocks(A, B, size):
             for socle in (True, False):
-                got = finab._span_ranks(A, B, choices, block, primes, socle)
+                got = oracle._span_ranks(A, B, choices, block, primes, socle)
                 for t, row in enumerate(block):
                     images = [choices[i][c].tolist() for i, c in enumerate(row)]
                     want = [elimination_rank(fp_rows(A, B, images, p, socle), p) for p in primes]
@@ -329,7 +362,7 @@ class TestSpanMasks:
         inners = {}
         for A, B in SPAN_SHAPES[:2]:
             choices = self.blocks(A, B, 1 << 16)[0][0]
-            inners[A] = finab._inner(choices)
+            inners[A] = oracle._inner(choices)
         assert inners == {Z(4, 2): 0, Z(2, 2, 3): 1}  # neither is A's last
 
     @given(span_group_st, span_group_st, st.sampled_from([4, 64, 1 << 16]))
@@ -345,7 +378,7 @@ class TestSpanMasks:
         if choices:
             assert len(np.unique(rows, axis=0)) == len(rows)
             assert ((rows >= 0) & (rows < [len(ch) for ch in choices])).all()
-            inner = finab._inner(choices)
+            inner = oracle._inner(choices)
             for _, block in blocks:  # whole runs of the inner generator, in order
                 runs = block[:, inner].reshape(-1, len(choices[inner]))
                 assert (runs == np.arange(len(choices[inner]))).all()

@@ -7,20 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from momentforge import localize
 from momentforge.errors import InputError
-from momentforge.finab import (
-    FinAbGroup,
-    Measure,
-    aut_count,
-    candidate_middles,
-    enumerate_groups,
-    sur_bruteforce,
-)
-from momentforge.localize import (
-    ModuleMomentTable,
-    localized_moments,
-    mu_local_direct,
-    reconstruct_probability,
-)
+from momentforge.finab import FinAbGroup, Measure, aut_count, candidate_middles, enumerate_groups
+from momentforge.localize import ModuleMomentTable, localized_moments, reconstruct_probability
+from momentforge.oracle import mu_local_direct, sur_bruteforce
 from momentforge.rationals import parse_rational
 from momentforge.sampler import empirical_moments, reference_mass
 from momentforge.verify import synthetic_measure
