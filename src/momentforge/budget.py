@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InputError
+from .rationals import clip
 
 ENV_VAR = "MOMENTFORGE_BUDGET"
 
@@ -39,7 +40,9 @@ class Budget:
         for name in ("max_candidates", "max_order"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
-                raise InputError(f"budget field {name} must be a positive integer, got {value!r}")
+                raise InputError(
+                    f"budget field {name} must be a positive integer, got {clip(repr(value))}"
+                )
 
     def check_candidates(self, count: int, what: str) -> None:
         if count > self.max_candidates:
@@ -68,7 +71,7 @@ def budget_from_env() -> Budget:
             return Budget(**fields)
         return Budget(max_candidates=int(raw))
     except (ValueError, TypeError, InputError) as exc:
-        raise InputError(f"cannot parse {ENV_VAR}={raw!r}: {exc}") from exc
+        raise InputError(f"cannot parse {ENV_VAR}={clip(repr(raw))}: {clip(str(exc))}") from exc
 
 
 def resolve(budget: Budget | None) -> Budget:

@@ -19,7 +19,12 @@ from fractions import Fraction
 from .errors import ConsistencyError, InputError, MomentforgeError
 from .finab import MAX_ORDER_BITS, FinAbGroup
 from .inversion import MomentTable, multi_invert_zero
-from .localize import ModuleMomentTable, localized_moments, reconstruct_probability
+from .localize import (
+    ModuleMomentTable,
+    _collector_paused,
+    localized_moments,
+    reconstruct_probability,
+)
 from .qseries import SimpleType, inversion_coefficient
 from .rationals import check_printable, format_rational
 from .surjcount import basis_from_json_obj, check_index, sur_product
@@ -153,7 +158,8 @@ def _cmd_invert(args) -> int:
 
 
 def _table_and_primes(args) -> tuple[ModuleMomentTable, tuple[int, ...]]:
-    table = ModuleMomentTable.from_json_obj(_load_json(args.file))
+    with _collector_paused():  # the parsed JSON holds no cycles either
+        table = ModuleMomentTable.from_json_obj(_load_json(args.file))
     return table, _int_list(args.primes, "--primes") if args.primes else table.primes
 
 

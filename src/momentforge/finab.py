@@ -57,6 +57,12 @@ Components = tuple[tuple[int, tuple[int, ...]], ...]
 MAX_ORDER_BITS = 2048
 
 
+def order_bits(p: int, parts: tuple[int, ...]) -> int:
+    """(sum of parts) * ceil(log2 p): a bound on log2 of the order of the
+    p-part with these exponents, read off the exponents."""
+    return sum(parts) * (p - 1).bit_length()
+
+
 def _bounded(items: Iterable[tuple[int, tuple[int, ...]]]) -> Components:
     """Components from (prime, weakly decreasing partition) pairs, primes
     increasing, with empty partitions dropped: the one check FinAbGroup and
@@ -70,7 +76,7 @@ def _bounded(items: Iterable[tuple[int, tuple[int, ...]]]) -> Components:
                 raise InputError(f"{p} is not prime")
             if parts[-1] < 1:
                 raise InputError(f"partition for prime {p} must be weakly decreasing >= 1")
-            bits += sum(parts) * (p - 1).bit_length()  # ceil(log2 p)
+            bits += order_bits(p, parts)
             out.append((p, parts))
     if bits > MAX_ORDER_BITS:
         names = [f"Z/{p}^{a}" if a > 1 else f"Z/{p}" for p, parts in out for a in parts]
@@ -526,7 +532,7 @@ class Measure:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Measure":
         if not isinstance(obj, Mapping) or "masses" not in obj:
-            raise InputError(f"measure JSON needs a 'masses' list, got {obj!r}")
+            raise InputError(f"measure JSON needs a 'masses' list, got {clip(repr(obj))}")
         masses: dict[FinAbGroup, Fraction] = {}
         for rec in obj["masses"]:
             g = FinAbGroup.from_json_obj(rec["group"])

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .errors import InfeasibleMomentsError, InputError
 from .qseries import SimpleType, inversion_coefficients
-from .rationals import format_rational, parse_rational
+from .rationals import clip, format_rational, parse_rational
 from .surjcount import Basis, MultiIndex, basis_from_json_obj, check_index
 
 
@@ -63,7 +63,7 @@ class Bracket:
         try:
             return cls(parse_rational(obj["lower"]), parse_rational(obj["upper"]))
         except (KeyError, TypeError) as exc:
-            raise InputError(f"bad bracket JSON {obj!r}: {exc}") from exc
+            raise InputError(f"bad bracket JSON {clip(repr(obj))}: {exc}") from exc
 
     def __str__(self) -> str:
         return f"[{self.lower}, {self.upper}]"

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import InputError
+from .rationals import clip
 
 ABELIAN = "abelian"
 NONABELIAN = "nonabelian"
@@ -113,14 +114,14 @@ class SimpleType:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimpleType":
         if not isinstance(obj, dict) or "kind" not in obj:
-            raise InputError(f"bad simple-type JSON: {obj!r}")
+            raise InputError(f"bad simple-type JSON: {clip(repr(obj))}")
         kind = obj["kind"]
         if kind not in (ABELIAN, NONABELIAN):
-            raise InputError(f"bad simple-type kind in JSON: {kind!r}")
+            raise InputError(f"bad simple-type kind in JSON: {clip(repr(kind))}")
         field = "h" if kind == ABELIAN else "aut"
         value = obj.get(field)
         if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(f"bad simple-type JSON {obj!r}: {field} must be an integer")
+            raise InputError(f"bad simple-type JSON {clip(repr(obj))}: {field} must be an integer")
         return cls(kind=kind, **{field: value})
 
 

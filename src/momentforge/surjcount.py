@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .qseries import SimpleType
+from .rationals import clip
 
 MultiIndex = tuple[int, ...]
 Basis = tuple[SimpleType, ...]
@@ -21,7 +22,7 @@ Basis = tuple[SimpleType, ...]
 
 def basis_from_json_obj(obj: list) -> Basis:
     if not isinstance(obj, list):
-        raise InputError(f"basis JSON must be a list of simple types, got {obj!r}")
+        raise InputError(f"basis JSON must be a list of simple types, got {clip(repr(obj))}")
     return tuple(SimpleType.from_json_obj(entry) for entry in obj)
 
 
@@ -29,15 +30,15 @@ def check_index(basis: Basis, idx: Sequence[int], name: str) -> MultiIndex:
     try:
         idx = tuple(idx)
     except TypeError as exc:
-        raise InputError(f"{name} must be a list of integers, got {idx!r}") from exc
+        raise InputError(f"{name} must be a list of integers, got {clip(repr(idx))}") from exc
     if any(type(v) is not int for v in idx):  # no silent truncation of 1.9 or True
-        raise InputError(f"{name} must be a list of integers, got {list(idx)!r}")
+        raise InputError(f"{name} must be a list of integers, got {clip(repr(list(idx)))}")
     if len(idx) != len(basis):
         raise InputError(
             f"{name} has length {len(idx)} but the basis has {len(basis)} types"
         )
     if any(v < 0 for v in idx):
-        raise InputError(f"{name} must be coordinatewise nonnegative, got {idx}")
+        raise InputError(f"{name} must be coordinatewise nonnegative, got {clip(str(idx))}")
     return idx
 
 

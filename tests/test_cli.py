@@ -612,6 +612,25 @@ def test_bounds_hold_with_the_digit_limit_off(tmp_path):
             assert err.startswith(message) and len(err.encode()) < 1024, (limit, err[:300])
 
 
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["reconstruct", "--group", "{}", "--rmax", "0"],
+         {"primes": ["x" * 10**6], "moments": []}),
+        (["invert", "--rmax", "0"],
+         {"basis": [{"kind": "abelian", "h": 2}], "bound": [0],
+          "moments": [{"k": ["x" * 10**6], "value": "1"}]}),
+    ],
+    ids=["table-primes", "moment-index"],
+)
+def test_refusals_quote_a_bounded_prefix_of_the_input(argv, table, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, *argv, "--file", str(path))
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert " characters)" in err and len(err.encode()) < 1024
+
+
 def test_printable_results_still_print(capsys):
     # the refusal uses a lower bound on the digits, so c_150 (3,411 characters) prints
     code, out, _ = run(capsys, "coeffs", "--abelian", "2", "--k", "150")

@@ -1,13 +1,23 @@
+import gc
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from momentforge import localize
+from momentforge.cli import main
 from momentforge.errors import InputError
-from momentforge.finab import FinAbGroup, Measure, aut_count, candidate_middles, enumerate_groups
+from momentforge.finab import (
+    MAX_ORDER_BITS,
+    FinAbGroup,
+    Measure,
+    aut_count,
+    candidate_middles,
+    enumerate_groups,
+)
 from momentforge.localize import ModuleMomentTable, localized_moments, reconstruct_probability
 from momentforge.oracle import mu_local_direct, sur_bruteforce
 from momentforge.rationals import parse_rational
@@ -193,6 +203,155 @@ class TestTableIngest:
         assert again.primes == table.primes == (2, 3)
         assert again.values == table.values == values
         assert all(type(v) is Fraction for v in again.values.values())
+
+
+# valid tables of random shape: a pool of groups per set of table primes
+_POOLS = {
+    primes: enumerate_groups(primes, bound)
+    for primes, bound in [((2,), 2**7), ((3,), 3**4), ((2, 3), 2**4 * 3**2), ((2, 3, 5), 120)]
+}
+_MUTATIONS = (
+    "none", "bad-key", "non-prime-key", "off-table-prime", "bad-exponent", "not-a-list",
+    "empty-list", "reversed-keys", "duplicate", "too-large", "bad-value", "missing-field",
+    "not-a-dict",
+)
+
+
+@st.composite
+def _mutated_tables(draw):
+    """A valid table as JSON with one mutation applied, and the mutation's name."""
+    primes = draw(st.sampled_from(sorted(_POOLS)))
+    groups = draw(st.lists(st.sampled_from(_POOLS[primes]), min_size=1, max_size=30, unique=True))
+    values = st.sampled_from(["1", "0", "2/3", "12", 5, "1e3", " 7 "])
+    records = [
+        {"group": {str(p): draw(st.permutations(parts)) for p, parts in g.components},
+         "value": draw(values)}
+        for g in groups
+    ]
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    rec = draw(st.sampled_from(records))
+    group = rec["group"]
+    anywhere = st.integers(0, len(records))
+    if mutation == "bad-key":
+        group[draw(st.sampled_from(["02", "1_1", " 3", "9" * 4301]))] = [1]
+    elif mutation in ("non-prime-key", "off-table-prime"):
+        group["4" if mutation == "non-prime-key" else "7"] = [1]
+    elif mutation == "bad-exponent":
+        # a last record of one prime key of a record, an exponent 1 replaced:
+        # True and 1.0 then hash as a pair an earlier slice has seen
+        bad = draw(st.sampled_from([True, 1.0, 0, "1"]))
+        spots = [(key, exps, i) for r in records for key, exps in r["group"].items()
+                 for i, a in enumerate(exps) if a == 1]
+        key, exps, i = draw(st.sampled_from(spots)) if spots else (str(primes[0]), [1], 0)
+        alone = FinAbGroup.from_dict({int(key): exps})
+        records = [r for r in records if FinAbGroup.from_json_obj(r["group"]) != alone]
+        records.append({"group": {key: [*exps[:i], bad, *exps[i + 1 :]]}, "value": "1"})
+    elif mutation == "not-a-list":
+        group[str(primes[0])] = draw(st.sampled_from([1, "1", {"1": 1}, None]))
+    elif mutation == "empty-list":
+        group[str(draw(st.sampled_from(primes)))] = []
+    elif mutation == "reversed-keys":
+        rec["group"] = dict(reversed(group.items()))
+    elif mutation == "duplicate":
+        twin = {key: exps[::-1] for key, exps in reversed(group.items())}
+        records.insert(draw(anywhere), {"group": twin, "value": "1"})
+    elif mutation == "too-large":
+        # past MAX_ORDER_BITS alone, or only in sum
+        huge = [{str(primes[0]): [MAX_ORDER_BITS + 1]}]
+        if primes[:2] == (2, 3):
+            huge.append({"2": [MAX_ORDER_BITS - 40], "3": [30]})
+        records.insert(draw(anywhere), {"group": draw(st.sampled_from(huge)), "value": "1"})
+    elif mutation == "bad-value":
+        rec["value"] = draw(st.sampled_from([-1, "-1/2", "1/0", True, 1.0, [1], None, "x"]))
+    elif mutation == "missing-field":
+        del rec[draw(st.sampled_from(["group", "value"]))]
+    elif mutation == "not-a-dict":
+        records[records.index(rec)] = draw(st.sampled_from([[], "group", None, 1, [rec]]))
+    return {"primes": list(primes), "moments": records}, mutation
+
+
+def _ingested(obj):
+    """The store from_json_obj makes, keys, values and value types in order, or
+    the text of its refusal."""
+    try:
+        table = ModuleMomentTable.from_json_obj(obj)
+    except InputError as exc:
+        return str(exc)
+    return [(comps, v, type(v)) for comps, v in table._store.items()]
+
+
+def _record_loop_only(table, records):
+    return False
+
+
+class TestColumnPass:
+    @given(_mutated_tables(), st.sampled_from([1, 2, 3, 5, 4096]))
+    @example(({"primes": [2, 3], "moments": [{"group": {"2": [1]}, "value": "1"},
+                                             {"group": {"2": [True], "3": [1]}, "value": "1"}]},
+              "bad-exponent"), 4096)
+    @settings(max_examples=300, deadline=None)
+    def test_column_pass_matches_the_record_loop(self, case, size):
+        # over slices of `size` records, from_json_obj either makes the store
+        # the record loop alone makes, or refuses with the same text
+        obj, mutation = case
+        with mock.patch.object(localize, "_SLICE", size):
+            got = _ingested(obj)
+            with mock.patch.object(localize, "_ingest_columns", _record_loop_only):
+                want = _ingested(obj)
+            if mutation in ("none", "reversed-keys"):  # proved without the loop
+                assert localize._ingest_columns(ModuleMomentTable(obj["primes"], {}),
+                                                obj["moments"])
+        assert got == want
+
+    def test_records_share_their_components(self, wide_23):
+        table = ModuleMomentTable.from_json_obj(wide_23)
+        components = {id(c) for comps in table._store for c in comps}
+        assert len(table._store) == 17_388 and len(components) == 2_984
+
+
+class TestCollectorPause:
+    def test_no_collection_during_ingest(self, wide_23):
+        starts, counting = [], [False]
+
+        def count(phase, info):
+            if phase == "start" and counting[0]:
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            gc.collect()  # so the allocations before the pause start none
+            counting[0] = True
+            ModuleMomentTable.from_json_obj(wide_23)
+            counting[0] = False
+        finally:
+            gc.callbacks.remove(count)
+            if not was:
+                gc.disable()
+        assert len(wide_23["moments"]) == 17_388
+        assert starts == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_restored(self, enabled, tmp_path):
+        good = {"primes": [2], "moments": [{"group": {}, "value": "1"}]}
+        bad = {"primes": [2], "moments": [{"group": {}, "value": "-1"}]}
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            ModuleMomentTable.from_json_obj(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(InputError, match="negative"):
+                ModuleMomentTable.from_json_obj(bad)
+            assert gc.isenabled() is enabled
+            for table, code in ((good, 0), (bad, 1)):
+                path = tmp_path / "table.json"
+                path.write_text(json.dumps(table))
+                argv = ["reconstruct", "--file", str(path), "--group", "{}", "--rmax", "0"]
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestLocalizedMoments:
