@@ -1,11 +1,19 @@
-"""Resource budgets for the brute-force oracles.
+"""Resource budgets: caps on the work a call may start.
 
-The production path (closed-form hom, aut, surjection and extension counts)
-enumerates no group elements and takes no budget. Only the oracles that
-check it, in momentforge.oracle, do: each exhaustive search is metered by
-the number of candidate generator-image tuples it would visit, not by group
-order, because a cyclic group of order 2**20 admits a 20-element image
-search while (Z/2)**10 admits 2**100, so order is the wrong resource measure.
+The closed-form hom, aut, surjection and extension counts enumerate no
+group elements and take no budget. The oracles that check them, in
+momentforge.oracle, do: each exhaustive search is metered by the number of
+candidate generator-image tuples it would visit, not by group order,
+because a cyclic group of order 2**20 admits a 20-element image search
+while (Z/2)**10 admits 2**100, so order is the wrong resource measure.
+
+The cokernel sampler takes one too. Before drawing, it estimates its work
+as count * (n**2 * (n+u) + 1) * cap: the entry updates of count Smith
+reductions of n x (n+u) matrices, times the cap compares of a valuation,
+and at least one unit per draw. The default cap admits one draw of every
+matrix size and modulus the sampler accepts (n * (n+u) <= 2**20 entries,
+cap <= 30) and 10**5 draws of 8 x 8 at cap 3 with room to spare, and
+refuses in advance the runs that would take hours.
 
 The environment variable MOMENTFORGE_BUDGET overrides the candidate cap
 (a bare integer) or any field (a JSON object such as
@@ -26,18 +34,20 @@ ENV_VAR = "MOMENTFORGE_BUDGET"
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for exhaustive enumeration, each a positive integer.
+    """Caps on work, each a positive integer.
 
     max_candidates: largest number of generator-image tuples a single
         enumeration may visit.
     max_order: largest order of a group an oracle accepts, domain or target.
+    max_sample_work: largest estimated work of one sampler run.
     """
 
     max_candidates: int = 4_000_000
     max_order: int = 65_536
+    max_sample_work: int = 2**35
 
     def __post_init__(self):
-        for name in ("max_candidates", "max_order"):
+        for name in ("max_candidates", "max_order", "max_sample_work"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise InputError(
@@ -56,6 +66,13 @@ class Budget:
             raise BudgetExceededError(
                 f"{what}: group order {order} exceeds the element-table cap of "
                 f"{self.max_order} (override with {ENV_VAR})"
+            )
+
+    def check_sample_work(self, work: int, what: str) -> None:
+        if work > self.max_sample_work:
+            raise BudgetExceededError(
+                f"{what}: estimated work {work} exceeds the sampler cap of "
+                f"{self.max_sample_work} (override with {ENV_VAR})"
             )
 
 

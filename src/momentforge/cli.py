@@ -4,7 +4,7 @@ Commands: coeffs, sur, invert, localize, reconstruct, sample, verify.
 Output is machine-first: exact rationals print as "p/q", structured
 results as JSON (one line per record for reports). --pretty adds decimal
 renderings and indentation. Exit codes: 0 success, 1 input error,
-2 internal-consistency failure, 3 enumeration budget exceeded.
+2 internal-consistency failure, 3 enumeration or sampling budget exceeded.
 """
 
 from __future__ import annotations

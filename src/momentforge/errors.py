@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Each class carries the exit code the CLI returns for it: bad input -> 1,
-internal consistency failure -> 2, enumeration budget exceeded -> 3.
+internal consistency failure -> 2, enumeration or sampling budget exceeded -> 3.
 """
 
 
@@ -28,6 +28,7 @@ class ConsistencyError(MomentforgeError):
 
 
 class BudgetExceededError(MomentforgeError):
-    """A brute-force enumeration would exceed its budget, or a result the digit limit."""
+    """A brute-force enumeration or a sampler run would exceed its budget, or a
+    result the digit limit."""
 
     exit_code = 3

@@ -358,6 +358,35 @@ def test_oversized_sample_matrix_exits_1(capsys):
     assert code == 1 and "entries" in err
 
 
+def test_hours_long_sample_exits_3_before_drawing(capsys):
+    # 1000 Smith reductions of 1024 x 1024 matrices would run for hours
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sample", "--p", "2", "--cap", "3", "--n", "1024", "--seed", "1", "--count", "1000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == (
+        "error: 1000 draws of 1024 x 1024 over Z/2**3: estimated work 3221225475000 exceeds "
+        f"the sampler cap of {2**35} (override with MOMENTFORGE_BUDGET)\n"
+    )
+
+
+def test_sample_does_not_load_numpy_random(tmp_path):
+    # the stacked Philox kernel replaces numpy's generator, so the module
+    # that builds it is never imported; -X importtime lists every import
+    src = Path(momentforge.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for extra in ([], ["--report", "--ts", "5,10", "--target", "{}", "--rmax", "2"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "momentforge.cli", "sample", "--p", "3",
+             "--cap", "2", "--n", "4", "--seed", "1", "--count", "10", *extra],
+            capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
+        )
+        assert proc.returncode == 0 and proc.stdout, proc.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert {"numpy", "momentforge.sampler"} <= imported
+        assert not {name for name in imported if name.startswith("numpy.random")}
+
+
 _NO_NUMPY_SCRIPT = """
 import json, sys
 from momentforge.cli import main

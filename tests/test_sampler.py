@@ -1,4 +1,6 @@
+import functools
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentforge.errors import InputError
+from momentforge import sampler
+from momentforge.budget import Budget
+from momentforge.errors import BudgetExceededError, InputError
 from momentforge.finab import FinAbGroup, Measure, enumerate_groups
 from momentforge.inversion import Bracket
 from momentforge.rationals import format_rational
@@ -144,52 +148,123 @@ def test_batched_smith_matches_per_matrix_oracle(p, cap, n, u, count, seed, spar
     assert cokernel_partition(mats, p, cap) == want
 
 
+def per_draw_generator(config, index):
+    """Draw `index` one matrix at a time through numpy's generator, the
+    reference for the stacked Philox kernel: Philox keyed by (seed, index),
+    uniform entries over Z/p**cap by Generator.integers."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([config.seed, index], dtype=np.uint64)))
+    q, shape = config.p**config.cap, (config.n, config.n + config.u)
+    return gen.integers(0, q, size=shape, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
 def _oracle_draws(config, count):
-    """Cokernels of draws 0 .. count-1, one matrix at a time through the oracle."""
-    return [
-        FinAbGroup.from_dict({config.p: smith_partition_oracle(mat, config.p, config.cap)})
-        for mat in _draw_matrices(config, range(count))
-    ]
+    """Cokernels of draws 0 .. count-1, one matrix at a time through both oracles."""
+    return tuple(
+        FinAbGroup.from_dict(
+            {config.p: smith_partition_oracle(per_draw_generator(config, i), config.p, config.cap)}
+        )
+        for i in range(count)
+    )
 
 
-def test_reused_philox_matches_fresh_philox_per_draw():
-    # one bit generator per run, reset for each draw, gives the stream a
-    # fresh Philox keyed by (seed, index) gives
-    for config in (
-        SamplerConfig(p=2, cap=3, n=8, seed=2024, count=1),
-        SamplerConfig(p=3, cap=2, n=5, u=2, seed=2**64 - 1, count=1),
-    ):
-        for i, got in enumerate(_draw_matrices(config, range(2000))):
-            fresh = np.random.Generator(
-                np.random.Philox(key=np.array([config.seed, i], dtype=np.uint64))
-            )
-            want = fresh.integers(
-                0, config.p**config.cap, size=(config.n, config.n + config.u), dtype=np.int64
-            )
-            assert np.array_equal(got, want), (config, i)
+# (p, cap, n, u, seed, start, stop). Words rejected by Lemire's method: none
+# for q a power of 2, 2**32 mod q of every 2**32 otherwise, so 19% at 3**19
+# and 15% at 5**13. No start but 0 is a multiple of the stack size (1024
+# draws of 8 x 8); 35, 9 and 1 entries are odd counts, and n = 0 draws no word.
+DRAW_CASES = [
+    (2, 3, 8, 0, 2024, 0, 1500),
+    (2, 30, 3, 1, 7, 1500, 2600),
+    (3, 19, 8, 0, 5, 1000, 1600),
+    (5, 13, 5, 2, 2**64 - 1, 1037, 1800),
+    (3, 2, 3, 0, 1, 3000, 3700),
+    (13, 5, 7, 0, 11, 99, 1200),
+    (3, 19, 1, 0, 4, 0, 3000),
+    (13, 8, 0, 0, 1, 0, 10),
+    (13, 8, 0, 3, 1, 5, 9),
+]
+
+
+@pytest.mark.parametrize("p, cap, n, u, seed, start, stop", DRAW_CASES)
+def test_stacked_draws_match_per_draw_generator(p, cap, n, u, seed, start, stop):
+    config = SamplerConfig(p=p, cap=cap, n=n, u=u, seed=seed, count=stop)
+    got = _draw_matrices(config, start, stop)
+    assert got.dtype == np.int64 and got.shape == (stop - start, n, n + u)
+    for i, mat in enumerate(got, start):
+        assert np.array_equal(mat, per_draw_generator(config, i)), i
+
+
+@pytest.mark.parametrize("max_blocks", [1, 3, 40])
+@pytest.mark.parametrize("p, cap, n, u", [(3, 19, 8, 0), (5, 13, 5, 2), (2, 3, 3, 1), (3, 19, 40, 3)])
+def test_draws_split_over_many_passes_match(monkeypatch, max_blocks, p, cap, n, u):
+    # a small pass cap leaves draws short after each pass, so the kernel
+    # extends a changing subset of the rows, each from its own offset; a
+    # 40 x 43 draw takes several passes even alone
+    monkeypatch.setattr(sampler, "_MAX_BLOCKS", max_blocks)
+    config = SamplerConfig(p=p, cap=cap, n=n, u=u, seed=3, count=1)
+    got = _draw_matrices(config, 10, 10 + (3 if n > 8 else 60))
+    for i, mat in enumerate(got, 10):
+        assert np.array_equal(mat, per_draw_generator(config, i)), i
+
+
+def test_sample_cokernel_is_draw_i_of_a_stacked_run():
+    config = SamplerConfig(p=3, cap=19, n=6, u=1, seed=2**64 - 1, count=1300)
+    stacked = cokernel_partition(_draw_matrices(config, 0, 1300), config.p, config.cap)
+    for i in (0, 1, 1023, 1024, 1299):
+        assert sample_cokernel(config, i) == FinAbGroup.from_dict({3: stacked[i]})
+    last = 2**64 - 1  # the largest Philox key
+    want = smith_partition_oracle(per_draw_generator(config, last), config.p, config.cap)
+    assert sample_cokernel(config, last) == FinAbGroup.from_dict({3: want})
+    with pytest.raises(InputError, match="draw index"):
+        sample_cokernel(config, 2**64)
 
 
 @pytest.mark.parametrize(
     "p, cap, n, u, count",
-    [(2, 3, 8, 0, 600), (3, 2, 6, 1, 600), (2, 3, 8, 0, 0), (2, 3, 0, 0, 300), (5, 1, 0, 2, 7)],
+    [(2, 3, 8, 0, 1100), (3, 2, 6, 1, 1600), (2, 3, 8, 0, 0), (2, 3, 0, 0, 300), (5, 1, 0, 2, 7)],
 )
 def test_sample_measure_matches_oracle_draws(p, cap, n, u, count):
-    # 600 draws straddle stacks of 64 (8 x 8) and 97 (6 x 7) draws
+    # 1100 and 1600 draws straddle stacks of 1024 (8 x 8) and 1560 (6 x 7) draws
     config = SamplerConfig(p=p, cap=cap, n=n, u=u, seed=2024, count=count)
     tally = Counter(_oracle_draws(config, count))
     assert sample_measure(config) == Measure({g: Fraction(c, count) for g, c in tally.items()})
 
 
 def test_convergence_report_matches_oracle_draws():
-    config = SamplerConfig(p=2, cap=3, n=8, seed=5, count=600)
+    # the prefixes straddle the first stack of 1024 draws; the oracle draws
+    # are those of the 8 x 8 case above
+    config = SamplerConfig(p=2, cap=3, n=8, seed=2024, count=1100)
     targets = [triv, Z(2), Z(4)]
-    records = convergence_report(config, [100, 256, 257, 600], targets, r_max=2)
-    assert [rec["t"] for rec in records] == [t for t in (100, 256, 257, 600) for _ in targets]
-    draws = _oracle_draws(config, 600)
+    ts = (100, 1024, 1025, 1100)
+    records = convergence_report(config, ts, targets, r_max=2)
+    assert [rec["t"] for rec in records] == [t for t in ts for _ in targets]
+    draws = _oracle_draws(config, 1100)
     for rec in records:
         tally = Counter(draws[: rec["t"]])
         group = FinAbGroup.from_json_obj(rec["group"])
         assert rec["frequency"] == format_rational(Fraction(tally[group], rec["t"]))
+
+
+def test_sample_work_over_the_cap_is_refused_before_drawing(monkeypatch):
+    config = SamplerConfig(p=2, cap=3, n=8, seed=1, count=100)
+    work = 100 * (8 * 64 + 1) * 3
+    monkeypatch.setenv("MOMENTFORGE_BUDGET", json.dumps({"max_sample_work": work}))
+    sample_measure(config)
+    monkeypatch.setenv("MOMENTFORGE_BUDGET", json.dumps({"max_sample_work": work - 1}))
+    monkeypatch.setattr(sampler, "_draw_matrices", None)  # a draw would raise TypeError
+    with pytest.raises(BudgetExceededError, match=f"estimated work {work} exceeds"):
+        sample_measure(config)
+    with pytest.raises(BudgetExceededError):
+        convergence_report(config, [10, 100], [triv], r_max=2)
+
+
+def test_default_cap_admits_every_single_draw_and_criterion_9():
+    cap = Budget().max_sample_work
+    assert 10**5 * (8 * 64 + 1) * 3 <= cap
+    for n, u in ((1024, 0), (1, 2**20 - 1), (512, 1536)):
+        assert n * (n + u) <= sampler.MAX_MATRIX_ENTRIES
+        assert (n * n * (n + u) + 1) * 30 <= cap
+    assert 1000 * (1024**3 + 1) * 3 > cap
 
 
 def test_trivial_matrix_sizes():
