@@ -286,7 +286,15 @@ def build_parser() -> _Parser:
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("verify", help="run the full oracle suite")
+    p = sub.add_parser(
+        "verify",
+        help="run the full oracle suite",
+        description=(
+            "Check every closed form against its brute-force oracle. The checks run in "
+            "forked workers, one per usable CPU; results print in check order, each "
+            "with that check's own wall time. Exit 2 if any check fails."
+        ),
+    )
     p.add_argument("--seed", type=int, required=True, help="seed for randomized checks")
     p.add_argument("--quick", action="store_true", help="reduced desk-scale ranges")
     p.set_defaults(fn=_cmd_verify)

@@ -301,6 +301,7 @@ def aut_count(A: FinAbGroup) -> int:
     return out
 
 
+@lru_cache(maxsize=65536)
 def _aut_count_p(p: int, parts: tuple[int, ...]) -> int:
     e = sorted(parts)  # nondecreasing exponents e_1 <= ... <= e_n
     n = len(e)

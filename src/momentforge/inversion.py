@@ -152,10 +152,18 @@ class MomentTable:
 def _bracket_from_intervals(t: SimpleType, intervals: Sequence[Bracket]) -> Bracket:
     """Best even-truncation upper bound and odd-truncation lower bound of
     sum_k c_k * interval_k, evaluated endpoint-wise by the sign of c_k, with
-    the coefficients c_k of t taken in order from one running sequence."""
+    the coefficients c_k of t taken in order from one running sequence.
+
+    Past the last interval that is not the point 0 the partial sums stop
+    moving, so the sum stops two terms later: one more term of each parity
+    fixes both bounds, and no later term can cross them."""
+    last = len(intervals) - 1
+    while last >= 0 and intervals[last].lower == 0 == intervals[last].upper:
+        last -= 1
     lo_sum = hi_sum = Fraction(0)
     best_lower, best_upper = Fraction(0), intervals[0].upper  # masses are nonnegative; c_0 = 1
-    for r, (c, iv) in enumerate(zip(inversion_coefficients(t), intervals)):
+    terms = zip(inversion_coefficients(t), intervals[: last + 3])
+    for r, (c, iv) in enumerate(terms):
         lo, hi = (iv.lower, iv.upper) if c > 0 else (iv.upper, iv.lower)
         lo_sum += c * lo
         hi_sum += c * hi

@@ -1,21 +1,28 @@
 """The oracle suite: every closed form checked against its independent
 brute-force counterpart, plus the bracketing property tests.
 
-Each check returns (passed, detail); run_all collects them in order and
-is what the CLI `verify` command executes. Randomized checks take an
+Each check returns (passed, detail), and check_list names them in order.
+run_all, which the CLI `verify` command executes, runs them in forked
+workers, one per usable CPU and at most one per check. The workers stay
+alive across checks, taking check indices one byte at a time from a shared
+pipe; the parent runs no check and returns the results in check order, each
+with the check's own wall time in its worker. Randomized checks take an
 explicit seed and are fully deterministic given it.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
 import time
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .budget import budget_from_env
-from .errors import BudgetExceededError, MomentforgeError
+from .errors import BudgetExceededError, ConsistencyError
 from .finab import (
     FinAbGroup,
     Measure,
@@ -304,13 +311,16 @@ def check_sur_smart_vs_bruteforce() -> tuple[bool, str]:
     return True, f"{checked} smart surjection counts match brute force"
 
 
-def run_all(seed: int, quick: bool = False) -> list[CheckResult]:
-    budget_from_env()  # a malformed budget is an input error, not a failed check
+Check = tuple[str, Callable[[], tuple[bool, str]]]
+
+
+def check_list(seed: int, quick: bool = False) -> list[Check]:
+    """The suite's (name, check) pairs in report order."""
     ext_bound = 24 if quick else 72
     e2e_support = 12 if quick else 72
     e2e_target = 8 if quick else 24
     cases = 40 if quick else 200
-    checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
+    return [
         ("abelian formula vs matrix oracle", check_abelian_matrix_oracle),
         ("product splitting vs brute force", check_product_splitting),
         ("nonabelian formula vs A5 oracle", check_nonabelian_a5),
@@ -327,12 +337,90 @@ def run_all(seed: int, quick: bool = False) -> list[CheckResult]:
             ),
         ),
     ]
-    results = []
-    for name, fn in checks:
-        begin = time.perf_counter()
-        try:
-            passed, detail = fn()
-        except MomentforgeError as exc:
-            passed, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail, time.perf_counter() - begin))
-    return results
+
+
+def _work(checks: list[Check], tasks: int, out: int, parent_end: int) -> NoReturn:
+    """Worker body: run each check whose index arrives on `tasks` and report
+    on `out`, first the bare index, then [index, passed, detail, seconds]
+    as JSON lines. Leaves only through os._exit, so it never returns into
+    the caller and never flushes the parent's buffered output."""
+    status = 1
+    try:
+        os.close(parent_end)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # stdout is the parent's alone
+        with open(out, "w", encoding="ascii") as report:
+            while index := os.read(tasks, 1):
+                i = index[0]
+                report.write(f"{i}\n")
+                report.flush()
+                begin = time.perf_counter()
+                try:
+                    passed, detail = checks[i][1]()
+                except Exception as exc:
+                    passed, detail = False, f"{type(exc).__name__}: {exc}"
+                took = time.perf_counter() - begin
+                report.write(json.dumps([i, bool(passed), str(detail), took]) + "\n")
+                report.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _start_worker(checks: list[Check], tasks: int) -> tuple[int, int]:
+    """Fork a worker; return its pid and the read end of its report pipe."""
+    reports, out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(reports)
+        os.close(out)
+        raise ConsistencyError(f"cannot start a verify worker: {exc}") from exc
+    if pid == 0:
+        _work(checks, tasks, out, reports)
+    os.close(out)  # the worker holds the only write end, so its exit is our EOF
+    return pid, reports
+
+
+def run_all(seed: int, quick: bool = False) -> list[CheckResult]:
+    """Run the suite in forked workers and return the results in check order.
+
+    A check that raises fails with "<Type>: <message>". A worker that dies
+    while running a check fails that check with its exit status, negative
+    for a signal, and a fresh worker takes its place on the remaining
+    checks.
+    """
+    budget_from_env()  # a malformed budget is an input error, not a failed check
+    checks = check_list(seed, quick)
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(checks))))
+    os.close(feed)  # once the indices are taken, every worker reads EOF
+    results: dict[int, tuple[bool, str, float]] = {}
+    try:
+        workers = deque(
+            _start_worker(checks, tasks)
+            for _ in range(min(len(os.sched_getaffinity(0)), len(checks)))
+        )
+        while workers:
+            pid, reports = workers.popleft()
+            pending = None
+            with open(reports, encoding="ascii") as lines:
+                for line in lines:
+                    if not line.endswith("\n"):  # cut short by the worker's death
+                        break
+                    msg = json.loads(line)
+                    if isinstance(msg, int):
+                        pending = msg
+                    else:
+                        results[msg[0]] = (msg[1], msg[2], msg[3])
+                        pending = None
+            _, status = os.waitpid(pid, 0)
+            if pending is not None:
+                code = os.waitstatus_to_exitcode(status)
+                results[pending] = (False, f"worker exited with status {code}", 0.0)
+                workers.append(_start_worker(checks, tasks))
+    finally:
+        os.close(tasks)
+    return [
+        CheckResult(name, *results.get(i, (False, "no worker reported it", 0.0)))
+        for i, (name, _) in enumerate(checks)
+    ]

@@ -687,6 +687,21 @@ def test_deep_report_consumes_the_coefficient_sequence(capsys):
     assert code == 0 and len(_report_brackets_contain_frequencies(out)) == 4
 
 
+def test_report_stops_the_inversion_past_the_empirical_moments(capsys):
+    # the empirical moments vanish past rank 8, so each inversion stops two
+    # terms later instead of running the recurrence to depth 2047
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "sample", "--report", "--p", "2", "--cap", "3", "--n", "8", "--count", "100",
+        "--seed", "1", "--ts", "100", "--target", "{}", "--rmax", "2047",
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert [rec["bracket"] for rec in _report_brackets_contain_frequencies(out)] == [
+        {"lower": "1/4", "upper": "1/4"}
+    ]
+
+
 def test_pretty_scalar_and_bracket_decimals(half_table_path, capsys):
     code, out, _ = run(capsys, "coeffs", "--abelian", "2", "--k", "3", "--pretty")
     assert code == 0 and out == f"-1/21 ~= {float(Fraction(-1, 21)):.10g}\n"

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from momentforge.errors import InfeasibleMomentsError, InputError
 from momentforge.finab import FinAbGroup
-from momentforge.inversion import Bracket, MomentTable, multi_invert_zero
+from momentforge.inversion import Bracket, MomentTable, _bracket_from_intervals, multi_invert_zero
 from momentforge.qseries import SimpleType, inversion_coefficient
 from momentforge.sampler import reference_mass
 from momentforge.surjcount import sur_product, sur_single
@@ -192,3 +193,52 @@ def test_moment_table_json_roundtrip():
     assert again.values == table.values
     assert again.basis == table.basis
     assert again.bound == table.bound
+
+
+def full_loop_bracket(t, intervals):
+    """Every truncation of sum_k c_k * interval_k, with no early stop: the
+    reference for _bracket_from_intervals, or None where the bounds cross."""
+    lo_sum = hi_sum = Fraction(0)
+    best_lower, best_upper = Fraction(0), intervals[0].upper
+    for r, iv in enumerate(intervals):
+        c = inversion_coefficient(t, r)
+        lo, hi = (iv.lower, iv.upper) if c > 0 else (iv.upper, iv.lower)
+        lo_sum += c * lo
+        hi_sum += c * hi
+        if r % 2:
+            best_lower = max(best_lower, lo_sum)
+        else:
+            best_upper = min(best_upper, hi_sum)
+    return (best_lower, best_upper) if best_lower <= best_upper else None
+
+
+ZERO = Bracket(Fraction(0), Fraction(0))
+_ends = st.just(Fraction(0)) | st.fractions(min_value=0, max_value=10, max_denominator=12)
+_intervals = st.lists(
+    st.one_of(st.just(ZERO), st.tuples(_ends, _ends).map(lambda e: Bracket(min(e), max(e)))),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _point(*values):
+    return [Bracket(Fraction(v), Fraction(v)) for v in values]
+
+
+@given(
+    st.sampled_from([T2, T3, SimpleType.nonabelian(120)]),
+    _intervals,
+    st.integers(min_value=0, max_value=6),
+)
+@example(T2, _point(1, 0, 3), 3)  # the odd sum at r = 3 crosses, past the last nonzero moment
+@example(T2, _point(1, 0, 3), 0)  # the same moments stopped at r = 2 do not cross
+@example(T2, _point(0), 4)
+def test_early_stop_matches_the_full_loop(t, head, trailing_zeros):
+    intervals = head + [ZERO] * trailing_zeros
+    want = full_loop_bracket(t, intervals)
+    if want is None:
+        with pytest.raises(InfeasibleMomentsError):
+            _bracket_from_intervals(t, intervals)
+    else:
+        br = _bracket_from_intervals(t, intervals)
+        assert (br.lower, br.upper) == want
