@@ -21,7 +21,7 @@ from .finab import MAX_ORDER_BITS, FinAbGroup
 from .inversion import MomentTable, multi_invert_zero
 from .localize import (
     ModuleMomentTable,
-    _collector_paused,
+    collector_paused,
     localized_moments,
     reconstruct_probability,
 )
@@ -158,7 +158,7 @@ def _cmd_invert(args) -> int:
 
 
 def _table_and_primes(args) -> tuple[ModuleMomentTable, tuple[int, ...]]:
-    with _collector_paused():  # the parsed JSON holds no cycles either
+    with collector_paused():  # the parsed JSON holds no cycles either
         table = ModuleMomentTable.from_json_obj(_load_json(args.file))
     return table, _int_list(args.primes, "--primes") if args.primes else table.primes
 
@@ -220,9 +220,9 @@ def _cmd_verify(args) -> int:
 
 
 _TABLE_HELP = (
-    "module moment-table JSON path; the table must hold the group plus a vertical "
-    "strip of up to {depth} boxes at each basis prime, and any order_bound field "
-    "is read but not enforced"
+    "module moment-table JSON path; it must hold what localize.localization_middles "
+    "reads: the group plus a vertical strip of up to {depth} boxes at each basis "
+    "prime. Any order_bound field is read but not enforced"
 )
 _GROUP_HELP = (
     "group JSON, e.g. '{\"2\":[1]}'; refused where the sum over p of its exponents times "

@@ -7,12 +7,8 @@ mass at 0, which is |Aut(M)| times the mass of M itself. The pipeline
 consumes moment tables only; measures appear in the brute-force oracle
 oracle.mu_local_direct used to cross-check it.
 
-Localization is at a set of primes p, the simple groups Z/p: the sums read
-the table only at the middles of extensions of M by products of the F_p**k_p,
-M plus a vertical strip at each p. A table needs those groups and no others.
-Its records are keyed by canonical exponent data, and every one of them is
-validated when the table is loaded, but a group is built only for a record
-that is read.
+Localization is at a set of primes p, the simple groups Z/p, and reads a
+table only at the groups localization_middles yields.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import itertools
 import json
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 from .finab import (
@@ -51,12 +47,11 @@ class ModuleMomentTable:
     Every record is validated when the table is made, but a group is built
     only for a record that is read, and a value read from JSON as plain
     digits becomes a Fraction only then. The table promises exactly the
-    groups it lists. Reconstruction at M reads only M plus a vertical strip
-    at each basis prime (see localized_moments), and names any of those the
-    table lacks; nothing else is required. A record whose group passes
-    finab.MAX_ORDER_BITS (2048 bits of order, judged from its exponents) is
-    invalid: no middle comes near it. A legacy `order_bound` field in JSON
-    is type-checked and otherwise ignored.
+    groups it lists; localizing at M reads only the middles that
+    localization_middles yields, and names any the table lacks. A record
+    whose group passes finab.MAX_ORDER_BITS (2048 bits of order, judged from
+    its exponents) is invalid: no middle comes near it. A legacy
+    `order_bound` field in JSON is type-checked and otherwise ignored.
 
     from_json_obj ingests the records column-wise: over slices of _SLICE
     records, a few builtin passes prove that the record loop would accept
@@ -127,7 +122,7 @@ class ModuleMomentTable:
         its value, which must parse and be >= 0. The column pass proves the
         records valid a slice at a time; on any doubt the record loop below,
         the reference, runs from the first record and names the first bad one."""
-        with _collector_paused():
+        with collector_paused():
             try:
                 table = cls(obj["primes"], {})
                 if "order_bound" in obj:
@@ -154,7 +149,7 @@ class ModuleMomentTable:
         return json.dumps(self.to_json_obj())
 
 
-class _collector_paused:
+class collector_paused:
     """Context manager: the cyclic garbage collector off for the block, and on
     again after it only if it was on before. Parsed JSON and a table's store
     hold no cycles, so a collection during ingest walks them and frees nothing.
@@ -262,8 +257,23 @@ def _parse_value(v) -> Fraction | int:
     return parse_rational(v)
 
 
-def _semisimple_target(primes: Sequence[int], k: MultiIndex) -> FinAbGroup:
-    return FinAbGroup.from_dict({p: [1] * ki for p, ki in zip(primes, k) if ki})
+def localization_middles(
+    M: FinAbGroup, primes: Sequence[int], k_bound: Sequence[int]
+) -> Iterator[tuple[MultiIndex, FinAbGroup, list[FinAbGroup]]]:
+    """The one rule for what localizing at M reads: (k, N_k, middles) for each
+    k <= k_bound, k_i the exponent of F_p for the i-th of the distinct `primes`,
+    N_k = prod F_p**k_i and the middles the M' of 0 -> N_k -> M' -> M -> 0,
+    M plus a vertical strip of k_i boxes at each p (candidate_middles). The
+    primes and k_bound are checked as the first item is drawn."""
+    primes = tuple(primes)
+    not_prime = any(type(p) is not int or not is_prime(p) for p in primes)
+    if not_prime or len(set(primes)) < len(primes):
+        raise InputError(f"localization needs distinct primes, got {list(primes)}")
+    k_bound = check_index(tuple(map(SimpleType.abelian, primes)), k_bound, "k_bound")
+    by_prime = sorted(range(len(primes)), key=primes.__getitem__)
+    for k in itertools.product(*(range(b + 1) for b in k_bound)):
+        N = FinAbGroup(tuple((primes[i], (1,) * k[i]) for i in by_prime if k[i]))
+        yield k, N, candidate_middles(N, M)
 
 
 def localized_moments(
@@ -272,43 +282,32 @@ def localized_moments(
     primes: Sequence[int],
     k_bound: Sequence[int],
 ) -> MomentTable:
-    """Moments of the localized measure at M, one per multi-index k <= k_bound,
-    with k_i the exponent of F_p for the i-th of the distinct `primes`.
+    """Moments of the localized measure at M, one per multi-index k <= k_bound
+    of localization_middles, which also names the only groups read.
 
     The k-th localized moment is the extension-class sum
-    sum_{M'} classCount(N_k, M', M) * table(M') / |Hom(M, N_k)| over middles
-    of exact sequences 0 -> N_k -> M' -> M -> 0. Those middles are exactly
-    the candidate_middles: M plus a vertical strip at each prime, each with
-    a positive class count. They are the only groups the table must hold: a
-    missing one is a hard error naming it, and no other entry is looked up.
+    sum_{M'} classCount(N_k, M', M) * table(M') / |Hom(M, N_k)| over the
+    middles M' of 0 -> N_k -> M' -> M -> 0. A middle the table lacks is a
+    hard error naming it.
     """
     primes = tuple(primes)
-    not_prime = any(type(p) is not int or not is_prime(p) for p in primes)
-    if not_prime or len(set(primes)) < len(primes):
-        raise InputError(f"localization needs distinct primes, got {list(primes)}")
-    basis = tuple(SimpleType.abelian(p) for p in primes)
-    k_bound = check_index(basis, k_bound, "k_bound")
-
     values: dict[MultiIndex, Fraction] = {}
-    for k in itertools.product(*(range(b + 1) for b in k_bound)):
-        target = _semisimple_target(primes, k)
-        middles = candidate_middles(target, M)
+    for k, N, middles in localization_middles(M, primes, k_bound):
         missing = [mid for mid in middles if mid not in table]
         if missing:  # the middles are bounded groups, so their order prints
             raise InputError(
-                f"moment table lacks middles for N={target}, M={M} "
-                f"(order {target.order * M.order}): "
+                f"moment table lacks middles for N={N}, M={M} "
+                f"(order {N.order * M.order}): "
                 + ", ".join(str(g) for g in missing[:8])
                 + ("..." if len(missing) > 8 else "")
             )
-        denom = hom_count(M, target)
         total = Fraction(0)
         for mid in middles:
             v = table(mid)
             if v:
-                total += extension_class_count(target, M, mid) * v
-        values[k] = total / denom
-    return MomentTable(basis, k_bound, values)
+                total += extension_class_count(N, M, mid) * v
+        values[k] = total / hom_count(M, N)
+    return MomentTable(tuple(map(SimpleType.abelian, primes)), k_bound, values)
 
 
 def reconstruct_probability(

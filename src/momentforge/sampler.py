@@ -30,8 +30,8 @@ import numpy as np
 
 from .budget import budget_from_env
 from .errors import InputError
-from .finab import FinAbGroup, Measure, aut_count, candidate_middles, is_prime, sur_count
-from .localize import ModuleMomentTable, reconstruct_probability
+from .finab import FinAbGroup, Measure, aut_count, is_prime, sur_count
+from .localize import ModuleMomentTable, localization_middles, reconstruct_probability
 from .rationals import format_rational
 
 
@@ -282,12 +282,9 @@ def convergence_report(
                 f"{config.cap - 1}"
             )
 
-    # the localized sums at M read only the middles of 0 -> F_p**k -> M' -> M -> 0
     moment_targets = [
-        mid
-        for M in targets
-        for k in range(r_max + 1)
-        for mid in candidate_middles(FinAbGroup.elementary(config.p, k), M)
+        mid for M in targets for _, _, mids in localization_middles(M, (config.p,), (r_max,))
+        for mid in mids
     ]
 
     records: list[dict] = []

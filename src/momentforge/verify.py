@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NoReturn
+from typing import Callable, NoReturn, TextIO
 
 from .budget import budget_from_env
 from .errors import BudgetExceededError, ConsistencyError
@@ -34,7 +35,7 @@ from .finab import (
     sur_count,
 )
 from .inversion import MomentTable, multi_invert_zero
-from .localize import reconstruct_probability
+from .localize import localization_middles, reconstruct_probability
 from .nonab_oracle import hom_a5_count, sur_a5_bruteforce
 from .oracle import (
     aut_bruteforce,
@@ -260,18 +261,21 @@ def check_end_to_end(
     target_order: int = 24,
     support_size: int = 12,
 ) -> tuple[bool, str]:
-    """Exact moments of a synthetic measure reconstruct every mass as a
-    width-zero bracket once the truncation clears the support."""
+    """Exact moments of a synthetic measure, at exactly the middles the
+    localizations read, reconstruct every mass as a width-zero bracket once
+    the truncation clears the support."""
     rng = random.Random(seed)
     mu = synthetic_measure(rng, support_order, support_size)
     r_max = (
         max(g.rank(2) for g in mu.support()) + 1,
         max(g.rank(3) for g in mu.support()) + 1,
     )
-    table_bound = target_order * 2 ** r_max[0] * 3 ** r_max[1]
-    table = empirical_moments(mu, enumerate_groups({2, 3}, table_bound))
+    targets = enumerate_groups({2, 3}, target_order)
+    table = empirical_moments(mu, [
+        mid for M in targets for _, _, mids in localization_middles(M, (2, 3), r_max) for mid in mids
+    ])
     checked = 0
-    for M in enumerate_groups({2, 3}, target_order):
+    for M in targets:
         br = reconstruct_probability(table, M, (2, 3), r_max)
         truth = mu.mass(M)
         if br.lower != truth or br.upper != truth:
@@ -366,7 +370,7 @@ def _work(checks: list[Check], tasks: int, out: int, parent_end: int) -> NoRetur
         os._exit(status)
 
 
-def _start_worker(checks: list[Check], tasks: int) -> tuple[int, int]:
+def _start_worker(checks: list[Check], tasks: int) -> tuple[int, TextIO]:
     """Fork a worker; return its pid and the read end of its report pipe."""
     reports, out = os.pipe()
     try:
@@ -378,7 +382,7 @@ def _start_worker(checks: list[Check], tasks: int) -> tuple[int, int]:
     if pid == 0:
         _work(checks, tasks, out, reports)
     os.close(out)  # the worker holds the only write end, so its exit is our EOF
-    return pid, reports
+    return pid, open(reports, encoding="ascii")
 
 
 def run_all(seed: int, quick: bool = False) -> list[CheckResult]:
@@ -387,7 +391,8 @@ def run_all(seed: int, quick: bool = False) -> list[CheckResult]:
     A check that raises fails with "<Type>: <message>". A worker that dies
     while running a check fails that check with its exit status, negative
     for a signal, and a fresh worker takes its place on the remaining
-    checks.
+    checks. Leaving by an exception, a failed fork among them, kills and
+    reaps every worker not yet reaped, so none outlives the caller.
     """
     budget_from_env()  # a malformed budget is an input error, not a failed check
     checks = check_list(seed, quick)
@@ -395,15 +400,14 @@ def run_all(seed: int, quick: bool = False) -> list[CheckResult]:
     os.write(feed, bytes(range(len(checks))))
     os.close(feed)  # once the indices are taken, every worker reads EOF
     results: dict[int, tuple[bool, str, float]] = {}
+    workers: deque[tuple[int, TextIO]] = deque()  # started, not yet reaped
     try:
-        workers = deque(
-            _start_worker(checks, tasks)
-            for _ in range(min(len(os.sched_getaffinity(0)), len(checks)))
-        )
+        for _ in range(min(len(os.sched_getaffinity(0)), len(checks))):
+            workers.append(_start_worker(checks, tasks))
         while workers:
-            pid, reports = workers.popleft()
+            pid, lines = workers[0]
             pending = None
-            with open(reports, encoding="ascii") as lines:
+            with lines:
                 for line in lines:
                     if not line.endswith("\n"):  # cut short by the worker's death
                         break
@@ -414,10 +418,17 @@ def run_all(seed: int, quick: bool = False) -> list[CheckResult]:
                         results[msg[0]] = (msg[1], msg[2], msg[3])
                         pending = None
             _, status = os.waitpid(pid, 0)
+            workers.popleft()
             if pending is not None:
                 code = os.waitstatus_to_exitcode(status)
                 results[pending] = (False, f"worker exited with status {code}", 0.0)
                 workers.append(_start_worker(checks, tasks))
+    except BaseException:
+        for pid, lines in workers:
+            lines.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
     finally:
         os.close(tasks)
     return [

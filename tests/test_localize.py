@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -17,8 +18,14 @@ from momentforge.finab import (
     aut_count,
     candidate_middles,
     enumerate_groups,
+    extension_class_count,
 )
-from momentforge.localize import ModuleMomentTable, localized_moments, reconstruct_probability
+from momentforge.localize import (
+    ModuleMomentTable,
+    localization_middles,
+    localized_moments,
+    reconstruct_probability,
+)
 from momentforge.oracle import mu_local_direct, sur_bruteforce
 from momentforge.rationals import parse_rational
 from momentforge.sampler import empirical_moments, reference_mass
@@ -387,6 +394,38 @@ class TestLocalizedMoments:
     def test_basis_must_cover_group(self, table_half):
         with pytest.raises(InputError):
             localized_moments(table_half, Z(3), P2, (1,))
+
+
+class TestLocalizationMiddles:
+    @given(
+        st.sampled_from(enumerate_groups([2, 3], 12)),  # FULL_23 covers depth (2, 2) here
+        st.sampled_from([P23, (3, 2)]),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_table_of_the_middles_is_all_localizing_reads(self, M, primes, k_bound):
+        plan = list(localization_middles(M, primes, k_bound))
+        assert [k for k, _, _ in plan] == list(itertools.product(*(range(b + 1) for b in k_bound)))
+        for k, N, middles in plan:  # k follows the caller's prime order
+            assert N.is_semisimple and [N.rank(p) for p in primes] == list(k)
+            assert middles == candidate_middles(N, M)
+        reads = {mid: (N, mid) for _, N, middles in plan for mid in middles}
+        exact = ModuleMomentTable([2, 3], {g: FULL_23(g) for g in reads})
+        want = localized_moments(FULL_23, M, primes, k_bound).values
+        assert localized_moments(exact, M, primes, k_bound).values == want
+        for dropped, (N, mid) in reads.items():
+            if extension_class_count(N, M, mid):
+                lacking = ModuleMomentTable([2, 3], {g: FULL_23(g) for g in reads if g != dropped})
+                with pytest.raises(InputError, match="lacks middles"):
+                    localized_moments(lacking, M, primes, k_bound)
+
+    @pytest.mark.parametrize("primes, k_bound, message", [
+        ((2, 2), (1, 1), "distinct primes"), ((4, 3), (1, 1), "distinct primes"),
+        ((2, 3), (1,), "k_bound has length 1"), ((2, 3), (-1, 0), "nonnegative"),
+    ])
+    def test_checks_come_with_the_first_localization(self, primes, k_bound, message):
+        with pytest.raises(InputError, match=message):
+            next(localization_middles(triv, primes, k_bound))
 
 
 class TestMuLocalDirect:

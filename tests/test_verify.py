@@ -12,6 +12,7 @@ import pytest
 import momentforge
 from momentforge import verify
 from momentforge.cli import main
+from momentforge.errors import ConsistencyError
 from momentforge.verify import check_list, run_all
 
 NAMES = [name for name, _ in check_list(0, quick=True)]
@@ -74,10 +75,45 @@ def test_a_failed_fork_exits_2(monkeypatch, capsys):
     assert err.startswith("error: cannot start a verify worker")
 
 
+def _fork_failing_at(call, monkeypatch):
+    """os.fork that fails on its `call`-th use, 1-based, and works otherwise."""
+    calls = []
+    fork = os.fork
+
+    def flaky_fork():
+        calls.append(None)
+        if len(calls) == call:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", flaky_fork)
+
+
+def test_a_failed_second_fork_leaves_no_worker_behind(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _fork_failing_at(2, monkeypatch)
+    with pytest.raises(ConsistencyError, match="cannot start a verify worker"):
+        run_all(3, quick=True)
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_replacement_fork_leaves_no_worker_behind(monkeypatch):
+    # the worker that runs the q-binomial check dies; forking its replacement fails
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(verify, "check_q_identities", lambda: os._exit(9))
+    _fork_failing_at(3, monkeypatch)
+    with pytest.raises(ConsistencyError, match="cannot start a verify worker"):
+        run_all(3, quick=True)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 _DYING_CHECK = """
 import os, sys
 from momentforge import verify
 from momentforge.cli import main
+from momentforge.errors import ConsistencyError
 
 if sys.argv[1] == "1":
     os.sched_getaffinity = lambda pid: {0}
