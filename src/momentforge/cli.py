@@ -4,7 +4,8 @@ Commands: coeffs, sur, invert, localize, reconstruct, sample, verify.
 Output is machine-first: exact rationals print as "p/q", structured
 results as JSON (one line per record for reports). --pretty adds decimal
 renderings and indentation. Exit codes: 0 success, 1 input error,
-2 internal-consistency failure, 3 enumeration or sampling budget exceeded.
+2 internal-consistency failure, 3 enumeration or sampling budget exceeded
+or a result too long to print.
 """
 
 from __future__ import annotations
@@ -61,11 +62,10 @@ def _int_list(text: str, name: str) -> tuple[int, ...]:
 
 
 def _per_type(text: str, name: str, types: int) -> tuple[int, ...]:
-    """Comma-separated depths, one per basis type; a single value applies to all."""
+    """Comma-separated depths, one per basis type; a single value applies to
+    every type, and to none where the basis is empty."""
     values = _int_list(text, name)
-    if len(values) == 1 and types > 1:
-        values = values * types
-    return values
+    return values * types if len(values) == 1 else values
 
 
 def _loads(text: str, what: str):

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Each class carries the exit code the CLI returns for it: bad input -> 1,
-internal consistency failure -> 2, enumeration or sampling budget exceeded -> 3.
+internal consistency failure -> 2, enumeration or sampling budget exceeded or
+a result too long to print -> 3.
 """
 
 
@@ -29,6 +30,6 @@ class ConsistencyError(MomentforgeError):
 
 class BudgetExceededError(MomentforgeError):
     """A brute-force enumeration or a sampler run would exceed its budget, or a
-    result the digit limit."""
+    result would be too long to print."""
 
     exit_code = 3

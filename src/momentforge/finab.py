@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, InputError
 from .qseries import is_prime, q_binomial
-from .rationals import MAX_DIGITS, clip, format_rational, parse_rational
+from .rationals import MAX_DIGITS, clip, format_rational
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -63,28 +63,33 @@ def order_bits(p: int, parts: tuple[int, ...]) -> int:
     return sum(parts) * (p - 1).bit_length()
 
 
-def _bounded(items: Iterable[tuple[int, tuple[int, ...]]]) -> Components:
-    """Components from (prime, weakly decreasing partition) pairs, primes
-    increasing, with empty partitions dropped: the one check FinAbGroup and
-    group_components share. Refuses a p that is not prime, a part below 1 and
-    an order past MAX_ORDER_BITS, naming such a group by its first Z/p^a
-    factors."""
-    out, bits = [], 0
-    for p, parts in items:
-        if parts:
-            if not is_prime(p):
-                raise InputError(f"{p} is not prime")
-            if parts[-1] < 1:
+def _check_components(comps: Components) -> None:
+    """The one rule for what a group's components are, checked in one pass:
+    each prime an int (not a bool or float) that is prime, primes strictly
+    increasing, each partition a non-empty weakly decreasing tuple of int
+    parts >= 1, and the order within MAX_ORDER_BITS. A group too large is
+    named by its first Z/p^a factors."""
+    last, bits = 0, 0
+    for p, parts in comps:
+        if type(p) is not int or not is_prime(p):
+            raise InputError(f"{p!r} is not prime")
+        if p <= last:
+            raise InputError(f"primes must be strictly increasing, got {p} after {last}")
+        if type(parts) is not tuple or not parts:
+            raise InputError(f"partition for prime {p} must be a non-empty tuple")
+        prev = parts[0]
+        for a in parts:
+            if type(a) is not int or not 0 < a <= prev:
                 raise InputError(f"partition for prime {p} must be weakly decreasing >= 1")
-            bits += order_bits(p, parts)
-            out.append((p, parts))
+            prev = a
+        bits += order_bits(p, parts)
+        last = p
     if bits > MAX_ORDER_BITS:
-        names = [f"Z/{p}^{a}" if a > 1 else f"Z/{p}" for p, parts in out for a in parts]
+        names = [f"Z/{p}^{a}" if a > 1 else f"Z/{p}" for p, parts in comps for a in parts]
         raise InputError(
             f"group {' x '.join(names[:8])}{' x ...' * (len(names) > 8)} is too large: "
             f"its order has up to {bits} bits, past the bound of {MAX_ORDER_BITS}"
         )
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -93,61 +98,25 @@ class FinAbGroup:
 
     components maps each prime (in increasing order) to its weakly
     decreasing exponent partition. No prime appears with an empty
-    partition, so the trivial group is the empty tuple.
+    partition, so the trivial group is the empty tuple. _check_components
+    is the one rule every constructor ends in.
     """
 
     components: Components
 
     def __post_init__(self) -> None:
-        last_p = 0
-        for p, parts in self.components:
-            if p <= last_p:
-                raise InputError(f"primes must be strictly increasing, got {self.components}")
-            if not parts:
-                raise InputError(f"empty partition for prime {p}")
-            if tuple(sorted(parts, reverse=True)) != parts:
-                raise InputError(f"partition for prime {p} must be weakly decreasing >= 1")
-            last_p = p
-        _bounded(self.components)
+        _check_components(self.components)
 
     @classmethod
     def from_dict(cls, comps: Mapping[int, Sequence[int]]) -> "FinAbGroup":
-        items = []
-        for p in sorted(comps):
-            parts = tuple(sorted((int(a) for a in comps[p]), reverse=True))
-            if parts:
-                items.append((int(p), parts))
-        return cls(tuple(items))
+        """Group from prime -> exponents in any order; empty lists are dropped."""
+        return cls(tuple(
+            (p, tuple(sorted(parts, reverse=True))) for p, parts in sorted(comps.items()) if parts
+        ))
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":
         return cls(())
-
-    @classmethod
-    def elementary(cls, p: int, rank: int) -> "FinAbGroup":
-        if rank == 0:
-            return cls.trivial()
-        return cls(((p, (1,) * rank),))
-
-    @classmethod
-    def from_orders(cls, *orders: int) -> "FinAbGroup":
-        """Group from cyclic factor orders, e.g. from_orders(12, 2) = Z/12 x Z/2."""
-        comps: dict[int, list[int]] = {}
-        for n in orders:
-            if n < 1:
-                raise InputError(f"cyclic order must be >= 1, got {n}")
-            m, d = n, 2
-            while d * d <= m:
-                if m % d == 0:
-                    a = 0
-                    while m % d == 0:
-                        m //= d
-                        a += 1
-                    comps.setdefault(d, []).append(a)
-                d += 1
-            if m > 1:
-                comps.setdefault(m, []).append(1)
-        return cls.from_dict(comps)
 
     @property
     def order(self) -> int:
@@ -177,7 +146,7 @@ class FinAbGroup:
     @property
     def is_semisimple(self) -> bool:
         """True when every cyclic factor is of prime order."""
-        return all(all(a == 1 for a in parts) for _, parts in self.components)
+        return all(parts[0] == 1 for _, parts in self.components)
 
     @property
     def cyclic_moduli(self) -> tuple[int, ...]:
@@ -216,11 +185,11 @@ def _bad_group(obj, why: str) -> InputError:
 
 def group_components(obj) -> Components:
     """FinAbGroup components of group JSON like {"2": [2, 1], "3": [1]}: prime
-    keys, lists of integer exponents in any order. Canonicalizes in one pass
-    and makes every check FinAbGroup makes, MAX_ORDER_BITS included, so the
-    result can key a group that is never built. Floats, booleans and strings
-    are rejected, not truncated, and so are prime keys that int() would bend,
-    such as "1_1" or " 3"."""
+    keys, lists of integer exponents in any order, empty lists dropped. Checks
+    the JSON's shape, canonicalizes, and ends in _check_components, the check
+    every FinAbGroup makes, so the result can key a group that is never built.
+    Floats, booleans and strings are rejected, not truncated, and so are prime
+    keys that int() would bend, such as "1_1" or " 3"."""
     if not isinstance(obj, dict):
         raise InputError(f"group JSON must be an object, got {clip(repr(obj))}")
     comps: dict[int, tuple[int, ...]] = {}
@@ -239,7 +208,9 @@ def group_components(obj) -> Components:
         if p in comps:
             raise _bad_group(obj, f"prime {p} appears twice")
         comps[p] = tuple(sorted(parts, reverse=True))
-    return _bounded(sorted(comps.items()))
+    out = tuple((p, parts) for p, parts in sorted(comps.items()) if parts)
+    _check_components(out)
+    return out
 
 
 def enumerate_groups(primes: Iterable[int], order_bound: int) -> list[FinAbGroup]:
@@ -529,18 +500,6 @@ class Measure:
                 for g, v in self.items()
             ]
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "Measure":
-        if not isinstance(obj, Mapping) or "masses" not in obj:
-            raise InputError(f"measure JSON needs a 'masses' list, got {clip(repr(obj))}")
-        masses: dict[FinAbGroup, Fraction] = {}
-        for rec in obj["masses"]:
-            g = FinAbGroup.from_json_obj(rec["group"])
-            if g in masses:
-                raise InputError(f"duplicate group {g} in measure JSON")
-            masses[g] = parse_rational(rec["value"])
-        return cls(masses)
 
 
 # The benchmark tracer (perfbench/trace_child.py) finds these four oracles

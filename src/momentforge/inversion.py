@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .errors import InfeasibleMomentsError, InputError
 from .qseries import SimpleType, inversion_coefficients
-from .rationals import clip, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .surjcount import Basis, MultiIndex, basis_from_json_obj, check_index
 
 
@@ -57,13 +57,6 @@ class Bracket:
 
     def to_json_obj(self) -> dict:
         return {"lower": format_rational(self.lower), "upper": format_rational(self.upper)}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "Bracket":
-        try:
-            return cls(parse_rational(obj["lower"]), parse_rational(obj["upper"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad bracket JSON {clip(repr(obj))}: {exc}") from exc
 
     def __str__(self) -> str:
         return f"[{self.lower}, {self.upper}]"

@@ -52,16 +52,6 @@ class ModuleMomentTable:
     whose group passes finab.MAX_ORDER_BITS (2048 bits of order, judged from
     its exponents) is invalid: no middle comes near it. A legacy
     `order_bound` field in JSON is type-checked and otherwise ignored.
-
-    from_json_obj ingests the records column-wise: over slices of _SLICE
-    records, a few builtin passes prove that the record loop would accept
-    them (types first, then each distinct prime key and exponent list by
-    group_components, each distinct value by _parse_value, and no duplicate
-    by the growth of the store). Every distinct (key, exponents) pair becomes
-    one shared component, so a record's key is the only tuple made for it. On
-    any doubt the record loop runs from the first record: it is the reference
-    and the only code that words a refusal. The cyclic garbage collector is
-    paused meanwhile, since JSON and the store hold no cycles.
     """
 
     def __init__(self, primes: Iterable[int], values: Mapping[FinAbGroup, Fraction | int]):
@@ -119,9 +109,9 @@ class ModuleMomentTable:
     def from_json_obj(cls, obj: Mapping) -> "ModuleMomentTable":
         """Table from JSON, every record checked: its group, the group's
         support on the table primes, duplicates after canonicalization, and
-        its value, which must parse and be >= 0. The column pass proves the
-        records valid a slice at a time; on any doubt the record loop below,
-        the reference, runs from the first record and names the first bad one."""
+        its value, which must parse and be >= 0. Where _ingest_columns cannot
+        prove the records valid, the record loop below runs from the first
+        record: it is the reference and the only code that words a refusal."""
         with collector_paused():
             try:
                 table = cls(obj["primes"], {})
@@ -172,13 +162,15 @@ _PRIME = operator.itemgetter(0)  # of a component (p, parts)
 
 def _ingest_columns(table: ModuleMomentTable, records) -> bool:
     """Store the records as the record loop of from_json_obj would, proving a
-    slice at a time with builtin passes that the loop would accept it: each
-    distinct (prime key, exponent list) pair and each distinct value is checked
-    once, by group_components and _parse_value. Records with n prime keys are
-    taken together, so that zip cuts their shared components into keys n at a
-    time; keys are sorted by prime where the JSON lists a record's primes out
-    of order. False, with the store part filled, at anything not proved, rare
-    valid shapes such as an empty exponent list too."""
+    slice of _SLICE records at a time with builtin passes that the loop would
+    accept it: types first, then each distinct (prime key, exponent list) pair
+    and each distinct value once, by group_components and _parse_value, and no
+    duplicate by the growth of the store. Each distinct pair becomes one shared
+    component, so a record's key is the only tuple made for it. Records with n
+    prime keys are taken together, so that zip cuts their shared components
+    into keys n at a time; keys are sorted by prime where the JSON lists a
+    record's primes out of order. False, with the store part filled, at
+    anything not proved, rare valid shapes such as an empty exponent list too."""
     if type(records) is not list:
         return False
     store = table._store

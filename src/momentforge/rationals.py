@@ -22,9 +22,10 @@ def format_rational(x: Fraction | int) -> str:
 
 def check_printable(bits: int) -> None:
     """Refuse before computing, as format_rational would after, a result known to
-    be at least 2**bits when that has more digits than sys.get_int_max_str_digits()."""
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit and bits >= (limit + 1) / math.log10(2):
+    be at least 2**bits when that has more digits than sys.get_int_max_str_digits(),
+    or than MAX_DIGITS where that limit is off (0)."""
+    limit = sys.get_int_max_str_digits() or MAX_DIGITS
+    if bits >= (limit + 1) / math.log10(2):
         raise BudgetExceededError(f"the exact result is too long to print: over {limit} digits")
 
 

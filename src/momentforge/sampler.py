@@ -9,11 +9,9 @@ whole stack of keys, so numpy.random is never imported.
 
 Draws are stacked, 1024 of 8 x 8 or as many matrix entries at a time, and
 one Smith reduction vectorized over the stack reduces them together. On 2
-vCPUs, 10**5 draws of 8 x 8 take 1.45 s at a peak RSS of 33 MB this way,
-and 5.2 s and 35 MB through numpy's generator one matrix at a time with
-stacks of 64. A 1024 x 1024 draw is a stack by itself, drawn in passes of
-bounded size: drawing it peaks at 43 MB, against 42 MB through numpy's
-generator.
+vCPUs, 10**5 draws of 8 x 8 take 1.45 s at a peak RSS of 33 MB. A
+1024 x 1024 draw is a stack by itself, drawn in passes of bounded size:
+drawing it peaks at 43 MB.
 
 Working modulo p**cap truncates cokernel exponents at cap; moments of
 targets with exponent below cap are unaffected by the truncation.
@@ -221,12 +219,9 @@ def sample_cokernel(config: SamplerConfig, index: int = 0) -> FinAbGroup:
     return FinAbGroup.from_dict({config.p: parts})
 
 
-def sample_measure(config: SamplerConfig, count: int | None = None) -> Measure:
-    """Empirical measure of the first `count` draws (default config.count)."""
-    count = config.count if count is None else count
-    if count > config.count:
-        raise InputError(f"asked for {count} draws but config.count = {config.count}")
-    return next(_prefix_measures(config, [count]))
+def sample_measure(config: SamplerConfig) -> Measure:
+    """Empirical measure of the config.count draws."""
+    return next(_prefix_measures(config, [config.count]))
 
 
 def empirical_moments(mu: Measure, targets: Iterable[FinAbGroup]) -> ModuleMomentTable:
@@ -241,11 +236,11 @@ def empirical_moments(mu: Measure, targets: Iterable[FinAbGroup]) -> ModuleMomen
     return ModuleMomentTable(primes, values)
 
 
-def reference_mass(p: int, u: int, M: FinAbGroup, factors: int = 30) -> Fraction:
+def reference_mass(p: int, u: int, M: FinAbGroup) -> Fraction:
     """Limit mass of M under the cokernel distribution, by truncated product:
-    (1/|M|**u) * (1/|Aut M|) * prod_{k=u+1}^{u+factors} (1 - p**-k)."""
+    (1/|M|**u) * (1/|Aut M|) * prod_{k=u+1}^{u+30} (1 - p**-k)."""
     out = Fraction(1, M.order**u * aut_count(M))
-    for k in range(u + 1, u + factors + 1):
+    for k in range(u + 1, u + 31):
         out *= 1 - Fraction(1, p**k)
     return out
 

@@ -23,6 +23,8 @@ from momentforge.verify import (
     check_q_identities,
 )
 
+from groups import elementary
+
 SEED = 20260810
 
 
@@ -102,7 +104,7 @@ def test_criterion_8_end_to_end_reconstruction():
 def _sampler_run(seed):
     config = SamplerConfig(p=2, cap=3, n=8, seed=seed, count=100_000)
     mu = sample_measure(config)
-    z2 = FinAbGroup.elementary(2, 1)
+    z2 = elementary(2, 1)
     moment = sum((mass * sur_count(X, z2) for X, mass in mu.items()), Fraction(0))
     second = sum((mass * sur_count(X, z2) ** 2 for X, mass in mu.items()), Fraction(0))
     sigma = math.sqrt(float(second - moment * moment) / config.count)

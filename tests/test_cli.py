@@ -18,8 +18,15 @@ from momentforge.inversion import Bracket, MomentTable
 from momentforge.localize import ModuleMomentTable
 from momentforge.qseries import SimpleType, inversion_coefficient
 
+from groups import Z
+
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def bracket(obj) -> Bracket:
+    """A bracket's JSON read back with Fraction."""
+    return Bracket(Fraction(obj["lower"]), Fraction(obj["upper"]))
 
 
 def run(capsys, *argv):
@@ -64,17 +71,29 @@ def test_invert_reorder_multi(tmp_path, capsys):
     path.write_text(json.dumps({"basis": basis, "bound": [4, 4], "moments": moments}))
     code, out, _ = run(capsys, "invert", "--file", str(path), "--rmax", "4,4")
     assert code == 0
-    br = Bracket.from_json_obj(json.loads(out))
+    br = bracket(json.loads(out))
     code, out2, _ = run(capsys, "invert", "--file", str(path), "--rmax", "4,4", "--order", "1,0")
     assert code == 0
-    br2 = Bracket.from_json_obj(json.loads(out2))
+    br2 = bracket(json.loads(out2))
     # both orders are sound; they bracket the same mass
     assert br.lower <= br2.upper and br2.lower <= br.upper
 
 
+def test_empty_basis_answers_its_single_moment(tmp_path, capsys):
+    # a single depth applies to every type, and so to none
+    path = tmp_path / "m.json"
+    path.write_text('{"basis":[],"bound":[],"moments":[{"k":[],"value":"1/3"}]}')
+    point = '{"lower": "1/3", "upper": "1/3"}\n'
+    assert run(capsys, "invert", "--file", str(path), "--rmax", "0") == (0, point, "")
+    path.write_text('{"primes":[],"moments":[{"group":{},"value":"2/5"}]}')
+    point = '{"lower": "2/5", "upper": "2/5"}\n'
+    argv = ("reconstruct", "--file", str(path), "--group", "{}", "--rmax", "0")
+    assert run(capsys, *argv) == (0, point, "")
+
+
 @pytest.fixture()
 def half_table_path(tmp_path):
-    mu = Measure({FinAbGroup.trivial(): Fraction(1, 2), FinAbGroup.from_orders(2): Fraction(1, 2)})
+    mu = Measure({FinAbGroup.trivial(): Fraction(1, 2), Z(2): Fraction(1, 2)})
     from momentforge.sampler import empirical_moments
 
     table = empirical_moments(mu, enumerate_groups([2], 16))
@@ -109,8 +128,7 @@ def test_sample_roundtrip_and_determinism(capsys):
     assert code == 0
     code, out2, _ = run(capsys, *args)
     assert out1 == out2
-    mu = Measure.from_json_obj(json.loads(out1))
-    assert sum(v for _, v in mu.items()) == 1
+    assert sum(Fraction(rec["value"]) for rec in json.loads(out1)["masses"]) == 1
 
 
 def test_sample_report_lines(capsys):
@@ -124,7 +142,7 @@ def test_sample_report_lines(capsys):
     assert len(lines) == 2
     for line in lines:
         rec = json.loads(line)
-        br = Bracket.from_json_obj(rec["bracket"])
+        br = bracket(rec["bracket"])
         assert br.contains(Fraction(rec["frequency"]))
 
 
@@ -155,7 +173,7 @@ def test_budget_env_override(monkeypatch):
     from momentforge.oracle import sur_bruteforce
 
     with pytest.raises(BudgetExceededError):
-        sur_bruteforce(FinAbGroup.from_orders(8), FinAbGroup.from_orders(8))
+        sur_bruteforce(Z(8), Z(8))
 
 
 def test_localize_ignores_budget(monkeypatch, tmp_path, capsys):
@@ -295,7 +313,7 @@ def test_localization_primes_must_be_distinct_primes(primes, half_table_path, ca
 
 @pytest.mark.parametrize("command, depth", [("localize", "--kbound"), ("reconstruct", "--rmax")])
 def test_explicit_table_primes_match_the_default(command, depth, tmp_path, capsys):
-    mu = Measure({FinAbGroup.trivial(): Fraction(1, 2), FinAbGroup.from_orders(6): Fraction(1, 2)})
+    mu = Measure({FinAbGroup.trivial(): Fraction(1, 2), Z(6): Fraction(1, 2)})
     from momentforge.sampler import empirical_moments
 
     path = tmp_path / "table.json"
@@ -309,7 +327,7 @@ def test_explicit_table_primes_match_the_default(command, depth, tmp_path, capsy
 def _report_brackets_contain_frequencies(out: str) -> list[dict]:
     records = [json.loads(line) for line in out.splitlines()]
     for rec in records:
-        assert Bracket.from_json_obj(rec["bracket"]).contains(Fraction(rec["frequency"])), rec
+        assert bracket(rec["bracket"]).contains(Fraction(rec["frequency"])), rec
     return records
 
 
@@ -611,7 +629,7 @@ def test_bounds_hold_with_the_digit_limit_off(tmp_path):
     # one interpreter per limit times each call, start-up left out
     run = "1" * 10**6
     unread = '{"primes":[3],"moments":[{"group":{},"value":"1"},{"group":{"3":[2]},"value":"%s"}]}'
-    cases = [
+    tables = [
         ('{"3":[100000000]}', unread % "1", "error: group Z/3^100000000 is too large"),
         ("{}", unread % "1e100000000",
          "error: cannot parse rational '1e100000000': exponent past 4300 in magnitude\n"),
@@ -623,21 +641,27 @@ def test_bounds_hold_with_the_digit_limit_off(tmp_path):
         ("{}", '{"primes":[3],"moments":[{"group":{},"value":"1"},{"group":{"%s":[1]},"value":"1"}]}'
          % run, "error: bad group JSON: a 1000000-digit prime key is too large\n"),
     ]
-    runs = []
-    for i, (group, table, _) in enumerate(cases):
+    cases = []  # (argv, exit code, start of stderr)
+    for i, (group, table, message) in enumerate(tables):
         path = tmp_path / f"table{i}.json"
         path.write_text(table)
-        runs.append(["reconstruct", "--file", str(path), "--group", group, "--rmax", "1"])
+        cases.append((["reconstruct", "--file", str(path), "--group", group, "--rmax", "1"],
+                      1, message))
+    # results too long to print, refused before they are computed
+    for argv in (["coeffs", "--abelian", "2", "--k", "2000"],
+                 ["coeffs", "--abelian", "2", "--k", "20000"],
+                 ["sur", "--abelian", "2", "--e", "30000", "--k", "30000"]):
+        cases.append((argv, 3, "error: the exact result is too long to print: over "))
     src = Path(momentforge.__file__).resolve().parent.parent
     for limit in ("0", "640", "4300"):
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": limit}
         proc = subprocess.run(
-            [sys.executable, "-c", _BOUNDED_RUNS_SCRIPT, json.dumps(runs)],
+            [sys.executable, "-c", _BOUNDED_RUNS_SCRIPT, json.dumps([c[0] for c in cases])],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr[:2000]
-        for (code, took, out, err), (_, _, message) in zip(json.loads(proc.stdout), cases):
-            assert (code, out) == (1, "") and took < 1.0, (limit, message, code, took)
+        for (code, took, out, err), (_, want, message) in zip(json.loads(proc.stdout), cases):
+            assert (code, out) == (want, "") and took < 1.0, (limit, message, code, took)
             assert err.startswith(message) and len(err.encode()) < 1024, (limit, err[:300])
 
 
@@ -833,7 +857,7 @@ def test_exponents_at_the_digit_limit_still_parse(capsys, tmp_path):
     assert parse_rational("1e4300") == 10**4300
     assert parse_rational("-1e-4300") == Fraction(-1, 10**4300)
     with pytest.raises(InputError, match="exponent past 4300"):
-        Measure.from_json_obj({"masses": [{"group": {}, "value": "1e-4301"}]})
+        parse_rational("1e-4301")
     # a read value of 10**5000 used to exit 3 when printed; it now exits 1 at load
     path = tmp_path / "table.json"
     path.write_text('{"primes":[2],"moments":[{"group":{},"value":"1e5000"}]}')

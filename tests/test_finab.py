@@ -19,6 +19,7 @@ from momentforge.finab import (
     enumerate_groups,
     extension_class_count,
     extension_pair_count,
+    group_components,
     hom_count,
     partitions,
     sur_count,
@@ -41,11 +42,11 @@ from element_tables import (
     kernel_profile_by_tables,
     sur_by_tables,
 )
+from groups import Z, elementary
 
-Z = FinAbGroup.from_orders
 triv = FinAbGroup.trivial()
-F2 = FinAbGroup.elementary(2, 1)
-F3 = FinAbGroup.elementary(3, 1)
+F2 = elementary(2, 1)
+F3 = elementary(3, 1)
 
 partition = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)
 group_st = st.builds(
@@ -85,10 +86,12 @@ def middles_of_order(N, M):
 
 
 class TestCanonicalForm:
-    def test_from_orders_merges_primes(self):
-        assert Z(12, 2) == FinAbGroup.from_dict({2: [2, 1], 3: [1]})
-        assert Z(4, 2) != Z(8)
-        assert Z(1) == triv
+    def test_from_dict_canonicalizes(self):
+        g = FinAbGroup.from_dict({3: [1], 2: [1, 2], 5: []})
+        assert g.components == ((2, (2, 1)), (3, (1,)))
+        assert FinAbGroup.from_dict({2: []}) == triv
+        # the tests' own names for groups
+        assert Z(12, 2) == g and Z(4, 2) != Z(8) and Z(1) == triv
 
     def test_partition_must_be_canonical(self):
         with pytest.raises(InputError):
@@ -100,6 +103,34 @@ class TestCanonicalForm:
         with pytest.raises(InputError):
             FinAbGroup(((2, ()),))  # empty partition
 
+    @pytest.mark.parametrize("make", [
+        lambda: FinAbGroup(((2, (1.5,)),)),
+        lambda: FinAbGroup(((2.0, (1,)),)),
+        lambda: FinAbGroup(((2, (True,)),)),
+        lambda: FinAbGroup(((2, [1]),)),
+        lambda: FinAbGroup.from_dict({2: [1.9]}),
+        lambda: FinAbGroup.from_dict({2: [1.9, True]}),
+    ], ids=["float-part", "float-prime", "bool-part", "list-partition", "dict-float",
+            "dict-float-bool"])
+    def test_components_must_be_ints(self, make):
+        with pytest.raises(InputError):
+            make()
+
+    @given(st.dictionaries(
+        st.sampled_from([2, 3, 5, 7]),
+        st.lists(st.sampled_from([1, 2, 0, -1, 1.0, True]), max_size=3),
+        max_size=3,
+    ))
+    @settings(max_examples=200)
+    def test_from_dict_and_group_json_agree(self, comps):
+        try:
+            want = group_components({str(p): v for p, v in comps.items()})
+        except InputError:
+            with pytest.raises(InputError):
+                FinAbGroup.from_dict(comps)
+        else:
+            assert FinAbGroup.from_dict(comps).components == want
+
     def test_accessors(self):
         g = Z(8, 2, 9)
         assert g.order == 144
@@ -108,7 +139,7 @@ class TestCanonicalForm:
         assert g.conjugate(2) == (2, 1, 1)
         assert str(g) == "Z/8 x Z/2 x Z/9"
         assert not g.is_semisimple
-        assert FinAbGroup.elementary(2, 3).is_semisimple
+        assert elementary(2, 3).is_semisimple
 
     @given(group_st)
     @settings(max_examples=150)
@@ -150,7 +181,7 @@ class TestEnumeration:
 
     def test_from_json_obj_canonicalizes(self):
         g = FinAbGroup.from_json_obj({"3": [1], "2": [1, 2], "5": []})
-        assert g == FinAbGroup.from_orders(12, 2)
+        assert g == Z(12, 2)
 
 
 class TestHomAut:
@@ -163,7 +194,7 @@ class TestHomAut:
         assert aut_count(triv) == 1
         assert aut_count(Z(2, 2)) == 6
         assert aut_count(Z(4, 2)) == 8
-        assert aut_count(FinAbGroup.elementary(2, 3)) == 168
+        assert aut_count(elementary(2, 3)) == 168
         assert aut_count(Z(6)) == 2
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -252,7 +283,7 @@ class TestSpanOraclesAgainstElementTables:
                 ), (A, B)
 
     def test_refusal_messages(self):
-        E4, E6 = FinAbGroup.elementary(2, 4), FinAbGroup.elementary(2, 6)
+        E4, E6 = elementary(2, 4), elementary(2, 6)
         tail = "exceed the budget of 4000000 (override with MOMENTFORGE_BUDGET)"
         cases = [
             (
@@ -407,8 +438,8 @@ class TestSurjectionOracles:
     def test_matrix_oracle_matches_elementary_bruteforce(self):
         for e in range(4):
             for k in range(4):
-                a = FinAbGroup.elementary(2, e)
-                b = FinAbGroup.elementary(2, k)
+                a = elementary(2, e)
+                b = elementary(2, k)
                 assert count_surjective_matrices(2, e, k) == sur_bruteforce(a, b)
 
     def test_sur_count_agrees_with_bruteforce(self):
@@ -426,7 +457,7 @@ class TestSurjectionOracles:
     def test_budget_error_names_the_pair(self):
         with pytest.raises(BudgetExceededError, match="surjection enumeration"):
             sur_bruteforce(
-                FinAbGroup.elementary(2, 6), FinAbGroup.elementary(2, 6), Budget(1000)
+                elementary(2, 6), elementary(2, 6), Budget(1000)
             )
 
 
@@ -493,10 +524,10 @@ class TestExtensions:
         # checked far past the oracles for N = F_p**k, middles up to order p**14
         cases = [
             (N, M)
-            for N in (F2, FinAbGroup.elementary(2, 2), F3, Z(6))
+            for N in (F2, elementary(2, 2), F3, Z(6))
             for M in enumerate_groups({2, 3}, 12)
         ] + [
-            (FinAbGroup.elementary(p, k), M)
+            (elementary(p, k), M)
             for p in (2, 3)
             for k in (1, 2)
             for M in enumerate_groups({p}, p ** (14 - k))
@@ -506,7 +537,7 @@ class TestExtensions:
             assert total == hom_count(M, N), (N, M)
 
     def test_entries_are_nonnegative_integers(self):
-        for N in (F2, FinAbGroup.elementary(2, 2), F3, Z(6)):
+        for N in (F2, elementary(2, 2), F3, Z(6)):
             for M in enumerate_groups({2, 3}, 12):
                 for entry in extension_classes(N, M).values():
                     assert entry.denominator == 1 and entry >= 1
@@ -515,8 +546,8 @@ class TestExtensions:
         cases = [
             (F2, Z(4), Z(2)),
             (F2, Z(2, 2), Z(2)),
-            (FinAbGroup.elementary(2, 2), Z(4, 2), Z(2)),
-            (FinAbGroup.elementary(2, 2), Z(2, 2, 2), Z(2)),
+            (elementary(2, 2), Z(4, 2), Z(2)),
+            (elementary(2, 2), Z(2, 2, 2), Z(2)),
             (F3, Z(9), Z(3)),
             (F3, Z(3, 3), Z(3)),
             (Z(6), Z(12), Z(2, 3)),
@@ -540,7 +571,7 @@ class TestExtensions:
     # surjection tuples onto M. That draw is left out here and its closed
     # form is checked on its own below.
     @given(
-        sequence_ends_st(32).filter(lambda ends: ends != (triv, FinAbGroup.elementary(2, 5)))
+        sequence_ends_st(32).filter(lambda ends: ends != (triv, elementary(2, 5)))
     )
     @settings(max_examples=25, deadline=None)
     def test_candidate_middles_are_the_nonzero_middles(self, ends):
@@ -553,7 +584,7 @@ class TestExtensions:
         assert set(candidate_middles(N, M)) == nonzero
 
     def test_candidate_middles_of_the_draw_over_budget(self):
-        E5 = FinAbGroup.elementary(2, 5)
+        E5 = elementary(2, 5)
         assert candidate_middles(triv, E5) == [E5]
 
     def test_orbit_stabilizer_consistency(self):
@@ -577,7 +608,9 @@ class TestMeasure:
 
     def test_json_roundtrip(self):
         mu = Measure({triv: Fraction(1, 3), Z(4, 3): Fraction(2, 7)})
-        assert Measure.from_json_obj(mu.to_json_obj()) == mu
+        masses = mu.to_json_obj()["masses"]
+        again = {FinAbGroup.from_json_obj(rec["group"]): Fraction(rec["value"]) for rec in masses}
+        assert Measure(again) == mu
         assert sum(v for _, v in mu.items()) == Fraction(1, 3) + Fraction(2, 7)
 
     def test_zero_masses_dropped(self):

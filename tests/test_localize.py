@@ -31,9 +31,10 @@ from momentforge.rationals import parse_rational
 from momentforge.sampler import empirical_moments, reference_mass
 from momentforge.verify import synthetic_measure
 
-Z = FinAbGroup.from_orders
+from groups import Z, elementary
+
 triv = FinAbGroup.trivial()
-F2 = FinAbGroup.elementary(2, 1)
+F2 = elementary(2, 1)
 P2 = (2,)
 P23 = (2, 3)
 HALF = Fraction(1, 2)

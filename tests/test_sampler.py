@@ -13,7 +13,6 @@ from momentforge import sampler
 from momentforge.budget import Budget
 from momentforge.errors import BudgetExceededError, InputError
 from momentforge.finab import FinAbGroup, Measure, enumerate_groups
-from momentforge.inversion import Bracket
 from momentforge.rationals import format_rational
 from momentforge.sampler import (
     SamplerConfig,
@@ -26,7 +25,8 @@ from momentforge.sampler import (
     sample_measure,
 )
 
-Z = FinAbGroup.from_orders
+from groups import Z
+
 triv = FinAbGroup.trivial()
 
 
@@ -276,7 +276,7 @@ def test_determinism_and_prefix():
     longer = SamplerConfig(p=2, cap=3, n=4, seed=99, count=240)
     first = [sample_cokernel(base, i) for i in range(60)]
     assert first == [sample_cokernel(longer, i) for i in range(60)]
-    assert sample_measure(longer, 60) == sample_measure(base)
+    assert sample_measure(base) == Measure({g: Fraction(c, 60) for g, c in Counter(first).items()})
     other = SamplerConfig(p=2, cap=3, n=4, seed=100, count=60)
     assert [sample_cokernel(other, i) for i in range(60)] != first
 
@@ -348,8 +348,7 @@ class TestConvergenceReport:
         assert len(records) == 6
         for rec in records:
             freq = Fraction(rec["frequency"])
-            br = Bracket.from_json_obj(rec["bracket"])
-            assert br.contains(freq), rec
+            assert Fraction(rec["bracket"]["lower"]) <= freq <= Fraction(rec["bracket"]["upper"]), rec
             assert {"t", "group", "frequency", "bracket", "reference"} <= set(rec)
 
     def test_exponent_cap_enforced(self):
