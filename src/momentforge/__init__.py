@@ -8,7 +8,8 @@ momentforge.oracle and momentforge.nonab_oracle and are not exported here,
 so importing the package loads no oracle.
 
 The sampler names load `momentforge.sampler`, and with it numpy, on first
-use, so importing the package stays cheap for the closed-form commands.
+use, so importing the package stays cheap for the closed-form commands: they
+load neither numpy nor dataclasses and inspect (see errors.Value).
 """
 
 from .budget import Budget, budget_from_env

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, Value
 from .rationals import clip
 
 ENV_VAR = "MOMENTFORGE_BUDGET"
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Value):
     """Caps on work, each a positive integer.
 
     max_candidates: largest number of generator-image tuples a single
@@ -42,12 +40,12 @@ class Budget:
     max_sample_work: largest estimated work of one sampler run.
     """
 
-    max_candidates: int = 4_000_000
-    max_order: int = 65_536
-    max_sample_work: int = 2**35
+    __slots__ = ("max_candidates", "max_order", "max_sample_work")
 
-    def __post_init__(self):
-        for name in ("max_candidates", "max_order", "max_sample_work"):
+    def __init__(self, max_candidates: int = 4_000_000, max_order: int = 65_536,
+                 max_sample_work: int = 2**35) -> None:
+        self._init(max_candidates, max_order, max_sample_work)
+        for name in self.__slots__:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise InputError(

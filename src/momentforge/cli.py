@@ -6,14 +6,18 @@ results as JSON (one line per record for reports). --pretty adds decimal
 renderings and indentation. Exit codes: 0 success, 1 input error,
 2 internal-consistency failure, 3 enumeration or sampling budget exceeded
 or a result too long to print.
+
+A finished command flushes its output and ends the process at once: the
+interpreter's teardown would spend tens of milliseconds, more than a
+closed-form command spends on its answer, freeing what the system frees anyway.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -198,7 +202,7 @@ def _cmd_sample(args) -> int:
         return 0
     mu = sample_measure(config)
     obj = mu.to_json_obj()
-    obj["config"] = dataclasses.asdict(config)
+    obj["config"] = {name: getattr(config, name) for name in config.__slots__}
     _emit(obj, args.pretty)
     return 0
 
@@ -312,5 +316,18 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
 
 
+def run() -> int:
+    """The command line: main(), then flush and end the process with no teardown.
+    An exception out of main(), argparse's SystemExit among them, or a failed
+    flush (a broken pipe) leaves through the interpreter's normal exit."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -22,15 +22,14 @@ numpy. The brute-force oracles that check them live in momentforge.oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, Value
 from .qseries import is_prime, q_binomial
-from .rationals import MAX_DIGITS, clip, format_rational
+from .rationals import MAX_DIGITS, clip, clip_int, format_rational
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -68,7 +67,7 @@ def _check_components(comps: Components) -> None:
     each prime an int (not a bool or float) that is prime, primes strictly
     increasing, each partition a non-empty weakly decreasing tuple of int
     parts >= 1, and the order within MAX_ORDER_BITS. A group too large is
-    named by its first Z/p^a factors."""
+    named by its first Z/p^a factors, each exponent clipped."""
     last, bits = 0, 0
     for p, parts in comps:
         if type(p) is not int or not is_prime(p):
@@ -85,15 +84,15 @@ def _check_components(comps: Components) -> None:
         bits += order_bits(p, parts)
         last = p
     if bits > MAX_ORDER_BITS:
-        names = [f"Z/{p}^{a}" if a > 1 else f"Z/{p}" for p, parts in comps for a in parts]
+        factors = itertools.islice(((p, a) for p, parts in comps for a in parts), 9)
+        names = [f"Z/{p}^{clip_int(a)}" if a > 1 else f"Z/{p}" for p, a in factors]
         raise InputError(
             f"group {' x '.join(names[:8])}{' x ...' * (len(names) > 8)} is too large: "
-            f"its order has up to {bits} bits, past the bound of {MAX_ORDER_BITS}"
+            f"its order has up to {clip_int(bits)} bits, past the bound of {MAX_ORDER_BITS}"
         )
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Value):
     """Canonical form of a finite abelian group.
 
     components maps each prime (in increasing order) to its weakly
@@ -102,10 +101,22 @@ class FinAbGroup:
     is the one rule every constructor ends in.
     """
 
-    components: Components
+    __slots__ = ("components",)
+
+    def __init__(self, components: Components) -> None:
+        object.__setattr__(self, "components", components)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_components(self.components)
+
+    def __eq__(self, other):  # the components alone, as cheap as a key needs
+        if other.__class__ is self.__class__:
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
 
     @classmethod
     def from_dict(cls, comps: Mapping[int, Sequence[int]]) -> "FinAbGroup":

@@ -19,25 +19,23 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InfeasibleMomentsError, InputError
+from .errors import InfeasibleMomentsError, InputError, Value
 from .qseries import SimpleType, inversion_coefficients
 from .rationals import format_rational, parse_rational
 from .surjcount import Basis, MultiIndex, basis_from_json_obj, check_index
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Value):
     """Certified exact-rational interval [lower, upper]."""
 
-    lower: Fraction
-    upper: Fraction
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
+    def __init__(self, lower: Fraction, upper: Fraction) -> None:
+        self._init(lower, upper)
+        if lower > upper:
             raise InfeasibleMomentsError(  # no numbers: they may pass the digit limit
                 "bracket lower bound exceeds upper bound; "
                 "the inputs are not moments of any nonnegative measure"

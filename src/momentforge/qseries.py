@@ -9,12 +9,11 @@ coefficients are `fractions.Fraction`. Floating point never enters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import InputError
+from .errors import InputError, Value
 from .rationals import clip
 
 ABELIAN = "abelian"
@@ -66,33 +65,29 @@ def is_prime_power(n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(Value):
     """An isomorphism class of simple building block.
 
     Abelian blocks carry the size h of their endomorphism field; h must be
     a prime power. Non-abelian blocks carry their automorphism count.
     """
 
-    kind: str
-    h: int | None = None
-    aut: int | None = None
+    __slots__ = ("kind", "h", "aut")
 
-    def __post_init__(self) -> None:
-        if self.kind == ABELIAN:
-            if self.aut is not None:
+    def __init__(self, kind: str, h: int | None = None, aut: int | None = None) -> None:
+        self._init(kind, h, aut)
+        if kind == ABELIAN:
+            if aut is not None:
                 raise InputError("abelian type takes h, not aut")
-            if self.h is None or self.h < 2 or not is_prime_power(self.h):
-                raise InputError(
-                    f"abelian type needs a prime-power field size h >= 2, got {self.h}"
-                )
-        elif self.kind == NONABELIAN:
-            if self.h is not None:
+            if h is None or h < 2 or not is_prime_power(h):
+                raise InputError(f"abelian type needs a prime-power field size h >= 2, got {h}")
+        elif kind == NONABELIAN:
+            if h is not None:
                 raise InputError("nonabelian type takes aut, not h")
-            if self.aut is None or self.aut < 1:
-                raise InputError(f"nonabelian type needs aut >= 1, got {self.aut}")
+            if aut is None or aut < 1:
+                raise InputError(f"nonabelian type needs aut >= 1, got {aut}")
         else:
-            raise InputError(f"unknown simple type kind {self.kind!r}")
+            raise InputError(f"unknown simple type kind {kind!r}")
 
     @classmethod
     def abelian(cls, h: int) -> "SimpleType":

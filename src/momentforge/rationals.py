@@ -45,6 +45,14 @@ def clip(text: str) -> str:
     return text if len(text) <= _QUOTED else f"{text[:_QUOTED]}... ({len(text)} characters)"
 
 
+def clip_int(n: int) -> str:
+    """n in decimal, clipped, for a message; past 2**2048, where str() could pass
+    any digit limit (640 at the least) or take quadratic time, its bit length."""
+    if n.bit_length() > 2048:
+        return f"<a {n.bit_length()}-bit integer>"
+    return clip(str(n))
+
+
 def parse_rational(s) -> Fraction:
     """Fraction from a JSON value: an int, or a string Fraction() reads. A run
     of more than MAX_DIGITS digits, or an exponent past MAX_DIGITS in

@@ -20,14 +20,13 @@ targets with exponent below cap are unaffected by the truncation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .budget import budget_from_env
-from .errors import InputError
+from .errors import InputError, Value
 from .finab import FinAbGroup, Measure, aut_count, is_prime, sur_count
 from .localize import ModuleMomentTable, localization_middles, reconstruct_probability
 from .rationals import format_rational
@@ -39,18 +38,13 @@ from .rationals import format_rational
 MAX_MATRIX_ENTRIES = 2**20
 
 
-@dataclass(frozen=True, kw_only=True)
-class SamplerConfig:
+class SamplerConfig(Value):
     """Cokernel sampler parameters; seed and draw index fully determine a draw."""
 
-    p: int
-    cap: int
-    n: int
-    u: int = 0
-    seed: int
-    count: int
+    __slots__ = ("p", "cap", "n", "u", "seed", "count")
 
-    def __post_init__(self) -> None:
+    def __init__(self, *, p: int, cap: int, n: int, u: int = 0, seed: int, count: int) -> None:
+        self._init(p, cap, n, u, seed, count)
         if self.cap < 1:
             raise InputError(f"cap must be >= 1, got {self.cap}")
         if self.cap * (self.p.bit_length() - 1) >= 31 or self.p ** (2 * self.cap) >= 2**62:

@@ -18,12 +18,11 @@ import random
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NoReturn, TextIO
 
 from .budget import budget_from_env
-from .errors import BudgetExceededError, ConsistencyError
+from .errors import BudgetExceededError, ConsistencyError, Value
 from .finab import (
     FinAbGroup,
     Measure,
@@ -49,12 +48,11 @@ from .sampler import empirical_moments, reference_mass
 from .surjcount import sur_product, sur_single
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CheckResult(Value):
+    __slots__ = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
+        self._init(name, passed, detail, seconds)
 
 
 def check_abelian_matrix_oracle() -> tuple[bool, str]:

@@ -2,6 +2,8 @@ import importlib.util
 import json
 import math
 import os
+import re
+import select
 import subprocess
 import sys
 import time
@@ -129,6 +131,23 @@ def test_sample_roundtrip_and_determinism(capsys):
     code, out2, _ = run(capsys, *args)
     assert out1 == out2
     assert sum(Fraction(rec["value"]) for rec in json.loads(out1)["masses"]) == 1
+
+
+def test_sample_output_is_unchanged(capsys):
+    # the config object keeps its field order: p, cap, n, u, seed, count
+    masses = {
+        1: '[{"group": {}, "value": "1/3"}, {"group": {"2": [1]}, "value": "1/3"}, '
+           '{"group": {"2": [1, 1]}, "value": "1/6"}, {"group": {"2": [2]}, "value": "1/6"}]',
+        2: '[{"group": {}, "value": "1/3"}, {"group": {"2": [1]}, "value": "1/6"}, '
+           '{"group": {"2": [2]}, "value": "1/2"}]',
+        3: '[{"group": {}, "value": "1/3"}, {"group": {"2": [1]}, "value": "1/2"}, '
+           '{"group": {"2": [2]}, "value": "1/6"}]',
+    }
+    for seed, want in masses.items():
+        code, out, _ = run(capsys, "sample", "--p", "2", "--cap", "2", "--n", "3",
+                           "--seed", str(seed), "--count", "6")
+        config = f'{{"p": 2, "cap": 2, "n": 3, "u": 0, "seed": {seed}, "count": 6}}'
+        assert (code, out) == (0, f'{{"masses": {want}, "config": {config}}}\n')
 
 
 def test_sample_report_lines(capsys):
@@ -418,7 +437,8 @@ runs = [
     ["sur", "--abelian", "2", "--e", "3", "--k", "2"],
 ]
 codes = [main(argv) for argv in runs]
-loaded = sorted({"numpy", "momentforge.oracle", "momentforge.nonab_oracle"} & set(sys.modules))
+unwanted = {"numpy", "momentforge.oracle", "momentforge.nonab_oracle", "dataclasses", "inspect"}
+loaded = sorted(unwanted & set(sys.modules))
 codes.append(main(["sample", "--p", "2", "--cap", "2", "--n", "3", "--seed", "1", "--count", "5"]))
 import momentforge.verify
 print(json.dumps({"codes": codes, "loaded_before_sample": loaded, "numpy_after": "numpy" in sys.modules}))
@@ -606,6 +626,25 @@ def test_group_at_the_order_bound_is_read_and_its_middles_refused(tmp_path, caps
         if code == 0:
             M = FinAbGroup.from_dict({3: [a]})
             assert json.loads(out)["upper"] == f"1/{2 * 3 ** (a - 1)}" == f"1/{aut_count(M)}"
+
+
+def test_group_with_a_huge_exponent_is_refused_briefly(tmp_path, capsys):
+    # with the digit limit off json.loads reads a 100,000-digit exponent; the
+    # refusal names it, and the order's bit count, without converting either
+    path = tmp_path / "table.json"
+    path.write_text('{"primes":[3],"moments":[{"group":{},"value":"1"}]}')
+    group = '{"3":[%s]}' % ("9" * 100_000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        started = time.perf_counter()
+        code, out, err = run(capsys, "reconstruct", "--file", str(path), "--group", group,
+                             "--rmax", "1")
+        took = time.perf_counter() - started
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, "") and took < 1.0
+    assert err.startswith("error: group Z/3^") and len(err) <= 400, err[:500]
 
 
 _BOUNDED_RUNS_SCRIPT = """
@@ -863,3 +902,79 @@ def test_exponents_at_the_digit_limit_still_parse(capsys, tmp_path):
     path.write_text('{"primes":[2],"moments":[{"group":{},"value":"1e5000"}]}')
     code, _, err = run(capsys, "reconstruct", "--file", str(path), "--group", "{}", "--rmax", "0")
     assert code == 1 and "exponent past 4300" in err
+
+
+def _cli(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m momentforge.cli` on argv in a fresh interpreter."""
+    src = Path(momentforge.__file__).resolve().parent.parent
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "momentforge.cli", *argv],
+                          env=env, timeout=120, **kwargs)
+
+
+def test_exit_path_matches_in_process_main(half_table_path, monkeypatch, capsys):
+    # a finished command ends without interpreter teardown; what it printed and
+    # its exit code are those of main() in-process, for every exit code
+    cases = [
+        (0, ["reconstruct", "--file", str(half_table_path), "--group", '{"2":[1]}', "--rmax", "3"],
+         {}),
+        (0, ["sample", "--p", "2", "--cap", "2", "--n", "3", "--seed", "1", "--count", "6"], {}),
+        (1, ["coeffs", "--abelian", "6", "--k", "1"], {}),
+        (1, ["reconstruct", "--file", str(half_table_path), "--group", "[1]", "--rmax", "3"], {}),
+        (2, ["verify", "--seed", "3", "--quick"], {"MOMENTFORGE_BUDGET": "1000"}),
+        (3, ["coeffs", "--abelian", "2", "--k", "5000"], {}),
+    ]
+    timings = re.compile(r" \(\d+\.\d\ds\)$", re.M)  # a verify check's own wall time
+    for want, argv, extra in cases:
+        with monkeypatch.context() as env:
+            for name, value in extra.items():
+                env.setenv(name, value)
+            code, out, err = run(capsys, *argv)
+            proc = _cli(argv, capture_output=True)
+        assert proc.returncode == code == want, proc.stderr[-2000:]
+        assert timings.sub("", proc.stdout.decode()) == timings.sub("", out)
+        assert proc.stderr.decode() == err
+
+
+def test_broken_pipe_on_buffered_stdout_exits_120():
+    # the failed flush falls back to the interpreter's exit, which reports it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = _cli(["coeffs", "--abelian", "2", "--k", "3"], env=env, stdout=write_end,
+                    stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert proc.stderr.startswith(b"Exception ignored") and b"BrokenPipeError" in proc.stderr
+
+
+def test_installed_script_takes_the_same_exit_path():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(momentforge.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"momentforge": "momentforge.cli:run"}
+
+
+def test_help_exits_0():
+    proc = _cli(["--help"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: momentforge")
+
+
+def test_verify_leaves_no_worker_behind():
+    # every process the command forks inherits `held`; once all of them have
+    # exited the pipe reads EOF, so a worker left running would block the read
+    read_end, held = os.pipe()
+    try:
+        proc = _cli(["verify", "--seed", "3", "--quick"], capture_output=True, text=True,
+                    pass_fds=(held,))
+    finally:
+        os.close(held)
+    try:
+        ready, _, _ = select.select([read_end], [], [], 10)
+        assert ready and os.read(read_end, 1) == b""
+    finally:
+        os.close(read_end)
+    assert proc.returncode == 0, proc.stderr

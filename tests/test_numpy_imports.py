@@ -1,15 +1,16 @@
 """numpy enters the package in three modules only, each importing it once at
 module top level: the two oracle modules and the sampler. The closed forms
-import none of them, so they never load numpy."""
+import none of them, so they never load numpy. No module imports dataclasses,
+whose import loads inspect."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "momentforge"
+MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "momentforge").glob("*.py"))
 
 
-def _numpy_imports(tree: ast.Module) -> list[bool]:
-    """One entry per numpy import in the module: True when at top level."""
+def _imports(tree: ast.Module, package: str) -> list[bool]:
+    """One entry per import of package in the module: True when at top level."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -18,15 +19,20 @@ def _numpy_imports(tree: ast.Module) -> list[bool]:
             names = [node.module or ""]
         else:
             continue
-        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+        if any(name == package or name.startswith(package + ".") for name in names):
             found.append(node in tree.body)
     return found
 
 
 def test_numpy_is_imported_once_at_top_level_by_three_modules():
-    imports = {path.name: _numpy_imports(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    imports = {path.name: _imports(ast.parse(path.read_text()), "numpy") for path in MODULES}
     assert {name: found for name, found in imports.items() if found} == {
         "oracle.py": [True],
         "nonab_oracle.py": [True],
         "sampler.py": [True],
     }
+
+
+def test_no_module_imports_dataclasses():
+    imports = {path.name: _imports(ast.parse(path.read_text()), "dataclasses") for path in MODULES}
+    assert {name: found for name, found in imports.items() if found} == {}
