@@ -31,16 +31,17 @@ from .localize import (
     reconstruct_probability,
 )
 from .qseries import SimpleType, inversion_coefficient
-from .rationals import check_printable, format_rational
+from .rationals import check_printable, clip, format_rational
 from .surjcount import basis_from_json_obj, check_index, sur_product
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 1."""
+    """argparse that reports usage problems with exit code 1, an echoed
+    argument clipped."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise InputError(message)
+        raise InputError(clip(message))
 
 
 def _add_type_flags(p: argparse.ArgumentParser) -> None:

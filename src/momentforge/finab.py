@@ -179,46 +179,46 @@ class FinAbGroup(Value):
         return (self.order, self.components)
 
 
-@lru_cache(maxsize=1024)
-def _json_prime(key: str) -> int | None:
-    """The integer a group-JSON key spells in ASCII digits, else None; a key of
-    more than MAX_DIGITS digits raises ValueError before int() reads it."""
-    if not (key.isascii() and key.isdigit()):
-        return None  # not "1_1", " 3", "٣"
-    if len(key) > MAX_DIGITS:
-        raise ValueError(f"{len(key)} digits")
-    return int(key)
-
-
 def _bad_group(obj, why: str) -> InputError:
     return InputError(f"bad group JSON {clip(repr(obj))}: {why}")
 
 
+def json_component(key, parts, obj=None) -> tuple[int, tuple[int, ...]]:
+    """The component one prime key of group JSON gives, (p, exponents sorted
+    decreasing): the key must spell p in ASCII digits, not "1_1" or " 3" that
+    int() would bend, and parts must be a list or tuple of ints, not floats,
+    booleans or strings. An empty list gives (p, ()); any other component ends
+    in _check_components. A refusal of the JSON's shape quotes obj, the group
+    JSON the key is read from, by default {key: parts}."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        raise _bad_group(obj or {key: parts}, f"prime {clip(repr(key))} is not a decimal integer")
+    try:
+        if len(key) > MAX_DIGITS:
+            raise ValueError
+        p = int(key)
+    except ValueError:  # past MAX_DIGITS or sys.get_int_max_str_digits()
+        raise InputError(f"bad group JSON: a {len(key)}-digit prime key is too large") from None
+    for a in parts if isinstance(parts, (list, tuple)) else [None]:  # None: not a list
+        if type(a) is not int:
+            raise _bad_group(obj or {key: parts}, "exponents must be a list of integers")
+    parts = tuple(sorted(parts, reverse=True))
+    if parts:
+        _check_components(((p, parts),))
+    return p, parts
+
+
 def group_components(obj) -> Components:
-    """FinAbGroup components of group JSON like {"2": [2, 1], "3": [1]}: prime
-    keys, lists of integer exponents in any order, empty lists dropped. Checks
-    the JSON's shape, canonicalizes, and ends in _check_components, the check
-    every FinAbGroup makes, so the result can key a group that is never built.
-    Floats, booleans and strings are rejected, not truncated, and so are prime
-    keys that int() would bend, such as "1_1" or " 3"."""
+    """FinAbGroup components of group JSON like {"2": [2, 1], "3": [1]}: each
+    key and its exponents through json_component, empty lists dropped, no
+    prime twice, and the whole group through _check_components, the check
+    every FinAbGroup makes, so the result can key a group that is never built."""
     if not isinstance(obj, dict):
         raise InputError(f"group JSON must be an object, got {clip(repr(obj))}")
     comps: dict[int, tuple[int, ...]] = {}
-    for key, parts in obj.items():
-        try:
-            p = _json_prime(key) if isinstance(key, str) else None
-        except ValueError:  # past MAX_DIGITS or sys.get_int_max_str_digits()
-            raise InputError(f"bad group JSON: a {len(key)}-digit prime key is too large") from None
-        if p is None:
-            raise _bad_group(obj, f"prime {clip(repr(key))} is not a decimal integer")
-        if not isinstance(parts, (list, tuple)):
-            raise _bad_group(obj, "exponents must be a list of integers")
-        for a in parts:
-            if type(a) is not int:
-                raise _bad_group(obj, "exponents must be a list of integers")
+    for p, parts in map(json_component, obj, obj.values(), itertools.repeat(obj)):
         if p in comps:
             raise _bad_group(obj, f"prime {p} appears twice")
-        comps[p] = tuple(sorted(parts, reverse=True))
+        comps[p] = parts
     out = tuple((p, parts) for p, parts in sorted(comps.items()) if parts)
     _check_components(out)
     return out

@@ -31,6 +31,7 @@ from .finab import (
     group_components,
     hom_count,
     is_prime,
+    json_component,
     order_bits,
 )
 from .inversion import Bracket, MomentTable, multi_invert_zero
@@ -44,14 +45,16 @@ class ModuleMomentTable:
     the surjection count onto it.
 
     Records are keyed by canonical exponent data, FinAbGroup.components.
-    Every record is validated when the table is made, but a group is built
-    only for a record that is read, and a value read from JSON as plain
-    digits becomes a Fraction only then. The table promises exactly the
-    groups it lists; localizing at M reads only the middles that
-    localization_middles yields, and names any the table lacks. A record
-    whose group passes finab.MAX_ORDER_BITS (2048 bits of order, judged from
-    its exponents) is invalid: no middle comes near it. A legacy
-    `order_bound` field in JSON is type-checked and otherwise ignored.
+    Every record is validated when the table is made; from JSON that costs one
+    check per distinct (prime key, exponents) pair and per distinct value, and
+    one ordering of the columns by prime per key signature, with the store
+    filled in record order. A group is built only for a record that is read,
+    and a value read from JSON as plain digits becomes a Fraction only then.
+    The table promises exactly the groups it lists; localizing at M reads only
+    the middles that localization_middles yields, and names any the table
+    lacks. A record whose group passes finab.MAX_ORDER_BITS (2048 bits of
+    order, judged from its exponents) is invalid: no middle comes near it. A
+    legacy `order_bound` field in JSON is type-checked and otherwise ignored.
     """
 
     def __init__(self, primes: Iterable[int], values: Mapping[FinAbGroup, Fraction | int]):
@@ -109,9 +112,12 @@ class ModuleMomentTable:
     def from_json_obj(cls, obj: Mapping) -> "ModuleMomentTable":
         """Table from JSON, every record checked: its group, the group's
         support on the table primes, duplicates after canonicalization, and
-        its value, which must parse and be >= 0. Where _ingest_columns cannot
-        prove the records valid, the record loop below runs from the first
-        record: it is the reference and the only code that words a refusal."""
+        its value, which must parse and be >= 0. _ingest_columns proves them
+        at one json_component check per distinct (prime key, exponents) pair
+        and one parse per distinct value, orders the columns by prime once per
+        key signature and fills the store in record order. Where it cannot, the
+        record loop below runs from the first record: it is the reference and
+        the only code that words a refusal."""
         with collector_paused():
             try:
                 table = cls(obj["primes"], {})
@@ -157,34 +163,32 @@ class collector_paused:
 
 _SLICE = 1024  # records the column pass proves at a time
 _GROUP, _VALUE = operator.itemgetter("group"), operator.itemgetter("value")
-_PRIME = operator.itemgetter(0)  # of a component (p, parts)
 
 
 def _ingest_columns(table: ModuleMomentTable, records) -> bool:
     """Store the records as the record loop of from_json_obj would, proving a
     slice of _SLICE records at a time with builtin passes that the loop would
-    accept it: types first, then each distinct (prime key, exponent list) pair
-    and each distinct value once, by group_components and _parse_value, and no
-    duplicate by the growth of the store. Each distinct pair becomes one shared
-    component, so a record's key is the only tuple made for it. Records with n
-    prime keys are taken together, so that zip cuts their shared components
-    into keys n at a time; keys are sorted by prime where the JSON lists a
-    record's primes out of order. False, with the store part filled, at
-    anything not proved, rare valid shapes such as an empty exponent list too."""
+    accept it: types first, each distinct value once by _parse_value, each
+    distinct (prime key, exponents) pair once by json_component, one key per
+    prime, and no duplicate by the growth of the store. A slice's groups are
+    split by signature, the tuple of their keys; each key gives a column of
+    exponent lists, checked and made tuples a column at a time, and each
+    distinct pair one shared component. A signature's columns are ordered by
+    prime once, zip cuts them into keys, none sorted, and the store is filled
+    in record order. False, with the store part filled, at anything not
+    proved, rare valid shapes such as an empty exponent list too."""
     if type(records) is not list:
         return False
     store = table._store
-    shared: dict[tuple[str, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
+    shared: dict[str, dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
     key_of: dict[int, str] = {}  # prime -> the one key that names it
     parsed: dict[str | int, Fraction | int] = {}
     most_bits = 0  # order bits of the largest component
     for start in range(0, len(records), _SLICE):
         chunk = records[start : start + _SLICE]
-        if set(map(type, chunk)) != {dict}:
-            return False
-        try:
+        try:  # whatever rec["group"] reads, as in the record loop
             groups, values = list(map(_GROUP, chunk)), list(map(_VALUE, chunk))
-        except KeyError:
+        except (KeyError, TypeError):
             return False
         if set(map(type, groups)) != {dict} or not set(map(type, values)) <= {str, int}:
             return False
@@ -195,43 +199,39 @@ def _ingest_columns(table: ModuleMomentTable, records) -> bool:
                 return False
             if parsed[v] < 0:
                 return False
-        sizes = list(map(len, groups))
-        keys = [()] * len(chunk)
-        for n in set(sizes).difference((0,)):
-            of_size = list(map(n.__eq__, sizes))
-            alike = list(itertools.compress(groups, of_size))
-            prime_keys = list(itertools.chain.from_iterable(alike))
-            exponents = list(itertools.chain.from_iterable(map(dict.values, alike)))
-            # types first: True and 1.0 hash as 1 does
-            if not set(map(type, prime_keys)) <= {str}:
-                return False
-            if not set(map(type, exponents)) <= {list}:
-                return False
-            if not set(map(type, itertools.chain.from_iterable(exponents))) <= {int}:
-                return False
-            pairs = list(zip(prime_keys, map(tuple, exponents)))
-            for key, parts in set(pairs).difference(shared):
-                try:
-                    found = group_components({key: parts})
-                except InputError:
+        signatures = list(map(tuple, groups))
+        cuts = {(): itertools.repeat(())}
+        for sig in set(signatures).difference(cuts):
+            same = map(operator.eq, itertools.repeat(sig), signatures)
+            alike = list(itertools.compress(groups, same))
+            columns = {}  # prime -> the column of components
+            for key in sig:
+                exponents = list(map(operator.itemgetter(key), alike))
+                if set(map(type, exponents)) != {list}:
                     return False
-                if len(found) != 1 or found[0][0] not in table.primes:
+                exponents = list(map(tuple, exponents))
+                # types before hashing: True and 1.0 hash as 1 does
+                if not set(map(type, itertools.chain.from_iterable(exponents))) <= {int}:
                     return False
-                if key_of.setdefault(found[0][0], key) != key:  # "2" and "02"
+                known = shared.setdefault(key, {})
+                new = set(exponents).difference(known)
+                for parts in new:
+                    try:
+                        known[parts] = json_component(key, parts)
+                    except InputError:
+                        return False
+                column = list(map(known.__getitem__, exponents))
+                p = column[0][0]
+                if () in known or p not in table.primes or key_of.setdefault(p, key) != key:
                     return False
-                most_bits = max(most_bits, order_bits(*found[0]))
-                shared[key, parts] = found[0]
-            if most_bits * n > MAX_ORDER_BITS:
+                if new:
+                    most_bits = max(most_bits, order_bits(p, max(new, key=sum)))
+                columns[p] = column
+            if most_bits * len(sig) > MAX_ORDER_BITS:
                 return False
-            comps = list(map(shared.__getitem__, pairs))
-            cut = zip(*[iter(comps)] * n)
-            primes = list(map(_PRIME, comps))
-            if not all(all(map(operator.lt, primes[j::n], primes[j + 1 :: n]))
-                       for j in range(n - 1)):
-                cut = map(tuple, map(sorted, cut))
-            for i, key in zip(itertools.compress(itertools.count(), of_size), cut):
-                keys[i] = key
+            cuts[sig] = zip(*map(columns.__getitem__, sorted(columns)))
         before = len(store)
+        keys = map(next, map(cuts.__getitem__, signatures))
         store.update(zip(keys, map(parsed.__getitem__, values)))
         if len(store) != before + len(chunk):  # two records are one group
             return False

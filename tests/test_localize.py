@@ -292,11 +292,25 @@ def _record_loop_only(table, records):
     return False
 
 
+def _table(*groups):
+    return {"primes": [2, 3], "moments": [{"group": g, "value": "1"} for g in groups]}
+
+
 class TestColumnPass:
     @given(_mutated_tables(), st.sampled_from([1, 2, 3, 5, 4096]))
-    @example(({"primes": [2, 3], "moments": [{"group": {"2": [1]}, "value": "1"},
-                                             {"group": {"2": [True], "3": [1]}, "value": "1"}]},
-              "bad-exponent"), 4096)
+    @example((_table({"2": [1]}, {"2": [True], "3": [1]}), "bad-exponent"), 4096)
+    # prime 2 spelled two ways, in one slice and across a slice boundary
+    @example((_table({"2": [1]}, {"02": [2]}), "bad-key"), 4096)
+    @example((_table({"2": [1]}, {"02": [2]}), "bad-key"), 1)
+    @example((_table({"2": [1], "02": [2]}), "bad-key"), 4096)
+    # equal tuples that hash alike under one key of one slice, in both orders
+    @example((_table({"2": [1]}, {"2": [True]}), "bad-exponent"), 4096)
+    @example((_table({"2": [True]}, {"2": [1]}), "bad-exponent"), 4096)
+    @example((_table({"2": [1]}, {"2": [1.0]}), "bad-exponent"), 4096)
+    @example((_table({"2": [1.0]}, {"2": [1]}), "bad-exponent"), 4096)
+    # one slice holding both key orders
+    @example((_table({"2": [1], "3": [1]}, {"3": [2], "2": [1]}, {"3": [1]}), "reversed-keys"),
+             4096)
     @settings(max_examples=300, deadline=None)
     def test_column_pass_matches_the_record_loop(self, case, size):
         # over slices of `size` records, from_json_obj either makes the store
@@ -315,6 +329,17 @@ class TestColumnPass:
         table = ModuleMomentTable.from_json_obj(wide_23)
         components = {id(c) for comps in table._store for c in comps}
         assert len(table._store) == 17_388 and len(components) == 2_984
+
+    def test_each_distinct_pair_is_checked_once(self, wide_23):
+        # the cost model: every record proved by the column pass, with no
+        # fallback to the record loop, and one json_component call per
+        # distinct (key, exponents) pair, not one per record
+        check = mock.patch.object(localize, "json_component", wraps=localize.json_component)
+        loop = mock.patch.object(localize, "group_components", wraps=localize.group_components)
+        with check as checked, loop as looped:
+            table = ModuleMomentTable.from_json_obj(wide_23)
+        assert len(table._store) == 17_388
+        assert checked.call_count == 2_984 and looped.call_count == 0
 
 
 class TestCollectorPause:
