@@ -15,9 +15,9 @@ matrix size and modulus the sampler accepts (n * (n+u) <= 2**20 entries,
 cap <= 30) and 10**5 draws of 8 x 8 at cap 3 with room to spare, and
 refuses in advance the runs that would take hours.
 
-The environment variable MOMENTFORGE_BUDGET overrides the candidate cap
-(a bare integer) or any field (a JSON object such as
-{"max_candidates": 10000000, "max_order": 100000}).
+The environment variable MOMENTFORGE_BUDGET is the one way to set a cap:
+it overrides the candidate cap (a bare integer) or any field (a JSON object
+such as {"max_candidates": 10000000, "max_order": 100000}).
 """
 
 from __future__ import annotations
@@ -87,7 +87,3 @@ def budget_from_env() -> Budget:
         return Budget(max_candidates=int(raw))
     except (ValueError, TypeError, InputError) as exc:
         raise InputError(f"cannot parse {ENV_VAR}={clip(repr(raw))}: {clip(str(exc))}") from exc
-
-
-def resolve(budget: Budget | None) -> Budget:
-    return budget if budget is not None else budget_from_env()

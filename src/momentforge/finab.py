@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ConsistencyError, InputError, Value
+from .errors import BudgetExceededError, ConsistencyError, InputError, Value
 from .qseries import is_prime, q_binomial
 from .rationals import MAX_DIGITS, clip, clip_int, format_rational
 
@@ -97,18 +97,15 @@ class FinAbGroup(Value):
 
     components maps each prime (in increasing order) to its weakly
     decreasing exponent partition. No prime appears with an empty
-    partition, so the trivial group is the empty tuple. _check_components
-    is the one rule every constructor ends in.
+    partition, so the trivial group is the empty tuple. __init__ checks
+    them by _check_components, the one rule behind every constructor.
     """
 
     __slots__ = ("components",)
 
     def __init__(self, components: Components) -> None:
+        _check_components(components)
         object.__setattr__(self, "components", components)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _check_components(self.components)
 
     def __eq__(self, other):  # the components alone, as cheap as a key needs
         if other.__class__ is self.__class__:
@@ -209,9 +206,9 @@ def json_component(key, parts, obj=None) -> tuple[int, tuple[int, ...]]:
 
 def group_components(obj) -> Components:
     """FinAbGroup components of group JSON like {"2": [2, 1], "3": [1]}: each
-    key and its exponents through json_component, empty lists dropped, no
-    prime twice, and the whole group through _check_components, the check
-    every FinAbGroup makes, so the result can key a group that is never built."""
+    key and its exponents through json_component, no prime twice, empty lists
+    dropped, and a group past MAX_ORDER_BITS, the one rule of _check_components
+    left, refused by it; so the result can key a group that is never built."""
     if not isinstance(obj, dict):
         raise InputError(f"group JSON must be an object, got {clip(repr(obj))}")
     comps: dict[int, tuple[int, ...]] = {}
@@ -220,20 +217,26 @@ def group_components(obj) -> Components:
             raise _bad_group(obj, f"prime {p} appears twice")
         comps[p] = parts
     out = tuple((p, parts) for p, parts in sorted(comps.items()) if parts)
-    _check_components(out)
+    if sum(order_bits(p, parts) for p, parts in out) > MAX_ORDER_BITS:
+        _check_components(out)
     return out
+
+
+# groups one enumerate_groups call may list: its largest caller lists 17,388,
+# and at about 10 us a group (2 vCPUs) a refusal comes well under a second
+MAX_GROUPS = 2**15
 
 
 def enumerate_groups(primes: Iterable[int], order_bound: int) -> list[FinAbGroup]:
     """All groups supported on `primes` of order <= order_bound, each once,
-    sorted by (order, partition data)."""
-    ps = tuple(sorted(set(int(p) for p in primes)))
+    sorted by (order, partition data); BudgetExceededError past MAX_GROUPS."""
+    ps = tuple(primes)
     for p in ps:
-        if not is_prime(p):
-            raise InputError(f"{p} is not prime")
-    if order_bound < 1:
-        raise InputError(f"order_bound must be >= 1, got {order_bound}")
-    return list(_enumerate_cached(ps, order_bound))
+        if type(p) is not int or not is_prime(p):
+            raise InputError(f"{clip(repr(p))} is not prime")
+    if type(order_bound) is not int or order_bound < 1:
+        raise InputError(f"order_bound must be an integer >= 1, got {clip(repr(order_bound))}")
+    return list(_enumerate_cached(tuple(sorted(set(ps))), order_bound))
 
 
 @lru_cache(maxsize=1024)
@@ -242,6 +245,9 @@ def _enumerate_cached(ps: tuple[int, ...], order_bound: int) -> tuple[FinAbGroup
 
     def rec(i: int, bound: int, chosen: list[tuple[int, tuple[int, ...]]]):
         if i == len(ps):
+            if len(out) == MAX_GROUPS:
+                what = f"groups on primes {list(ps)} of order <= {clip_int(order_bound)}"
+                raise BudgetExceededError(f"there are more than {MAX_GROUPS} {what}")
             out.append(FinAbGroup(tuple(chosen)))
             return
         p = ps[i]

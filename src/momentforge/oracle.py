@@ -1,10 +1,11 @@
 """Brute-force oracles for the closed forms of finab and localize: each is
-deliberately dumb, enumerates, is metered by a Budget, and is used only to
-check a closed form. hom_count_bruteforce, aut_bruteforce and sur_bruteforce
-check hom_count, aut_count and sur_count; kernel_pair_count and
-mu_local_direct the extension-class sums of localized_moments;
-count_surjective_matrices the abelian surjection formula. The A5 oracle is
-in nonab_oracle, and extension_pair_count's lives with the tests.
+deliberately dumb, enumerates, is metered by the Budget it reads from
+MOMENTFORGE_BUDGET once per call, and is used only to check a closed form.
+hom_count_bruteforce, aut_bruteforce and sur_bruteforce check hom_count,
+aut_count and sur_count; kernel_pair_count and mu_local_direct the
+extension-class sums of localized_moments; count_surjective_matrices the
+abelian surjection formula. The A5 oracle is in nonab_oracle, and
+extension_pair_count's lives with the tests.
 
 Every oracle that walks homomorphisms gets them from one enumerator,
 _hom_images, which yields generator images (any element of B, found by
@@ -23,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .budget import Budget, resolve
+from .budget import Budget, budget_from_env
 from .errors import InputError
 from .finab import FinAbGroup, Measure
 from .qseries import is_prime
@@ -144,40 +145,40 @@ def _onto(A: FinAbGroup, B: FinAbGroup, choices: list[np.ndarray], block: np.nda
     return (ranks == [B.rank(p) for p in B.primes]).all(axis=1)
 
 
-def hom_count_bruteforce(A: FinAbGroup, B: FinAbGroup, budget: Budget | None = None) -> int:
+def hom_count_bruteforce(A: FinAbGroup, B: FinAbGroup) -> int:
     """|Hom(A, B)| by scanning B's elements for each generator order of A."""
-    budget = resolve(budget)
+    budget = budget_from_env()
     what = f"hom enumeration {A} -> {B}"
     budget.check_order(A.order, what)
     budget.check_order(B.order, what)
     return prod(len(_killed_by(B, d)) for d in A.cyclic_moduli)
 
 
-def aut_bruteforce(A: FinAbGroup, budget: Budget | None = None) -> int:
+def aut_bruteforce(A: FinAbGroup) -> int:
     """|Aut(A)| by enumerating endomorphisms and keeping the bijective ones:
     those injective on the socle A[p] at every prime p."""
     full = [A.rank(p) for p in A.primes]
     return sum(
         int((_span_ranks(A, A, choices, block, A.primes, socle=True) == full).all(axis=1).sum())
-        for choices, block in _hom_images(A, A, resolve(budget), f"aut enumeration {A}")
+        for choices, block in _hom_images(A, A, budget_from_env(), f"aut enumeration {A}")
     )
 
 
-def sur_bruteforce(A: FinAbGroup, B: FinAbGroup, budget: Budget | None = None) -> int:
+def sur_bruteforce(A: FinAbGroup, B: FinAbGroup) -> int:
     """Exact |Sur(A, B)| by exhausting generator-image tuples.
 
     Surjectivity test: a hom is onto iff it is onto B/pB at every prime p.
     """
-    return _sur_bruteforce_cached(A, B, resolve(budget))
+    return _sur_bruteforce_cached(A, B, budget_from_env())
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=65536)  # the budget keys it too, so a smaller cap still refuses
 def _sur_bruteforce_cached(A: FinAbGroup, B: FinAbGroup, budget: Budget) -> int:
     blocks = _hom_images(A, B, budget, f"surjection enumeration {A} -> {B}")
     return sum(int(_onto(A, B, choices, block).sum()) for choices, block in blocks)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096)  # the budget keys it too, so a smaller cap still refuses
 def _kernel_profile(X: FinAbGroup, M: FinAbGroup, budget: Budget) -> tuple:
     """For each surjection X ->> M, the semisimplification of its kernel.
 
@@ -201,23 +202,19 @@ def _kernel_profile(X: FinAbGroup, M: FinAbGroup, budget: Budget) -> tuple:
     return tuple(sorted(profile, key=lambda kv: kv[0].sort_key()))
 
 
-def surjection_kernel_profile(
-    X: FinAbGroup, M: FinAbGroup, budget: Budget | None = None
-) -> dict[FinAbGroup, int]:
+def surjection_kernel_profile(X: FinAbGroup, M: FinAbGroup) -> dict[FinAbGroup, int]:
     """Multiset of semisimplified kernels over all surjections X ->> M."""
-    return dict(_kernel_profile(X, M, resolve(budget)))
+    return dict(_kernel_profile(X, M, budget_from_env()))
 
 
-def kernel_pair_count(
-    X: FinAbGroup, M: FinAbGroup, N: FinAbGroup, budget: Budget | None = None
-) -> int:
+def kernel_pair_count(X: FinAbGroup, M: FinAbGroup, N: FinAbGroup) -> int:
     """Number of pairs (pi: X ->> M, f: (ker pi)/rad ->> N), by enumeration."""
     if not N.is_semisimple:
         raise InputError(f"N must be semisimple, got {N}")
-    budget = resolve(budget)
+    budget = budget_from_env()
     out = 0
     for ker_ss, mult in _kernel_profile(X, M, budget):
-        out += mult * sur_bruteforce(ker_ss, N, budget)
+        out += mult * _sur_bruteforce_cached(ker_ss, N, budget)
     return out
 
 
@@ -240,7 +237,7 @@ def mu_local_direct(mu: Measure, M: FinAbGroup, N: FinAbGroup) -> Fraction:
     return out
 
 
-def count_surjective_matrices(h: int, e: int, k: int, budget: Budget | None = None) -> int:
+def count_surjective_matrices(h: int, e: int, k: int) -> int:
     """Brute-force count of surjective k x e matrices over the h-element field.
 
     Walks all tuples of linearly independent rows level by level, keeping
@@ -257,7 +254,7 @@ def count_surjective_matrices(h: int, e: int, k: int, budget: Budget | None = No
         return 1
     if e == 0:
         return 0
-    budget = resolve(budget)
+    budget = budget_from_env()
     n = h**e
     budget.check_order(n, f"matrix oracle over F_{h}^{e}")
     budget.check_candidates(n * n, f"matrix oracle difference table over F_{h}^{e}")

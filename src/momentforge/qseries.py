@@ -79,13 +79,13 @@ class SimpleType(Value):
         if kind == ABELIAN:
             if aut is not None:
                 raise InputError("abelian type takes h, not aut")
-            if h is None or h < 2 or not is_prime_power(h):
-                raise InputError(f"abelian type needs a prime-power field size h >= 2, got {h}")
+            if type(h) is not int or h < 2 or not is_prime_power(h):
+                raise InputError(f"abelian type needs a prime-power h >= 2, got {clip(repr(h))}")
         elif kind == NONABELIAN:
             if h is not None:
                 raise InputError("nonabelian type takes aut, not h")
-            if aut is None or aut < 1:
-                raise InputError(f"nonabelian type needs aut >= 1, got {aut}")
+            if type(aut) is not int or aut < 1:
+                raise InputError(f"nonabelian type needs aut >= 1, got {clip(repr(aut))}")
         else:
             raise InputError(f"unknown simple type kind {kind!r}")
 
@@ -114,18 +114,15 @@ class SimpleType(Value):
         if kind not in (ABELIAN, NONABELIAN):
             raise InputError(f"bad simple-type kind in JSON: {clip(repr(kind))}")
         field = "h" if kind == ABELIAN else "aut"
-        value = obj.get(field)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(f"bad simple-type JSON {clip(repr(obj))}: {field} must be an integer")
-        return cls(kind=kind, **{field: value})
+        return cls(kind=kind, **{field: obj.get(field)})
 
 
 def q_pochhammer(h: int, k: int) -> int:
     """prod_{j=1..k} (h**j - 1); the empty product for k = 0."""
-    if h < 2:
-        raise InputError(f"q_pochhammer needs h >= 2, got {h}")
-    if k < 0:
-        raise InputError(f"q_pochhammer needs k >= 0, got {k}")
+    if type(h) is not int or h < 2:
+        raise InputError(f"q_pochhammer needs an integer h >= 2, got {h!r}")
+    if type(k) is not int or k < 0:
+        raise InputError(f"q_pochhammer needs an integer k >= 0, got {k!r}")
     out = 1
     power = 1
     for _ in range(k):
@@ -140,10 +137,10 @@ def q_binomial(e: int, k: int, h: int) -> int:
     Counts k-dimensional subspaces of an e-dimensional space over the
     h-element field; 0 when k > e.
     """
-    if h < 2:
-        raise InputError(f"q_binomial needs h >= 2, got {h}")
-    if e < 0 or k < 0:
-        raise InputError(f"q_binomial needs e, k >= 0, got e={e}, k={k}")
+    if type(h) is not int or h < 2:
+        raise InputError(f"q_binomial needs an integer h >= 2, got {h!r}")
+    if type(e) is not int or type(k) is not int or e < 0 or k < 0:
+        raise InputError(f"q_binomial needs integers e, k >= 0, got e={e!r}, k={k!r}")
     if k > e:
         return 0
     k = min(k, e - k)
@@ -172,6 +169,6 @@ def inversion_coefficients(t: SimpleType) -> Iterator[Fraction]:
 
 def inversion_coefficient(t: SimpleType, k: int) -> Fraction:
     """The k-th term of inversion_coefficients(t)."""
-    if k < 0:
-        raise InputError(f"inversion_coefficient needs k >= 0, got {k}")
+    if type(k) is not int or k < 0:
+        raise InputError(f"inversion_coefficient needs an integer k >= 0, got {k!r}")
     return next(itertools.islice(inversion_coefficients(t), k, None))

@@ -29,7 +29,7 @@ from .budget import budget_from_env
 from .errors import InputError, Value
 from .finab import FinAbGroup, Measure, aut_count, is_prime, sur_count
 from .localize import ModuleMomentTable, localization_middles, reconstruct_probability
-from .rationals import format_rational
+from .rationals import clip, format_rational
 
 
 # Entry cap on one drawn matrix, checked before anything is allocated: an
@@ -45,6 +45,9 @@ class SamplerConfig(Value):
 
     def __init__(self, *, p: int, cap: int, n: int, u: int = 0, seed: int, count: int) -> None:
         self._init(p, cap, n, u, seed, count)
+        for name, value in zip(self.__slots__, (p, cap, n, u, seed, count)):
+            if type(value) is not int:
+                raise InputError(f"{name} must be an integer, got {clip(repr(value))}")
         if self.cap < 1:
             raise InputError(f"cap must be >= 1, got {self.cap}")
         if self.cap * (self.p.bit_length() - 1) >= 31 or self.p ** (2 * self.cap) >= 2**62:
@@ -251,15 +254,15 @@ def convergence_report(
     Deterministic given the config seed. Targets must have exponent at most
     cap - 1 so the modulus truncation cannot bias their moments.
     """
-    counts = [int(t) for t in counts]
-    if not counts or any(t <= 0 for t in counts):
-        raise InputError("counts must be positive")
+    counts = list(counts)
+    if not counts or any(type(t) is not int or t <= 0 for t in counts):
+        raise InputError("counts must be positive integers")
     if any(a >= b for a, b in zip(counts, counts[1:])):
         raise InputError("counts must be strictly increasing")
     if counts[-1] > config.count:
         raise InputError(f"counts go up to {counts[-1]} but config.count = {config.count}")
-    if r_max < 0:
-        raise InputError("r_max must be >= 0")
+    if type(r_max) is not int or r_max < 0:
+        raise InputError(f"r_max must be an integer >= 0, got {clip(repr(r_max))}")
     for M in targets:
         if any(p != config.p for p in M.primes):
             raise InputError(f"target {M} is not a {config.p}-group")

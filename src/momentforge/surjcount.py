@@ -47,8 +47,8 @@ def sur_single(t: SimpleType, e: int, k: int) -> int:
 
     Returns 0 whenever k > e and 1 when k = 0.
     """
-    if e < 0 or k < 0:
-        raise InputError(f"sur_single needs e, k >= 0, got e={e}, k={k}")
+    if type(e) is not int or type(k) is not int or e < 0 or k < 0:
+        raise InputError(f"sur_single needs integers e, k >= 0, got e={e!r}, k={k!r}")
     if k > e:
         return 0
     if t.is_abelian:

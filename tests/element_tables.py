@@ -5,7 +5,7 @@ homomorphism A -> B and reads injectivity, surjectivity and kernels off the
 images, with no linear algebra. The package's oracles decide the same
 questions from F_p spans of generator images; the tests require both routes
 to agree, refusals included, so the enumeration below is metered exactly as
-oracle._hom_images is.
+oracle._hom_images is, by the Budget read from MOMENTFORGE_BUDGET.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from momentforge.budget import Budget, resolve
+from momentforge.budget import Budget, budget_from_env
 from momentforge.finab import FinAbGroup
 
 CHUNK_ENTRIES = 4_000_000  # target size for vectorized evaluation chunks
@@ -61,30 +61,28 @@ def hom_images(A: FinAbGroup, B: FinAbGroup, budget: Budget, what: str) -> Itera
         yield np.einsum("xi,tic->txc", ta.coords, tb.coords[block]) % tb.moduli
 
 
-def aut_by_tables(A: FinAbGroup, budget: Budget | None = None) -> int:
+def aut_by_tables(A: FinAbGroup) -> int:
     """|Aut(A)|: endomorphisms whose kernel is the zero element alone."""
     count = 0
-    for vals in hom_images(A, A, resolve(budget), f"aut enumeration {A}"):
+    for vals in hom_images(A, A, budget_from_env(), f"aut enumeration {A}"):
         count += int(((vals == 0).all(axis=2).sum(axis=1) == 1).sum())
     return count
 
 
-def sur_by_tables(A: FinAbGroup, B: FinAbGroup, budget: Budget | None = None) -> int:
+def sur_by_tables(A: FinAbGroup, B: FinAbGroup) -> int:
     """|Sur(A, B)|: homomorphisms with |A| / |kernel| = |B|."""
     count = 0
-    for vals in hom_images(A, B, resolve(budget), f"surjection enumeration {A} -> {B}"):
+    for vals in hom_images(A, B, budget_from_env(), f"surjection enumeration {A} -> {B}"):
         count += int(((vals == 0).all(axis=2).sum(axis=1) * B.order == A.order).sum())
     return count
 
 
-def kernel_profile_by_tables(
-    X: FinAbGroup, M: FinAbGroup, budget: Budget | None = None
-) -> dict[FinAbGroup, int]:
+def kernel_profile_by_tables(X: FinAbGroup, M: FinAbGroup) -> dict[FinAbGroup, int]:
     """Multiset of semisimplified kernels over all surjections X ->> M, the
     p-rank of each kernel read off the number of its elements of order
     dividing p."""
     counts: Counter[tuple[int, ...]] = Counter()
-    for vals in hom_images(X, M, resolve(budget), f"kernel enumeration {X} -> {M}"):
+    for vals in hom_images(X, M, budget_from_env(), f"kernel enumeration {X} -> {M}"):
         kernel = (vals == 0).all(axis=2)
         ker = kernel[kernel.sum(axis=1) * M.order == X.order]
         ranks = np.zeros((len(ker), len(X.primes)), dtype=np.int64)
@@ -101,13 +99,11 @@ def kernel_profile_by_tables(
     }
 
 
-def extension_pair_count_direct(
-    N: FinAbGroup, middle: FinAbGroup, M: FinAbGroup, budget: Budget | None = None
-) -> int:
+def extension_pair_count_direct(N: FinAbGroup, middle: FinAbGroup, M: FinAbGroup) -> int:
     """Same count as finab.extension_pair_count by the dumbest route:
     enumerate embeddings and surjections separately and join on the
     image/kernel set. Cost grows with |M'|**rank(N)."""
-    budget = resolve(budget)
+    budget = budget_from_env()
     moduli = middle.cyclic_moduli
     strides = np.array([prod(moduli[c + 1 :]) for c in range(len(moduli))], dtype=np.int64)
     images: Counter[bytes] = Counter()  # image of N, as a bit set on middle

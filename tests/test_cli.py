@@ -19,6 +19,7 @@ from momentforge.finab import MAX_ORDER_BITS, FinAbGroup, Measure, aut_count, en
 from momentforge.inversion import Bracket, MomentTable
 from momentforge.localize import ModuleMomentTable
 from momentforge.qseries import SimpleType, inversion_coefficient
+from momentforge.rationals import parse_rational
 
 from groups import Z
 
@@ -163,6 +164,16 @@ def test_sample_report_lines(capsys):
         rec = json.loads(line)
         br = bracket(rec["bracket"])
         assert br.contains(Fraction(rec["frequency"]))
+
+
+@pytest.mark.parametrize("drop", ["--ts", "--target"])
+def test_report_without_counts_or_targets_exits_1(drop, capsys):
+    argv = ["sample", "--p", "2", "--cap", "3", "--n", "3", "--seed", "42", "--count", "200",
+            "--report", "--ts", "100,200", "--target", '{"2":[1]}']
+    i = argv.index(drop)
+    code, out, err = run(capsys, *argv[:i], *argv[i + 2 :])
+    assert (code, out) == (1, "")
+    assert err == "error: --report needs --ts and at least one --target\n"
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -645,6 +656,32 @@ def test_group_with_a_huge_exponent_is_refused_briefly(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
     assert (code, out) == (1, "") and took < 1.0
     assert err.startswith("error: group Z/3^") and len(err) <= 400, err[:500]
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_a_value_past_the_digit_limit_is_read_as_parse_rational_reads_it(limit, tmp_path,
+                                                                         capsys):
+    # 1,000 plain digits in a record no localization reads: past a digit limit
+    # of 640, the value is refused in parse_rational's words, and read at 4300
+    value = "1" * 1000
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"primes": [3], "moments": [
+        {"group": {}, "value": "1"}, {"group": {"3": [1]}, "value": "1"},
+        {"group": {"3": [2]}, "value": value}]}))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, out, err = run(capsys, "reconstruct", "--file", str(path), "--group", "{}",
+                             "--rmax", "1")
+        if limit < len(value):
+            with pytest.raises(InputError) as info:
+                parse_rational(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+    if limit < len(value):
+        assert (code, out, err) == (1, "", f"error: {info.value}\n")
+    else:
+        assert (code, out, err) == (0, '{"lower": "1/2", "upper": "1"}\n', "")
 
 
 _BOUNDED_RUNS_SCRIPT = """

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from momentforge import finab, oracle
+from momentforge import budget, finab, oracle
 
 from momentforge.budget import Budget
 from momentforge.errors import BudgetExceededError, InputError
@@ -161,6 +165,32 @@ class TestEnumeration:
         assert len(enumerate_groups({2}, 8)) == 7
         assert len(enumerate_groups({2, 3}, 12)) == 13
 
+    @pytest.mark.parametrize("primes, bound", [
+        ([2.5], 10), (["2"], 4), ([True], 4), ([2], 10.0), ([2], True),
+    ], ids=repr)
+    def test_only_exact_ints_are_read(self, primes, bound):
+        with pytest.raises(InputError):
+            enumerate_groups(primes, bound)
+
+    def test_a_huge_bound_is_refused_at_once(self):
+        # past MAX_GROUPS groups the listing stops: 2-groups of order <= 10**40
+        # number in the billions, so without the cap this call would not end
+        script = (
+            "import time\n"
+            "from momentforge.errors import BudgetExceededError\n"
+            "from momentforge.finab import enumerate_groups\n"
+            "started = time.perf_counter()\n"
+            "try:\n"
+            "    enumerate_groups([2], 10**40)\n"
+            "except BudgetExceededError:\n"
+            "    print(time.perf_counter() - started)\n"
+        )
+        src = Path(finab.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=10)
+        assert proc.returncode == 0 and proc.stdout, proc.stderr[-2000:]
+        assert float(proc.stdout) < 1.0
+
     def test_sorted_and_unique(self):
         groups = enumerate_groups({2, 3}, 72)
         assert len(set(groups)) == len(groups)
@@ -229,14 +259,14 @@ class TestHomAut:
                     total = sum(finab._hall_number(p, lam, mu, m) for mu in partitions(n - m))
                     assert total == q_binomial(len(lam), m, p), (p, lam, m)
 
-    def test_closed_forms_match_bruteforce(self):
+    def test_closed_forms_match_bruteforce(self, monkeypatch):
         # every group where full endomorphism enumeration fits the budget
-        budget = Budget(max_candidates=2_000_000)
+        monkeypatch.setenv(budget.ENV_VAR, "2000000")
         checked = 0
         for g in enumerate_groups({2}, 64) + enumerate_groups({3}, 81):
             assert hom_count_bruteforce(g, g) == hom_count(g, g)
             try:
-                assert aut_bruteforce(g, budget) == aut_count(g), g
+                assert aut_bruteforce(g) == aut_count(g), g
                 checked += 1
             except BudgetExceededError:
                 continue
@@ -255,7 +285,10 @@ class TestSpanOraclesAgainstElementTables:
     every element instead. Both must agree, refusals included."""
 
     GROUPS = enumerate_groups({2, 3}, 32)
-    BUDGET = Budget(max_candidates=2**15)  # keeps the element tables to seconds
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setenv(budget.ENV_VAR, str(2**15))  # keeps the element tables to seconds
 
     @staticmethod
     def outcome(oracle, *args):
@@ -264,38 +297,35 @@ class TestSpanOraclesAgainstElementTables:
         except BudgetExceededError as exc:
             return f"refused: {exc}"
 
-    def test_aut(self):
+    def test_aut(self, small_budget):
         for A in self.GROUPS:
-            assert self.outcome(aut_bruteforce, A, self.BUDGET) == self.outcome(
-                aut_by_tables, A, self.BUDGET
-            ), A
+            assert self.outcome(aut_bruteforce, A) == self.outcome(aut_by_tables, A), A
 
     @pytest.mark.parametrize(
         "oracle, reference",
         [(sur_bruteforce, sur_by_tables), (surjection_kernel_profile, kernel_profile_by_tables)],
         ids=["sur", "kernel_profile"],
     )
-    def test_pairs(self, oracle, reference):
+    def test_pairs(self, oracle, reference, small_budget):
         for A in self.GROUPS:
             for B in self.GROUPS:
-                assert self.outcome(oracle, A, B, self.BUDGET) == self.outcome(
-                    reference, A, B, self.BUDGET
-                ), (A, B)
+                assert self.outcome(oracle, A, B) == self.outcome(reference, A, B), (A, B)
 
-    def test_refusal_messages(self):
+    def test_refusal_messages(self, monkeypatch):
+        monkeypatch.delenv(budget.ENV_VAR, raising=False)
         E4, E6 = elementary(2, 4), elementary(2, 6)
         tail = "exceed the budget of 4000000 (override with MOMENTFORGE_BUDGET)"
         cases = [
             (
-                lambda: aut_bruteforce(E6, Budget()),
+                lambda: aut_bruteforce(E6),
                 f"aut enumeration {E6}: 68719476736 candidate tuples {tail}",
             ),
             (
-                lambda: surjection_kernel_profile(E6, E4, Budget()),
+                lambda: surjection_kernel_profile(E6, E4),
                 f"kernel enumeration {E6} -> {E4}: 16777216 candidate tuples {tail}",
             ),
             (
-                lambda: aut_bruteforce(Z(2**17), Budget()),
+                lambda: aut_bruteforce(Z(2**17)),
                 "aut enumeration Z/131072: group order 131072 exceeds the element-table "
                 "cap of 65536 (override with MOMENTFORGE_BUDGET)",
             ),
@@ -423,15 +453,16 @@ class TestSurjectionOracles:
         assert sur_bruteforce(Z(2), Z(4)) == 0
         assert sur_bruteforce(Z(4), Z(2)) == 1
 
-    def test_matrix_oracle_matches_formula(self):
+    def test_matrix_oracle_matches_formula(self, monkeypatch):
         for h in (2, 3):
             t = SimpleType.abelian(h)
             for e in range(5):
                 for k in range(5):
                     assert count_surjective_matrices(h, e, k) == sur_single(t, e, k)
         # (3, 5, 3) merges 29,040 spans of 243 points each; packed rows keep it under 1 s
+        monkeypatch.setenv(budget.ENV_VAR, str(2 * 10**7))
         started = time.perf_counter()
-        got = count_surjective_matrices(3, 5, 3, Budget(max_candidates=2 * 10**7))
+        got = count_surjective_matrices(3, 5, 3)
         assert time.perf_counter() - started < 1.0
         assert got == sur_single(SimpleType.abelian(3), 5, 3)
 
@@ -454,11 +485,22 @@ class TestSurjectionOracles:
         assume(hom_count(a, b) <= ORACLE_HOMS)
         assert sur_count(a, b) == sur_bruteforce(a, b)
 
-    def test_budget_error_names_the_pair(self):
+    def test_budget_error_names_the_pair(self, monkeypatch):
+        monkeypatch.setenv(budget.ENV_VAR, "1000")
         with pytest.raises(BudgetExceededError, match="surjection enumeration"):
-            sur_bruteforce(
-                elementary(2, 6), elementary(2, 6), Budget(1000)
-            )
+            sur_bruteforce(elementary(2, 6), elementary(2, 6))
+
+    def test_cached_count_is_not_served_under_a_smaller_cap(self, monkeypatch):
+        # (Z/2)**4 ->> (Z/2)**4 has 2**16 candidate tuples; the cap keys the cache
+        E4 = elementary(2, 4)
+        monkeypatch.setenv(budget.ENV_VAR, "32768")
+        with pytest.raises(BudgetExceededError, match="65536 candidate tuples"):
+            sur_bruteforce(E4, E4)
+        monkeypatch.delenv(budget.ENV_VAR)
+        assert sur_bruteforce(E4, E4) == 20160
+        monkeypatch.setenv(budget.ENV_VAR, "32768")
+        with pytest.raises(BudgetExceededError, match="65536 candidate tuples"):
+            sur_bruteforce(E4, E4)
 
 
 class TestSemisimplify:

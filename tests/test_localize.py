@@ -133,13 +133,13 @@ def wide_23():
 def groups_built(monkeypatch):
     """Counts the FinAbGroups made from here on."""
     built = [0]
-    check = FinAbGroup.__post_init__
+    init = FinAbGroup.__init__
 
-    def counted(self):
+    def counted(self, components):
         built[0] += 1
-        check(self)
+        init(self, components)
 
-    monkeypatch.setattr(FinAbGroup, "__post_init__", counted)
+    monkeypatch.setattr(FinAbGroup, "__init__", counted)
     return built
 
 
@@ -311,6 +311,10 @@ class TestColumnPass:
     # one slice holding both key orders
     @example((_table({"2": [1], "3": [1]}, {"3": [2], "2": [1]}, {"3": [1]}), "reversed-keys"),
              4096)
+    # a group near the order bound, which the pass leaves to the loop: valid,
+    # 1900 + 2 * 30 bits, and too large, 2008 + 2 * 30 > MAX_ORDER_BITS
+    @example((_table({"2": [1900], "3": [30]}), "too-large"), 4096)
+    @example((_table({"2": [2008], "3": [30]}), "too-large"), 4096)
     @settings(max_examples=300, deadline=None)
     def test_column_pass_matches_the_record_loop(self, case, size):
         # over slices of `size` records, from_json_obj either makes the store

@@ -16,6 +16,7 @@ from momentforge.qseries import (
     q_binomial,
     q_pochhammer,
 )
+from momentforge.surjcount import sur_single
 
 
 def test_q_pochhammer_values():
@@ -123,6 +124,30 @@ def test_coefficient_sequence_matches_closed_forms(t):
     ]
     with pytest.raises(InputError, match="k >= 0"):
         inversion_coefficient(t, -1)
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda x: SimpleType.abelian(x),
+    lambda x: SimpleType.nonabelian(x),
+    lambda x: sur_single(SimpleType.abelian(2), x, 1),
+    lambda x: sur_single(SimpleType.nonabelian(60), x, 1),
+    lambda x: sur_single(SimpleType.abelian(2), 3, x),
+    lambda x: q_pochhammer(x, 2),
+    lambda x: q_pochhammer(2, x),
+    lambda x: q_binomial(x, 1, 2),
+    lambda x: q_binomial(3, x, 2),
+    lambda x: q_binomial(3, 1, x),
+    lambda x: inversion_coefficient(SimpleType.abelian(2), x),
+], ids=[
+    "abelian-h", "nonabelian-aut", "sur_single-e", "sur_single-nonabelian-e", "sur_single-k",
+    "q_pochhammer-h", "q_pochhammer-k", "q_binomial-e", "q_binomial-k", "q_binomial-h",
+    "inversion_coefficient-k",
+])
+def test_only_exact_ints_are_read(call, bad):
+    # no float result, and no bool read as 0 or 1
+    with pytest.raises(InputError):
+        call(bad)
 
 
 def test_prime_power_validation():

@@ -303,6 +303,14 @@ def test_config_validation():
     SamplerConfig(p=2, cap=3, n=1024, seed=1, count=1)  # exactly at the cap
 
 
+@pytest.mark.parametrize("field", ["p", "cap", "n", "u", "seed", "count"])
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=repr)
+def test_config_fields_are_exact_ints(field, bad):
+    fields = {"p": 2, "cap": 3, "n": 2, "u": 0, "seed": 1, "count": 4, field: bad}
+    with pytest.raises(InputError, match=f"{field} must be an integer"):
+        SamplerConfig(**fields)
+
+
 def test_unit_entry_probability():
     # a 1x1 matrix over Z/8 has unit entry with probability 1/2
     cfg = SamplerConfig(p=2, cap=3, n=1, seed=7, count=4000)
@@ -360,6 +368,14 @@ class TestConvergenceReport:
         cfg = SamplerConfig(p=2, cap=3, n=4, seed=11, count=10)
         with pytest.raises(InputError):
             convergence_report(cfg, [10, 10], [triv], r_max=2)
+
+    @pytest.mark.parametrize("counts, r_max", [
+        ([5.5], 2), ([5.0], 2), ([True], 2), (["5"], 2), ([5], 2.0), ([5], True),
+    ], ids=repr)
+    def test_counts_and_depth_are_exact_ints(self, counts, r_max):
+        cfg = SamplerConfig(p=2, cap=3, n=4, seed=11, count=10)
+        with pytest.raises(InputError):
+            convergence_report(cfg, counts, [triv], r_max=r_max)
 
 
 def test_reference_mass():
