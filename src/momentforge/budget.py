@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import lru_cache
 
 from .errors import BudgetExceededError, InputError, Value
 from .rationals import clip
@@ -76,7 +77,11 @@ class Budget(Value):
 
 def budget_from_env() -> Budget:
     """Budget with any overrides from MOMENTFORGE_BUDGET applied."""
-    raw = os.environ.get(ENV_VAR)
+    return _budget(os.environ.get(ENV_VAR))
+
+
+@lru_cache(maxsize=16)  # the variable is read on every call, each value parsed once
+def _budget(raw: str | None) -> Budget:
     if raw is None:
         return Budget()
     raw = raw.strip()

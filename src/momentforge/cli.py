@@ -15,6 +15,7 @@ closed-form command spends on its answer, freeing what the system frees anyway.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -296,8 +297,9 @@ def build_parser() -> _Parser:
         help="run the full oracle suite",
         description=(
             "Check every closed form against its brute-force oracle. The checks run in "
-            "forked workers, one per usable CPU; results print in check order, each "
-            "with that check's own wall time. Exit 2 if any check fails."
+            "forked workers, one per usable CPU, and are handed out heaviest first; "
+            "results print in check order, each with that check's own wall time. "
+            "Exit 2 if any check fails."
         ),
     )
     p.add_argument("--seed", type=int, required=True, help="seed for randomized checks")
@@ -320,7 +322,12 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> int:
     """The command line: main(), then flush and end the process with no teardown.
     An exception out of main(), argparse's SystemExit among them, or a failed
-    flush (a broken pipe) leaves through the interpreter's normal exit."""
+    flush (a broken pipe) leaves through the interpreter's normal exit.
+
+    The cyclic collector stays off throughout: the process ends by os._exit,
+    so nothing it builds needs collecting, and each collection would walk
+    the live objects to free next to nothing."""
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()

@@ -10,10 +10,11 @@ All of it runs on arrays: an element of A5 is its index 0..59 in _a5(),
 and a homomorphism A5 -> A5 a row of 60 image indices. The image of a
 k-tuple of them, x -> (f_1(x), ..., f_k(x)), is a bitset over A5^k with the
 element (i_1, ..., i_k) at the uint16 code i_1 60^(k-1) + ... + i_k. The
-121^k images, lexicographically, are the rows of one uint8 array packed by
-np.packbits, 60^k / 8 bytes a row, built one leading (k-1)-prefix at a
-time. Orders are popcounts from a table; for e = 2, |S1 S2| is
-|S1| |S2| / |S1 meet S2| over chunks of the tuples of commuting pairs.
+121^k images, lexicographically, are the rows of one uint64 array packed by
+np.packbits, 60^k bits padded to whole 64-bit words a row, built one leading
+(k-1)-prefix at a time. Orders are popcounts, one np.bitwise_count per word;
+for e = 2, |S1 S2| is |S1| |S2| / |S1 meet S2| over chunks of the tuples of
+commuting pairs.
 
 This module exists to certify the closed-form count
 e(e-1)...(e+1-k) * 120**k for the concrete group A5; it is not a general
@@ -110,9 +111,11 @@ def sur_a5_bruteforce(e: int, k: int) -> int:
         f = (f[:, None] * len(homs) + pairs[:, 0]).ravel()
         g = (g[:, None] * len(homs) + pairs[:, 1]).ravel()
     count = 0
-    for start in range(0, len(f), 4096):
-        fs, gs = f[start : start + 4096], g[start : start + 4096]
-        size, meet = sizes[fs] * sizes[gs], _popcount(bits[fs] & bits[gs])
+    for start in range(0, len(f), 1024):  # 456 KB of rows a chunk at k = 2
+        fs, gs = f[start : start + 1024], g[start : start + 1024]
+        meet = bits[fs]
+        meet &= bits[gs]
+        size, meet = sizes[fs] * sizes[gs], _popcount(meet)
         if (size % meet).any():
             raise ConsistencyError("an image of a homomorphism out of A5 is not a subgroup")
         count += int((size == 60**k * meet).sum())
@@ -123,27 +126,21 @@ def sur_a5_bruteforce(e: int, k: int) -> int:
 def _images(k: int):
     """(bits, sizes): row t of bits is the image of the t-th k-tuple of
     homomorphisms, lexicographically, packed as the module describes, and
-    sizes[t] is its order. Codes in uint16 and rows of even width hold for
-    k <= 2."""
+    sizes[t] is its order. Codes in uint16 hold for k <= 2."""
     maps = _maps().astype(np.uint16)
     n = len(maps)
     prefixes = np.zeros((1, 60), dtype=np.uint16)  # the empty tuple sends x to ()
     for _ in range(k - 1):
         prefixes = (prefixes[:, None] * 60 + maps).reshape(-1, 60)
-    bits = np.empty((n * len(prefixes), -(-(60**k) // 8)), dtype=np.uint8)
+    width = -(-(60**k) // 64)  # 64-bit words a row
+    bits = np.empty((n * len(prefixes), width), dtype=np.uint64)
     for t, prefix in enumerate(prefixes):
-        image = np.zeros((n, 60**k), dtype=bool)
+        image = np.zeros((n, 64 * width), dtype=bool)
         image[np.arange(n)[:, None], prefix * 60 + maps] = True
-        bits[t * n : (t + 1) * n] = np.packbits(image, axis=1)
+        bits[t * n : (t + 1) * n] = np.packbits(image, axis=1).view(np.uint64)
     return bits, _popcount(bits)
 
 
 def _popcount(bits):
-    """Set bits per row of a packed uint8 array of even width, two bytes at a
-    time from a table of uint8 counts (np.bitwise_count needs numpy 2)."""
-    return _bit_counts()[bits.view("u2")].sum(axis=1, dtype="i8")
-
-
-@lru_cache(maxsize=1)
-def _bit_counts():
-    return np.unpackbits(np.arange(1 << 16, dtype="u2").view("u1")).reshape(-1, 16).sum(1, "u1")
+    """Set bits per row of a uint64 array, one np.bitwise_count per word."""
+    return np.bitwise_count(bits).sum(axis=1, dtype="i8")

@@ -3,9 +3,9 @@ deliberately dumb, enumerates, is metered by the Budget it reads from
 MOMENTFORGE_BUDGET once per call, and is used only to check a closed form.
 hom_count_bruteforce, aut_bruteforce and sur_bruteforce check hom_count,
 aut_count and sur_count; kernel_pair_count and mu_local_direct the
-extension-class sums of localized_moments; count_surjective_matrices the
-abelian surjection formula. The A5 oracle is in nonab_oracle, and
-extension_pair_count's lives with the tests.
+extension-class sums of localized_moments; surjective_matrix_counts, one
+walk for every row count up to k, the abelian surjection formula. The A5
+oracle is in nonab_oracle, and extension_pair_count's lives with the tests.
 
 Every oracle that walks homomorphisms gets them from one enumerator,
 _hom_images, which yields generator images (any element of B, found by
@@ -65,21 +65,37 @@ def _hom_images(
     lexicographically with the _inner generator varying fastest, in whole
     runs of its choices, so _span_ranks handles the others once per run.
     Both orders and the number of tuples are metered by the budget, naming
-    `what`, before anything is built."""
+    `what`, before anything is built.
+
+    The trailing generators whose tuples fit in one block form a grid that
+    every block holds whole; a block repeats it once per tuple of the
+    leading generators, which alone are read off the tuple's index."""
     budget.check_order(A.order, what)
     budget.check_order(B.order, what)
     choices = [_killed_by(B, d) for d in A.cyclic_moduli]
     total = prod(len(ch) for ch in choices)
     budget.check_candidates(total, what)
     inner = _inner(choices)
-    runs = len(choices[inner]) if choices else 1
-    step = max(1, _BLOCK // runs) * runs
     digits = sorted(range(len(choices)), key=lambda i: i == inner)  # inner last
+    radix = [len(choices[i]) for i in digits]
+    lead = len(digits) - 1 if digits else 0  # the grid holds digits[lead:]
+    while lead > 0 and prod(radix[lead - 1 :]) <= _BLOCK:
+        lead -= 1
+    shape = radix[lead:]
+    size = prod(shape)
+    step = max(1, _BLOCK // size) * size
     for start in range(0, total, step):
-        rest = np.arange(start, min(start + step, total), dtype=np.int64)
-        block = np.empty((len(rest), len(choices)), dtype=np.int64, order="F")
-        for i in reversed(digits):  # the last digit varies fastest
-            rest, block[:, i] = np.divmod(rest, len(choices[i]))
+        reps = min(step, total - start) // size
+        # Fortran order makes each column contiguous, so it reshapes to a view
+        # (reps, *shape) that takes one of these arrays, one per axis, by broadcasting
+        block = np.empty((reps * size, len(choices)), dtype=np.int64, order="F")
+        axes = np.indices((reps, *shape), dtype=np.int64, sparse=True)
+        rest = axes[0] + start // size  # the index of each grid copy
+        for i in reversed(digits[:lead]):  # the last digit varies fastest
+            rest, digit = np.divmod(rest, len(choices[i]))
+            block[:, i].reshape(reps, *shape)[:] = digit
+        for i, axis in zip(digits[lead:], axes[1:]):
+            block[:, i].reshape(reps, *shape)[:] = axis
         yield choices, block
 
 
@@ -108,35 +124,40 @@ def _span_ranks(
     block, and the table, p**2c entries, is built only for a second row at
     p, when the search has p**2c candidates."""
     gens = [(p, a) for p, parts in A.components for a in parts]
-    factors = [(p, b) for p, parts in B.components for b in parts]
     inner = _inner(choices)
     runs = len(choices[inner]) if choices else 1
     ranks = np.zeros((len(block) // runs, runs, len(primes)), dtype=np.int64)
     for j, p in enumerate(primes):
-        cols = [c for c, (q, _) in enumerate(factors) if q == p]
+        c = B.rank(p)
         rows = [i for i, (q, _) in enumerate(gens) if q == p and i != inner]
         inner_at_p = bool(choices) and gens[inner][0] == p
-        if not cols or not (rows or inner_at_p):
+        if not c or not (rows or inner_at_p):
             continue  # no p-part in B or in A, so the rank at p is 0
-        low = np.array([p ** (factors[c][1] - 1) for c in cols], dtype=np.int64)
-        place = p ** np.arange(len(cols) - 1, -1, -1, dtype=np.int64)
-
-        def codes(i: int) -> np.ndarray:  # the code of generator i's row, per choice
-            y = choices[i][:, cols]
-            return (y * p ** (gens[i][1] - 1) // low % p if socle else y % p) @ place
-
-        span = np.zeros((len(ranks), p ** len(cols)), dtype=bool)
+        span = np.zeros((len(ranks), p**c), dtype=bool)
         span[:, 0] = True
+        flat, base = span.ravel(), np.arange(0, span.size, p**c)
         for n, i in enumerate(rows):
-            v = codes(i)[block[::runs, i]]
-            ranks[..., j] += ~span[np.arange(len(span)), v][:, None]
+            v = _row_codes(B, p, gens[i][1], socle)[block[::runs, i]]
+            ranks[..., j] += ~flat[base + v][:, None]
             if n + 1 < len(rows) or inner_at_p:
-                sub, mul = _fp_tables(p, len(cols))
+                sub, mul = _fp_tables(p, c)
                 for s in range(1, p):  # spans are symmetric: s*v - x serves for x - s*v
-                    span |= np.take_along_axis(span, sub[mul[s, v]], axis=1)
+                    span |= flat[sub[mul[s, v]] + base[:, None]]
         if inner_at_p:
-            ranks[..., j] += ~span[:, codes(inner)]
+            ranks[..., j] += ~span[:, _row_codes(B, p, gens[inner][1], socle)]
     return ranks.reshape(len(block), len(primes))
+
+
+@lru_cache(maxsize=2048)  # two for each _killed_by table
+def _row_codes(B: FinAbGroup, p: int, a: int, socle: bool) -> np.ndarray:
+    """The _fp_tables code of the row a generator of order p**a gives in
+    _span_ranks, for each of its choices in _killed_by(B, p**a) order."""
+    factors = [(q, b) for q, parts in B.components for b in parts]
+    cols = [c for c, (q, _) in enumerate(factors) if q == p]
+    low = np.array([p ** (factors[c][1] - 1) for c in cols], dtype=np.int64)
+    place = p ** np.arange(len(cols) - 1, -1, -1, dtype=np.int64)
+    y = _killed_by(B, p**a)[:, cols]
+    return (y * p ** (a - 1) // low % p if socle else y % p) @ place
 
 
 def _onto(A: FinAbGroup, B: FinAbGroup, choices: list[np.ndarray], block: np.ndarray) -> np.ndarray:
@@ -238,22 +259,28 @@ def mu_local_direct(mu: Measure, M: FinAbGroup, N: FinAbGroup) -> Fraction:
 
 
 def count_surjective_matrices(h: int, e: int, k: int) -> int:
-    """Brute-force count of surjective k x e matrices over the h-element field.
+    """Brute-force count of surjective k x e matrices over the h-element field."""
+    return surjective_matrix_counts(h, e, k)[k]
+
+
+def surjective_matrix_counts(h: int, e: int, k: int) -> list[int]:
+    """Brute-force counts of surjective j x e matrices over the h-element
+    field for j = 0..k, from one walk.
 
     Walks all tuples of linearly independent rows level by level, keeping
     the span of each prefix as a bitmask; prefixes with the same span are
-    merged into one row that carries their number. The final count sums,
-    over every independent (k-1)-prefix, the vectors outside its span.
-    Independent of the closed-form product it is used to check.
+    merged into one row that carries their number. The count at j sums,
+    over every independent (j-1)-prefix, the vectors outside its span, so
+    the walk stops at level k and meters each level it expands, as a walk
+    for k alone would. Independent of the closed-form product it is used
+    to check.
     """
     if h < 2 or not is_prime(h):
         raise InputError(f"matrix oracle needs a prime field size, got h={h}")
     if e < 0 or k < 0:
         raise InputError("e and k must be nonnegative")
-    if k == 0:
-        return 1
-    if e == 0:
-        return 0
+    if k == 0 or e == 0:
+        return [1] + [0] * k
     budget = budget_from_env()
     n = h**e
     budget.check_order(n, f"matrix oracle over F_{h}^{e}")
@@ -263,18 +290,38 @@ def count_surjective_matrices(h: int, e: int, k: int) -> int:
     spans = np.zeros((1, n), dtype=bool)
     spans[0, 0] = True
     mult = np.ones(1, dtype=np.int64)  # prefixes with each span
+    counts = [1]
     for level in range(k):
         valid = ~spans
-        tuples = sum(m * o for m, o in zip(mult.tolist(), valid.sum(axis=1).tolist()))
+        counts.append(sum(m * o for m, o in zip(mult.tolist(), valid.sum(axis=1).tolist())))
         if level == k - 1:
-            return tuples
-        budget.check_candidates(tuples, f"matrix oracle level {level + 1}")
+            return counts
+        budget.check_candidates(counts[-1], f"matrix oracle level {level + 1}")
         parent, vec = np.nonzero(valid)
-        children = np.zeros((len(parent), n), dtype=bool)
-        for c in range(h):  # spans are symmetric, so c*v - x serves for x - c*v
-            children |= spans[parent[:, None], sub[mul[c, vec]]]
-        packed, inverse = np.unique(np.packbits(children, axis=1), axis=0, return_inverse=True)
-        spans = np.unpackbits(packed, axis=1, count=n).astype(bool)
+        children, flat = spans[parent], spans.ravel()
+        chunk = _BLOCK // n + 1  # children whose gather indices make about _BLOCK entries
+        for lo in range(0, len(parent), chunk):
+            part = slice(lo, lo + chunk)
+            base = (parent[part] * n)[:, None]
+            for c in range(1, h):  # spans are symmetric, so c*v - x serves for x - c*v
+                children[part] |= flat[sub[mul[c, vec[part]]] + base]
+        spans, inverse = _distinct_rows(children)
         weights, mult = mult[parent], np.zeros(len(spans), dtype=np.int64)
-        np.add.at(mult, inverse.reshape(-1), weights)
+        np.add.at(mult, inverse, weights)
     raise AssertionError("unreachable")
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a boolean array, in some order, and for each
+    row the index of its copy among them, by sorting the rows packed into
+    64-bit words."""
+    packed = np.packbits(rows, axis=1)
+    words = np.zeros((len(rows), -(-packed.shape[1] // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[order[first]], inverse

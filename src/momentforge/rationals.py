@@ -6,6 +6,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import BudgetExceededError, InputError
 
@@ -18,6 +19,14 @@ def format_rational(x: Fraction | int) -> str:
         return f"{x.numerator}/{x.denominator}"
     except ValueError as exc:  # past sys.get_int_max_str_digits()
         raise BudgetExceededError(f"the exact result is too long to print: {exc}") from exc
+
+
+def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """(numerators, d): the values as numerators over d, their least common
+    denominator, so a weighted sum of them is one integer sum and one Fraction."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def check_printable(bits: int) -> None:

@@ -9,9 +9,9 @@ whole stack of keys, so numpy.random is never imported.
 
 Draws are stacked, 1024 of 8 x 8 or as many matrix entries at a time, and
 one Smith reduction vectorized over the stack reduces them together. On 2
-vCPUs, 10**5 draws of 8 x 8 take 1.45 s at a peak RSS of 33 MB. A
-1024 x 1024 draw is a stack by itself, drawn in passes of bounded size:
-drawing it peaks at 43 MB.
+vCPUs, 10**5 draws of 8 x 8 take 1.07 to 1.52 s (median 1.25 s over ten
+processes) at a peak RSS of 33 to 34 MB. A 1024 x 1024 draw is a stack by
+itself, drawn in passes of bounded size: drawing it peaks at 43 MB.
 
 Working modulo p**cap truncates cokernel exponents at cap; moments of
 targets with exponent below cap are unaffected by the truncation.
@@ -29,7 +29,7 @@ from .budget import budget_from_env
 from .errors import InputError, Value
 from .finab import FinAbGroup, Measure, aut_count, is_prime, sur_count
 from .localize import ModuleMomentTable, localization_middles, reconstruct_probability
-from .rationals import clip, format_rational
+from .rationals import clip, format_rational, over_common_denominator
 
 
 # Entry cap on one drawn matrix, checked before anything is allocated: an
@@ -226,8 +226,10 @@ def empirical_moments(mu: Measure, targets: Iterable[FinAbGroup]) -> ModuleMomen
     and no others: value(T) = sum_X mu(X) * Sur(X, T), exactly."""
     targets = list(dict.fromkeys(targets))
     primes = {p for t in targets for p in t.primes} | {p for g in mu.support() for p in g.primes}
+    support = mu.items()
+    weights, d = over_common_denominator(mass for _, mass in support)
     values = {
-        t: sum((mass * sur_count(X, t) for X, mass in mu.items()), Fraction(0))
+        t: Fraction(sum(w * sur_count(X, t) for (X, _), w in zip(support, weights)), d)
         for t in targets
     }
     return ModuleMomentTable(primes, values)
@@ -279,10 +281,11 @@ def convergence_report(
         for mid in mids
     ]
 
+    references = [repr(float(reference_mass(config.p, config.u, M))) for M in targets]
     records: list[dict] = []
     for t, mu in zip(counts, _prefix_measures(config, counts)):
         table = empirical_moments(mu, moment_targets)
-        for M in targets:
+        for M, reference in zip(targets, references):
             bracket = reconstruct_probability(table, M, (config.p,), (r_max,))
             records.append(
                 {
@@ -290,7 +293,7 @@ def convergence_report(
                     "group": M.to_json_obj(),
                     "frequency": format_rational(mu.mass(M)),
                     "bracket": bracket.to_json_obj(),
-                    "reference": repr(float(reference_mass(config.p, config.u, M))),
+                    "reference": reference,
                 }
             )
     return records

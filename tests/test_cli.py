@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import math
@@ -123,6 +124,36 @@ def test_reconstruct(half_table_path, capsys):
     )
     assert code == 0
     assert json.loads(out) == {"lower": "1/2", "upper": "1/2"}
+
+
+def _garbage_left(capsys, *argv) -> int:
+    """Objects gc.collect() frees after main(argv), run with the collector
+    off as the command line runs it."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(list(argv)) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+        capsys.readouterr()
+
+
+def test_the_work_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # whatever a command leaves for the collector does not grow with its work
+    report = ("sample", "--p", "2", "--cap", "3", "--n", "8", "--seed", "5", "--report",
+              "--target", "{}", "--target", '{"2":[1]}', "--rmax", "4")
+    left = [_garbage_left(capsys, *report, "--count", str(t), "--ts", str(t))
+            for t in (100, 1000, 10_000)]
+    mu = Measure({FinAbGroup.trivial(): Fraction(1, 2), Z(2): Fraction(1, 2)})
+    from momentforge.sampler import empirical_moments
+
+    for bound in (2**4, 2**4, 2**9):
+        path = tmp_path / f"table{bound}.json"
+        path.write_text(empirical_moments(mu, enumerate_groups([2], bound)).dumps())
+        left.append(_garbage_left(capsys, "reconstruct", "--file", str(path),
+                                  "--group", '{"2":[1]}', "--rmax", "3"))
+    assert left[1] == left[2] and left[4] == left[5], left
 
 
 def test_sample_roundtrip_and_determinism(capsys):

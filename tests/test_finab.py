@@ -36,6 +36,7 @@ from momentforge.oracle import (
     kernel_pair_count,
     sur_bruteforce,
     surjection_kernel_profile,
+    surjective_matrix_counts,
 )
 from momentforge.qseries import SimpleType, q_binomial
 from momentforge.surjcount import sur_single
@@ -465,6 +466,35 @@ class TestSurjectionOracles:
         got = count_surjective_matrices(3, 5, 3)
         assert time.perf_counter() - started < 1.0
         assert got == sur_single(SimpleType.abelian(3), 5, 3)
+
+    def test_one_walk_gives_every_row_count_up_to_k(self):
+        for h in (2, 3):
+            t = SimpleType.abelian(h)
+            for e in range(5):
+                counts = surjective_matrix_counts(h, e, 4)
+                assert counts == [sur_single(t, e, k) for k in range(5)], (h, e)
+                for k in range(4):  # a shorter walk is a prefix of the longer one
+                    assert surjective_matrix_counts(h, e, k) == counts[: k + 1], (h, e, k)
+
+    def test_matrix_oracle_refuses_at_one_level_whatever_was_asked_before(self, monkeypatch):
+        # over F_2^5 the 1,024-entry difference table fits a cap of 2,000, and
+        # level 3's 930 * 28 = 26,040 independent triples do not
+        monkeypatch.setenv(budget.ENV_VAR, "2000")
+
+        def refusal(k):
+            with pytest.raises(BudgetExceededError) as exc:
+                count_surjective_matrices(2, 5, k)
+            return str(exc.value)
+
+        first = refusal(4)
+        assert first.startswith("matrix oracle level 3: 26040 candidate tuples exceed")
+        t = SimpleType.abelian(2)
+        for k in (3, 0, 2, 1, 3):
+            assert count_surjective_matrices(2, 5, k) == sur_single(t, 5, k)
+            assert refusal(4) == refusal(5) == first
+        assert surjective_matrix_counts(2, 5, 3) == [sur_single(t, 5, j) for j in range(4)]
+        with pytest.raises(BudgetExceededError, match="^matrix oracle level 3: 26040 "):
+            surjective_matrix_counts(2, 5, 4)
 
     def test_matrix_oracle_matches_elementary_bruteforce(self):
         for e in range(4):

@@ -1,9 +1,10 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from momentforge.errors import BudgetExceededError
-from momentforge.nonab_oracle import _a5, hom_a5_count, sur_a5_bruteforce
+from momentforge.nonab_oracle import _a5, _images, _popcount, hom_a5_count, sur_a5_bruteforce
 from momentforge.qseries import SimpleType
 from momentforge.surjcount import sur_single
 
@@ -42,3 +43,30 @@ def test_budget_is_enforced():
         sur_a5_bruteforce(3, 1)
     with pytest.raises(BudgetExceededError):
         sur_a5_bruteforce(1, 3)
+
+
+def two_byte_popcount(bits):
+    """Set bits per row of a packed uint8 array of even width, two bytes at a
+    time from a table of uint8 counts: the reference for the word popcount."""
+    table = np.unpackbits(np.arange(1 << 16, dtype="u2").view("u1")).reshape(-1, 16).sum(1, "u1")
+    return table[bits.view("u2")].sum(axis=1, dtype="i8")
+
+
+@pytest.mark.parametrize("words", [1, 2, 57])
+def test_word_popcount_matches_the_two_byte_table(words):
+    rows = np.random.default_rng(words).integers(0, 256, (500, 8 * words), dtype=np.uint8)
+    rows[0], rows[1] = 0, 255
+    assert (_popcount(rows.view(np.uint64)) == two_byte_popcount(rows)).all()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_image_orders_match_the_two_byte_table(k):
+    bits, sizes = _images(k)
+    assert bits.shape == (121**k, -(-(60**k) // 64))
+    assert (sizes == two_byte_popcount(bits.view(np.uint8))).all()
+    assert set(sizes.tolist()) == {1, 60}  # the image of A5 is trivial or a copy of A5
+
+
+def test_oracle_values_up_to_two():
+    got = [[sur_a5_bruteforce(e, k) for k in range(3)] for e in range(3)]
+    assert got == [[1, 0, 0], [1, 120, 0], [1, 240, 28800]]

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from momentforge import sampler
 from momentforge.budget import Budget
 from momentforge.errors import BudgetExceededError, InputError
-from momentforge.finab import FinAbGroup, Measure, enumerate_groups
+from momentforge.finab import FinAbGroup, Measure, enumerate_groups, sur_count
 from momentforge.rationals import format_rational
 from momentforge.sampler import (
     SamplerConfig,
@@ -345,6 +345,20 @@ class TestEmpiricalMoments:
         assert table.values == {Z(2): 1, Z(4): 0}
         assert empirical_moments(mu, []).values == {}
 
+    @given(st.dictionaries(
+        st.sampled_from(enumerate_groups([2, 3], 12)),
+        st.fractions(min_value=0, max_value=5, max_denominator=60),
+        max_size=6,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_values_are_the_fraction_sums(self, masses):
+        # one integer sum over the common denominator per target
+        mu, targets = Measure(masses), enumerate_groups([2, 3], 12)
+        table = empirical_moments(mu, targets)
+        for t in targets:
+            want = sum((m * sur_count(X, t) for X, m in mu.items()), Fraction(0))
+            assert table(t) == want and type(table(t)) is Fraction
+
 
 class TestConvergenceReport:
     def test_exact_consistency_on_prefixes(self):
@@ -358,6 +372,21 @@ class TestConvergenceReport:
             freq = Fraction(rec["frequency"])
             assert Fraction(rec["bracket"]["lower"]) <= freq <= Fraction(rec["bracket"]["upper"]), rec
             assert {"t", "group", "frequency", "bracket", "reference"} <= set(rec)
+
+    def test_each_reference_is_computed_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(p, u, M):
+            calls[M] += 1
+            return reference_mass(p, u, M)
+
+        monkeypatch.setattr(sampler, "reference_mass", counted)
+        cfg = SamplerConfig(p=2, cap=3, n=4, seed=11, count=400)
+        records = convergence_report(cfg, [100, 200, 400], [triv, Z(2)], r_max=2)
+        assert calls == {triv: 1, Z(2): 1}
+        for rec in records:
+            M = FinAbGroup.from_json_obj(rec["group"])
+            assert rec["reference"] == repr(float(reference_mass(2, 0, M)))
 
     def test_exponent_cap_enforced(self):
         cfg = SamplerConfig(p=2, cap=3, n=4, seed=11, count=10)

@@ -37,6 +37,18 @@ def test_workers_match_the_checks_run_in_order(seed):
     assert from_workers(seed) == in_process(seed)
 
 
+def test_dispatch_order_hands_out_every_check_once_the_a5_check_first():
+    assert sorted(verify.DISPATCH_ORDER) == list(range(len(NAMES)))
+    assert NAMES[verify.DISPATCH_ORDER[0]] == "nonabelian formula vs A5 oracle"
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_results_come_in_check_order_whatever_the_dispatch_order(cpus, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(verify, "DISPATCH_ORDER", verify.DISPATCH_ORDER[::-1])
+    assert from_workers(3) == in_process(3)
+
+
 def test_one_usable_cpu_runs_one_worker_with_the_same_results(monkeypatch):
     forks = []
     fork = os.fork
