@@ -97,9 +97,8 @@ def sur_a5_bruteforce(e: int, k: int) -> int:
         )
     if e == 0 or k == 0:
         return int(k == 0)
-    bits, sizes = _images(k)
     if e == 1:
-        return int((sizes == 60**k).sum())
+        return int((_image_sizes(k) == 60**k).sum())
 
     # e == 2: k pairs (f_m, g_m) of homomorphisms whose images commute give
     # S1, the image of (f_1, ..., f_k), and S2, that of (g_1, ..., g_k)
@@ -110,6 +109,7 @@ def sur_a5_bruteforce(e: int, k: int) -> int:
     for _ in range(k):  # their rows in _images
         f = (f[:, None] * len(homs) + pairs[:, 0]).ravel()
         g = (g[:, None] * len(homs) + pairs[:, 1]).ravel()
+    bits, sizes = _images(k)  # 6.7 MB at k = 2, freed on return
     count = 0
     for start in range(0, len(f), 1024):  # 456 KB of rows a chunk at k = 2
         fs, gs = f[start : start + 1024], g[start : start + 1024]
@@ -123,6 +123,12 @@ def sur_a5_bruteforce(e: int, k: int) -> int:
 
 
 @lru_cache(maxsize=MAX_POWER)
+def _image_sizes(k: int):
+    """The orders of the images of the k-tuples of homomorphisms: of _images
+    only these are kept, so no caller holds the bit table after it returns."""
+    return _images(k)[1]
+
+
 def _images(k: int):
     """(bits, sizes): row t of bits is the image of the t-th k-tuple of
     homomorphisms, lexicographically, packed as the module describes, and

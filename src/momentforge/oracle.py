@@ -208,18 +208,22 @@ def _kernel_profile(X: FinAbGroup, M: FinAbGroup, budget: Budget) -> tuple:
     the p-ranks of the kernels: rank_p(X) minus the rank on the socle X[p],
     counted as mixed-radix codes with digit j in [0, rank_p(X)], p = X.primes[j].
     """
-    dims = np.array([X.rank(p) + 1 for p in X.primes], dtype=np.int64)
+    dims = [X.rank(p) + 1 for p in X.primes]
     place = np.array([prod(dims[j + 1 :]) for j in range(len(dims))], dtype=np.int64)
-    counts = np.zeros(prod(dims), dtype=np.int64)
+    top, counts = np.array(dims, dtype=np.int64) - 1, np.zeros(prod(dims), dtype=np.int64)
     for choices, block in _hom_images(X, M, budget, f"kernel enumeration {X} -> {M}"):
         onto = _onto(X, M, choices, block)
-        ranks = dims - 1 - _span_ranks(X, M, choices, block, X.primes, socle=True)[onto]
+        ranks = top - _span_ranks(X, M, choices, block, X.primes, socle=True)[onto]
         counts += np.bincount(ranks @ place, minlength=len(counts))
-    profile = [
-        (FinAbGroup.from_dict({p: [1] * r for p, r in zip(X.primes, np.unravel_index(c, dims))}), n)
-        for c, n in enumerate(counts.tolist())
-        if n
-    ]
+    profile = []
+    for code, n in enumerate(counts.tolist()):
+        if n:
+            comps = []
+            for p, d in zip(reversed(X.primes), reversed(dims)):
+                code, r = divmod(code, d)
+                if r:
+                    comps.append((p, (1,) * r))
+            profile.append((FinAbGroup(tuple(reversed(comps))), n))
     return tuple(sorted(profile, key=lambda kv: kv[0].sort_key()))
 
 

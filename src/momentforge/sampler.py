@@ -8,10 +8,13 @@ parallel order. One vectorized Philox4x64-10 pass computes the words of a
 whole stack of keys, so numpy.random is never imported.
 
 Draws are stacked, 1024 of 8 x 8 or as many matrix entries at a time, and
-one Smith reduction vectorized over the stack reduces them together. On 2
-vCPUs, 10**5 draws of 8 x 8 take 1.07 to 1.52 s (median 1.25 s over ten
-processes) at a peak RSS of 33 to 34 MB. A 1024 x 1024 draw is a stack by
-itself, drawn in passes of bounded size: drawing it peaks at 43 MB.
+one Smith reduction vectorized over the stack reduces them together. Each
+stack is held at the narrowest integer width its modulus allows, int16 for
+small p**cap. On 2 vCPUs, a `sample` call of 10**5 draws of 8 x 8 over Z/8
+takes 0.34 to 0.36 s (median 0.35 s over ten processes) at a peak RSS of
+31.3 to 31.5 MB, against 0.40 s and 33.8 MB with int64 stacks. A 1024 x 1024
+draw is a stack by itself, drawn in passes of bounded size: drawing it peaks
+at 34 MB and reducing it at 39 MB (43 and 70 MB with int64 stacks).
 
 Working modulo p**cap truncates cokernel exponents at cap; moments of
 targets with exponent below cap are unaffected by the truncation.
@@ -32,9 +35,9 @@ from .localize import ModuleMomentTable, localization_middles, reconstruct_proba
 from .rationals import clip, format_rational, over_common_denominator
 
 
-# Entry cap on one drawn matrix, checked before anything is allocated: an
-# int64 matrix of 2**20 entries takes 8 MB, and the Smith reduction a few
-# copies of it.
+# Entry cap on one drawn matrix, checked before anything is allocated: a
+# matrix of 2**20 entries takes 2 MB in int16 and 8 MB in int64, and the
+# Smith reduction a few copies of it.
 MAX_MATRIX_ENTRIES = 2**20
 
 
@@ -111,9 +114,16 @@ def _philox_words(seed: int, keys: np.ndarray, first: int, blocks: int) -> np.nd
     return out.reshape(len(keys), 8 * blocks)
 
 
+def _width(q: int) -> type:
+    """The narrowest integer dtype that holds every value the Smith reduction
+    over Z/q forms: each step's difference of two products lies in (-q**2, q**2)."""
+    return np.int16 if 2 * q * q < 2**15 else np.int32 if 2 * q * q < 2**31 else np.int64
+
+
 def _draw_matrices(config: SamplerConfig, start: int, stop: int) -> np.ndarray:
     """Draws start .. stop-1 as one (stop-start, n, n+u) stack, each equal to
-    Generator(Philox(key=[seed, i])).integers(0, q, (n, n+u)) with q = p**cap.
+    Generator(Philox(key=[seed, i])).integers(0, q, (n, n+u)) with q = p**cap,
+    held at the width _width(q).
 
     That generator maps each uint32 word x to (x * q) >> 32 and rejects x when
     (x * q) mod 2**32 < 2**32 mod q (Lemire's method), so whether a word is
@@ -125,7 +135,7 @@ def _draw_matrices(config: SamplerConfig, start: int, stop: int) -> np.ndarray:
     q, shape = config.p**config.cap, (config.n, config.n + config.u)
     entries, threshold = shape[0] * shape[1], 2**32 % q
     reject = threshold / 2**32
-    out = np.zeros((stop - start) * entries, np.int64)
+    out = np.zeros((stop - start) * entries, _width(q))
     have = np.zeros(stop - start, np.int64)  # kept words so far, per draw
     rows = np.arange(stop - start if entries else 0)  # draws still short
     block = 1
@@ -135,8 +145,12 @@ def _draw_matrices(config: SamplerConfig, start: int, stop: int) -> np.ndarray:
         blocks = max(1, min(-(-int(words) // 8), _MAX_BLOCKS // rows.size))
         keys = np.uint64(start) + rows.astype(np.uint64)
         scaled = _philox_words(config.seed, keys, block, blocks) * np.uint64(q)
-        vals, kept = (scaled >> 32).view(np.int64), (scaled & _LOW32) >= threshold
-        col = have[rows, None] + np.cumsum(kept, axis=1)  # 1 + target column of each word
+        halves = scaled.astype("<u8", copy=False).view("<u4")  # low half, then high
+        kept, vals = halves[:, ::2] >= threshold, halves[:, 1::2].astype(out.dtype)
+        del scaled, halves
+        # 1 + target column of each word, below entries + 8 * blocks <= 2**20 + 2**17
+        col = np.cumsum(kept, axis=1, dtype=np.int16 if entries + 8 * blocks < 2**15 else np.int32)
+        col += have[rows, None]
         kept &= col <= entries
         got, lo = vals[kept], rows[0] * entries + have[rows[0]]
         have[rows] = np.minimum(col[:, -1], entries)
@@ -150,14 +164,17 @@ def _draw_matrices(config: SamplerConfig, start: int, stop: int) -> np.ndarray:
 
 
 def _valuations(a: np.ndarray, p: int, cap: int) -> np.ndarray:
-    """p-adic valuation of each entry, with 0 mapped to cap."""
-    return sum((a % p**k == 0 for k in range(1, cap + 1)), np.zeros(a.shape, np.int64))
+    """p-adic valuation of each entry as int8, with 0 mapped to cap."""
+    val = np.zeros(a.shape, np.int8)
+    for k in range(1, cap + 1):
+        val += a % p**k == 0
+    return val
 
 
 # Matrix entries per stacked Smith reduction: 1024 draws of 8 x 8. For 10**5
-# such draws in one process (28 MB after import), stacks of 64, 256, 1024 and
-# 4096 draws took 3.4, 2.1, 1.45 and 1.6 s at peak RSS 29.0, 29.5, 33.2 and
-# 40.5 MB, on 2 vCPUs.
+# such draws over Z/8 in one process (28 MB after import), int16 stacks of
+# 64, 256, 1024 and 4096 draws took 0.73, 0.38, 0.27 and 0.26 s at peak RSS
+# 29.4, 29.7, 30.6 and 35.0 MB (medians of five), on 2 vCPUs.
 _CHUNK_ENTRIES = 1024 * 8 * 8
 
 
@@ -168,27 +185,51 @@ def cokernel_partition(mats: np.ndarray, p: int, cap: int) -> list[tuple[int, ..
     Smith-style reduction over the chain ring Z/p**cap: repeatedly move a
     minimum-valuation entry u * p**v (u a unit) to the pivot and clear its
     column by the invertible row operations row_i <- u * row_i -
-    (a_i0 / p**v) * row_0, so no unit is ever inverted; every product stays
-    below p**(2*cap) < 2**62. Pivot p**v contributes a Z/p**v factor;
-    pivotless rows and zero blocks (v = cap) contribute Z/p**cap.
+    (a_i0 / p**v) * row_0, so no unit is ever inverted. Both products stay
+    below q**2 for q = p**cap, so the stack is held at the width _width(q):
+    int16 while 2q**2 < 2**15, int32 while 2q**2 < 2**31, else int64, which
+    SamplerConfig's p**(2*cap) < 2**62 keeps exact. Each step takes one
+    argmin of the int8 valuations and reads the minimum back by a gather.
+    Pivot p**v contributes a Z/p**v factor; pivotless rows and zero blocks
+    (v = cap) contribute Z/p**cap.
+
+    Each draw's partition is counted as one mixed-radix code, digit v - 1
+    the multiplicity of exponent v, and one tuple is built per distinct code;
+    draws with equal partitions share it.
     """
-    q = p**cap
-    a = np.mod(np.asarray(mats, dtype=np.int64), q)
+    q, mats = p**cap, np.asarray(mats)
+    width = _width(q)
+    # reduced at least as wide as the field needs, so q fits whatever the input width
+    a = np.mod(mats, q, dtype=np.promote_types(mats.dtype, width)).astype(width, copy=False)
     count, nrows, ncols = a.shape
     idx = np.arange(count)
-    exps = np.full((count, nrows), cap)
+    exps = np.full((count, nrows), cap, np.int8)
+    powers = np.array([p**k for k in range(cap + 1)], a.dtype)
     # one table lookup replaces cap compares when the table is no larger than the stack
     lut = _valuations(np.arange(q), p, cap) if q <= min(2**16, a.size) else None
     for r in range(min(nrows, ncols) if count else 0):
         val = (lut[a] if lut is not None else _valuations(a, p, cap)).reshape(count, -1)
-        v = exps[:, r] = val.min(axis=1)
-        i, j = np.divmod(val.argmin(axis=1), ncols - r)
+        k = val.argmin(axis=1)
+        v = exps[:, r] = val[idx, k]
+        i, j = np.divmod(k, ncols - r)
         a[idx, 0], a[idx, i] = a[idx, i], a[idx, 0]
         a[idx, :, 0], a[idx, :, j] = a[idx, :, j], a[idx, :, 0]
-        unit = np.where(v < cap, a[:, 0, 0] // p**v, 1)[:, None, None]
-        colfac = (a[:, 1:, 0] // p ** v[:, None])[:, :, None]
-        a = (unit * a[:, 1:, 1:] - colfac * a[:, :1, 1:]) % q
-    return [tuple(sorted(filter(None, row), reverse=True)) for row in exps.tolist()]
+        pivot = powers[v]
+        unit = np.where(v < cap, a[:, 0, 0] // pivot, 1)[:, None, None]
+        colfac = (a[:, 1:, 0] // pivot[:, None])[:, :, None]
+        rest = unit * a[:, 1:, 1:]
+        rest -= colfac * a[:, :1, 1:]
+        a = np.remainder(rest, q, out=rest)
+    radix = nrows + 1
+    if radix**cap > 2**63:  # the codes would overflow int64
+        return [tuple(sorted(filter(None, row), reverse=True)) for row in exps.tolist()]
+    place = np.array([0] + [radix**e for e in range(cap)], np.int64)
+    codes, inverse = np.unique(place[exps].sum(axis=1), return_inverse=True)
+    parts = [
+        tuple(e for e in range(cap, 0, -1) for _ in range(code // radix ** (e - 1) % radix))
+        for code in codes.tolist()
+    ]
+    return [parts[i] for i in inverse.tolist()]
 
 
 def _prefix_measures(config: SamplerConfig, counts: Sequence[int]) -> Iterator[Measure]:

@@ -351,7 +351,8 @@ def check_list(seed: int, quick: bool = False) -> list[Check]:
 # process, median of 9, 2 vCPUs): extension-sum 108 ms, smart surjection 76,
 # hom/aut 69, bracketing 50, A5 46, matrix 31, end-to-end 18, product 14,
 # q-binomial 3, Euler 1. The A5 check leads all the same, so its 6.7 MB image
-# table is built on a fresh worker rather than on top of another check's.
+# table is built on a fresh worker rather than on top of another check's; the
+# oracle frees it before the worker takes its next check.
 DISPATCH_ORDER = (2, 8, 7, 6, 4, 0, 9, 1, 3, 5)
 
 

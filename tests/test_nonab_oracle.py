@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -70,3 +71,17 @@ def test_image_orders_match_the_two_byte_table(k):
 def test_oracle_values_up_to_two():
     got = [[sur_a5_bruteforce(e, k) for k in range(3)] for e in range(3)]
     assert got == [[1, 0, 0], [1, 120, 0], [1, 240, 28800]]
+
+
+def test_no_image_table_is_held_after_a_count():
+    # the k = 2 bit table is 6.7 MB; a count at k = 2 keeps only its image
+    # orders, 14,641 int64 (114 KB), so a verify worker does not carry the
+    # table into the checks it runs next
+    sur_a5_bruteforce(1, 1)  # the homomorphism tables, cached and small, outside the trace
+    tracemalloc.start()
+    try:
+        assert [sur_a5_bruteforce(e, 2) for e in (1, 2)] == [0, 28800]
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 6 * 2**20 and held < 2**20, (held, peak)

@@ -2,12 +2,13 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from momentforge import sampler
 from momentforge.budget import Budget
@@ -125,6 +126,9 @@ def test_known_cokernels():
     assert cokernel_partition(np.array([[[1]]]), 2, 3) == [()]
     assert cokernel_partition(np.diag([1, 2, 4])[None], 2, 3) == [(2, 1)]
     assert cokernel_partition(np.array([[[2]], [[0]], [[1]]]), 2, 3) == [(1,), (3,), ()]
+    # any integer stack is read, narrower or wider than its field's width
+    assert cokernel_partition(np.ones((1, 2, 2), np.int16), 3, 10) == [(10,)]
+    assert cokernel_partition(np.full((1, 1, 1), -6, np.int8), 2, 3) == [(1,)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,6 +150,92 @@ def test_batched_smith_matches_per_matrix_oracle(p, cap, n, u, count, seed, spar
     mats = mats * p ** rng.integers(0, sparsity + 1, size=mats.shape) % q
     want = [smith_partition_oracle(m, p, cap) for m in mats]
     assert cokernel_partition(mats, p, cap) == want
+
+
+def stacked_smith_oracle(mats, p, cap):
+    """The int64 Smith reduction of a whole stack, one min and one argmin of
+    the int64 valuations a step and a sorted tuple a row: the reference for
+    the narrow-width cokernel_partition, which must agree with it draw for
+    draw."""
+    q = p**cap
+    a = np.mod(np.asarray(mats, dtype=np.int64), q)
+    count, nrows, ncols = a.shape
+    idx = np.arange(count)
+    exps = np.full((count, nrows), cap)
+
+    def valuations(x):
+        return sum((x % p**k == 0 for k in range(1, cap + 1)), np.zeros(x.shape, np.int64))
+
+    for r in range(min(nrows, ncols) if count else 0):
+        val = valuations(a).reshape(count, -1)
+        v = exps[:, r] = val.min(axis=1)
+        i, j = np.divmod(val.argmin(axis=1), ncols - r)
+        a[idx, 0], a[idx, i] = a[idx, i], a[idx, 0]
+        a[idx, :, 0], a[idx, :, j] = a[idx, :, j], a[idx, :, 0]
+        unit = np.where(v < cap, a[:, 0, 0] // p**v, 1)[:, None, None]
+        colfac = (a[:, 1:, 0] // p ** v[:, None])[:, :, None]
+        a = (unit * a[:, 1:, 1:] - colfac * a[:, :1, 1:]) % q
+    return [tuple(sorted(filter(None, row), reverse=True)) for row in exps.tolist()]
+
+
+@pytest.mark.parametrize("q, width", [
+    (8, np.int16), (127, np.int16), (128, np.int32), (3**9, np.int32), (181, np.int32),
+    (2**15, np.int64), (3**10, np.int64), (2**30, np.int64),
+])
+def test_width_is_the_narrowest_that_holds_twice_q_squared(q, width):
+    assert sampler._width(q) is width
+
+
+# (p, cap) fields on each side of each width boundary: q = 127 and 9 in
+# int16, 128 and 3**9 in int32, 3**10 in int64, and 2**25, whose partition
+# codes pass int64 from 5 rows on, so the per-row tally runs
+NARROW_FIELDS = [(2, 3), (3, 2), (127, 1), (2, 7), (3, 9), (3, 10), (2, 25)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(NARROW_FIELDS),
+    n=st.integers(0, 7),
+    u=st.integers(0, 3),
+    count=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    sparsity=st.integers(0, 3),
+    zeros=st.sampled_from([0.0, 0.5, 0.9]),
+)
+@example(field=(127, 1), n=0, u=2, count=1, seed=0, sparsity=0, zeros=0.0)
+@example(field=(2, 7), n=5, u=1, count=1, seed=1, sparsity=2, zeros=0.5)
+@example(field=(3, 10), n=6, u=0, count=1, seed=2, sparsity=0, zeros=0.9)
+@example(field=(2, 25), n=7, u=0, count=3, seed=3, sparsity=3, zeros=0.0)
+def test_narrow_reduction_matches_stack_oracle(field, n, u, count, seed, sparsity, zeros):
+    # the stack comes at the width the draw gives it; scaling entries by
+    # p**k and zeroing a share of them makes every valuation and zero blocks common
+    p, cap = field
+    q = p**cap
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, q, size=(count, n, n + u))
+    mats = mats * p ** rng.integers(0, sparsity + 1, size=mats.shape) % q
+    mats[rng.random(mats.shape) < zeros] = 0
+    got = cokernel_partition(mats.astype(sampler._width(q)), p, cap)
+    assert got == stacked_smith_oracle(mats, p, cap)
+
+
+def test_draw_and_reduction_memory_of_one_stack():
+    # 1024 draws of 8 x 8 over Z/8, the default stack: int64 stacks peaked
+    # at 2.7 MB to draw and 2.6 MB to reduce
+    config = SamplerConfig(p=2, cap=3, n=8, seed=1, count=1024)
+    cokernel_partition(_draw_matrices(config, 0, 1024), 2, 3)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        stack = _draw_matrices(config, 0, 1024)
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        cokernel_partition(stack, 2, 3)
+        smith_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert draw_peak < 1.5 * 2**20, draw_peak
+    assert smith_peak < 2**20, smith_peak
 
 
 def per_draw_generator(config, index):
@@ -170,7 +260,7 @@ def _oracle_draws(config, count):
 
 # (p, cap, n, u, seed, start, stop). Words rejected by Lemire's method: none
 # for q a power of 2, 2**32 mod q of every 2**32 otherwise, so 19% at 3**19
-# and 15% at 5**13. No start but 0 is a multiple of the stack size (1024
+# and 15% at 5**13. 127 is the largest int16 field, 128 the smallest int32 one. No start but 0 is a multiple of the stack size (1024
 # draws of 8 x 8); 35, 9 and 1 entries are odd counts, and n = 0 draws no word.
 DRAW_CASES = [
     (2, 3, 8, 0, 2024, 0, 1500),
@@ -182,14 +272,23 @@ DRAW_CASES = [
     (3, 19, 1, 0, 4, 0, 3000),
     (13, 8, 0, 0, 1, 0, 10),
     (13, 8, 0, 3, 1, 5, 9),
+    (127, 1, 6, 1, 3, 0, 900),
+    (2, 7, 5, 0, 8, 2000, 2700),
+    (3, 9, 4, 2, 12, 0, 1100),
 ]
+# the width each field's draws are held at: int16 while 2q**2 < 2**15, int32
+# while 2q**2 < 2**31, else int64
+DRAW_WIDTHS = {
+    (2, 3): np.int16, (3, 2): np.int16, (127, 1): np.int16, (2, 7): np.int32, (3, 9): np.int32,
+    (2, 30): np.int64, (3, 19): np.int64, (5, 13): np.int64, (13, 5): np.int64, (13, 8): np.int64,
+}
 
 
 @pytest.mark.parametrize("p, cap, n, u, seed, start, stop", DRAW_CASES)
 def test_stacked_draws_match_per_draw_generator(p, cap, n, u, seed, start, stop):
     config = SamplerConfig(p=p, cap=cap, n=n, u=u, seed=seed, count=stop)
     got = _draw_matrices(config, start, stop)
-    assert got.dtype == np.int64 and got.shape == (stop - start, n, n + u)
+    assert got.dtype == DRAW_WIDTHS[p, cap] and got.shape == (stop - start, n, n + u)
     for i, mat in enumerate(got, start):
         assert np.array_equal(mat, per_draw_generator(config, i)), i
 
