@@ -279,6 +279,9 @@ def surjective_matrix_counts(h: int, e: int, k: int) -> list[int]:
     for k alone would. Independent of the closed-form product it is used
     to check.
     """
+    if type(h) is not int or type(e) is not int or type(k) is not int:
+        names = ", ".join(type(v).__name__ for v in (h, e, k))
+        raise InputError(f"h, e and k must be of type int, got {names}")
     if h < 2 or not is_prime(h):
         raise InputError(f"matrix oracle needs a prime field size, got h={h}")
     if e < 0 or k < 0:

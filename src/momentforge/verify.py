@@ -348,12 +348,10 @@ def check_list(seed: int, quick: bool = False) -> list[Check]:
 
 # check_list indices in the order run_all hands them to its workers: heaviest
 # first, so no heavy check starts last. By verify --quick times (fresh
-# process, median of 9, 2 vCPUs): extension-sum 108 ms, smart surjection 76,
-# hom/aut 69, bracketing 50, A5 46, matrix 31, end-to-end 18, product 14,
-# q-binomial 3, Euler 1. The A5 check leads all the same, so its 6.7 MB image
-# table is built on a fresh worker rather than on top of another check's; the
-# oracle frees it before the worker takes its next check.
-DISPATCH_ORDER = (2, 8, 7, 6, 4, 0, 9, 1, 3, 5)
+# process, median of 9, 2 vCPUs): extension-sum 25 ms, smart surjection 19,
+# A5 15, hom/aut 14, bracketing 13, end-to-end 4.5, matrix 3.6, product 1.3,
+# q-binomial 0.8, Euler 0.3.
+DISPATCH_ORDER = (8, 7, 2, 6, 4, 9, 0, 1, 3, 5)
 
 
 def _work(checks: list[Check], tasks: int, out: int, parent_end: int) -> NoReturn:

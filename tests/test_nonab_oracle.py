@@ -4,8 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from momentforge.errors import BudgetExceededError
-from momentforge.nonab_oracle import _a5, _images, _popcount, hom_a5_count, sur_a5_bruteforce
+from momentforge import nonab_oracle
+from momentforge.errors import BudgetExceededError, ConsistencyError, InputError
+from momentforge.nonab_oracle import _a5, _block, _maps, _popcount, hom_a5_count, sur_a5_bruteforce
+from momentforge.oracle import count_surjective_matrices, surjective_matrix_counts
 from momentforge.qseries import SimpleType
 from momentforge.surjcount import sur_single
 
@@ -60,12 +62,58 @@ def test_word_popcount_matches_the_two_byte_table(words):
     assert (_popcount(rows.view(np.uint64)) == two_byte_popcount(rows)).all()
 
 
+def reference_images(k):
+    """(bits, sizes) for all 121**k images at once, the whole-table builder the
+    streamed blocks replace: row t of bits is the image of the t-th k-tuple
+    of homomorphisms, lexicographically, and sizes[t] its order."""
+    maps = _maps().astype(np.uint16)
+    n = len(maps)
+    prefixes = np.zeros((1, 60), dtype=np.uint16)  # the empty tuple sends x to ()
+    for _ in range(k - 1):
+        prefixes = (prefixes[:, None] * 60 + maps).reshape(-1, 60)
+    width = -(-(60**k) // 64)  # 64-bit words a row
+    bits = np.empty((n * len(prefixes), width), dtype=np.uint64)
+    for t, prefix in enumerate(prefixes):
+        image = np.zeros((n, 64 * width), dtype=bool)
+        image[np.arange(n)[:, None], prefix * 60 + maps] = True
+        bits[t * n : (t + 1) * n] = np.packbits(image, axis=1).view(np.uint64)
+    return bits, _popcount(bits)
+
+
+def streamed_blocks(k):
+    return [_block(k, t) for t in range(121 ** (k - 1))]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_streamed_blocks_are_the_reference_rows(k):
+    bits, sizes = reference_images(k)
+    blocks = streamed_blocks(k)
+    assert (np.concatenate([b for b, _ in blocks]) == bits).all()
+    assert (np.concatenate([s for _, s in blocks]) == sizes).all()
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_image_orders_match_the_two_byte_table(k):
-    bits, sizes = _images(k)
-    assert bits.shape == (121**k, -(-(60**k) // 64))
-    assert (sizes == two_byte_popcount(bits.view(np.uint8))).all()
-    assert set(sizes.tolist()) == {1, 60}  # the image of A5 is trivial or a copy of A5
+    blocks = streamed_blocks(k)
+    assert sum(len(bits) for bits, _ in blocks) == 121**k
+    for bits, sizes in blocks:
+        assert bits.shape == (121, -(-(60**k) // 64))
+        assert (sizes == two_byte_popcount(bits.view(np.uint8))).all()
+    orders = {size for _, sizes in blocks for size in sizes.tolist()}
+    assert orders == {1, 60}  # the image of A5 is trivial or a copy of A5
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_a_count_builds_each_block_at_most_once(e, monkeypatch):
+    built = []
+
+    def counted(k, t):
+        built.append(t)
+        return _block(k, t)
+
+    monkeypatch.setattr(nonab_oracle, "_block", counted)
+    assert sur_a5_bruteforce(e, 2) == [0, 28800][e - 1]
+    assert sorted(built) == list(range(121))  # each (k-1)-prefix once
 
 
 def test_oracle_values_up_to_two():
@@ -74,14 +122,39 @@ def test_oracle_values_up_to_two():
 
 
 def test_no_image_table_is_held_after_a_count():
-    # the k = 2 bit table is 6.7 MB; a count at k = 2 keeps only its image
-    # orders, 14,641 int64 (114 KB), so a verify worker does not carry the
-    # table into the checks it runs next
+    # the k = 2 bit table would be 6.7 MB; a count reads it a 55 KB block at
+    # a time, so neither it nor the verify worker it runs in grows by the table
     sur_a5_bruteforce(1, 1)  # the homomorphism tables, cached and small, outside the trace
-    tracemalloc.start()
-    try:
-        assert [sur_a5_bruteforce(e, 2) for e in (1, 2)] == [0, 28800]
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak > 6 * 2**20 and held < 2**20, (held, peak)
+    for e, want in ((1, 0), (2, 28800)):
+        tracemalloc.start()
+        try:
+            assert sur_a5_bruteforce(e, 2) == want
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20 and held < 2**20, (e, held, peak)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, "1"], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda x: sur_a5_bruteforce(x, 1),
+    lambda x: sur_a5_bruteforce(2, x),
+    lambda x: surjective_matrix_counts(x, 2, 1),
+    lambda x: surjective_matrix_counts(2, x, 1),
+    lambda x: count_surjective_matrices(2, 2, x),
+    lambda x: count_surjective_matrices(x, 2, 1),
+], ids=["a5-e", "a5-k", "matrix-counts-h", "matrix-counts-e", "matrix-k", "matrix-h"])
+def test_oracles_read_only_exact_ints(call, bad):
+    # no answer for True or 1.0 read as 1, and no bare TypeError
+    with pytest.raises(InputError):
+        call(bad)
+
+
+def test_an_image_that_is_no_subgroup_is_refused(monkeypatch):
+    def full_rows(k, t):
+        bits, sizes = _block(k, t)
+        return ~np.zeros_like(bits), sizes  # every meet is then larger than |S1| |S2|
+
+    monkeypatch.setattr(nonab_oracle, "_block", full_rows)
+    with pytest.raises(ConsistencyError, match="not a subgroup"):
+        sur_a5_bruteforce(2, 2)

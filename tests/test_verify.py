@@ -37,9 +37,9 @@ def test_workers_match_the_checks_run_in_order(seed):
     assert from_workers(seed) == in_process(seed)
 
 
-def test_dispatch_order_hands_out_every_check_once_the_a5_check_first():
+def test_dispatch_order_hands_out_every_check_once_the_extension_sum_first():
     assert sorted(verify.DISPATCH_ORDER) == list(range(len(NAMES)))
-    assert NAMES[verify.DISPATCH_ORDER[0]] == "nonabelian formula vs A5 oracle"
+    assert NAMES[verify.DISPATCH_ORDER[0]] == "extension-sum identity"
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
@@ -139,6 +139,31 @@ verify.check_q_identities = lambda: os._exit(9)
 verify.check_euler_constant = noisy_euler
 sys.exit(main(["verify", "--seed", "7", "--quick"]))
 """
+
+
+_PEAKS = """
+import contextlib, io, resource
+from momentforge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--quick", "--seed", "3"])
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(code, peak, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_no_worker_outgrows_the_parent():
+    # a check that builds a large table shows as a worker peak above the
+    # parent's, which is then what verify --quick's peak RSS reads. The
+    # parent's peak is its VmHWM (kB, as ru_maxrss), not its own ru_maxrss:
+    # a process started by vfork and exec counts its spawner's RSS there too
+    src = Path(momentforge.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAKS],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    code, parent, workers = map(int, proc.stdout.split())
+    assert code == 0 and workers <= parent, (parent, workers)
 
 
 @pytest.mark.parametrize("cpus", ["1", "all"])
