@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, ConsistencyError, InputError, Value
 from .qseries import is_prime, q_binomial
-from .rationals import MAX_DIGITS, clip, clip_int, format_rational
+from .rationals import MAX_DIGITS, clip, clip_int, exact, format_rational
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -488,7 +488,7 @@ class Measure:
     def __init__(self, masses: Mapping[FinAbGroup, Fraction | int]):
         store: dict[FinAbGroup, Fraction] = {}
         for g, v in masses.items():
-            v = Fraction(v)
+            v = exact(v, "a mass")
             if v < 0:
                 raise InputError(f"negative mass {v} at {g}")
             if v:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .errors import InfeasibleMomentsError, InputError, Value
 from .qseries import SimpleType, inversion_coefficients
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 from .surjcount import Basis, MultiIndex, basis_from_json_obj, check_index
 
 
@@ -49,6 +49,7 @@ class Bracket(Value):
         return self.lower <= value <= self.upper
 
     def scale(self, factor: Fraction) -> "Bracket":
+        factor = exact(factor, "a bracket scaling factor")
         if factor < 0:
             raise InputError("bracket scaling factor must be nonnegative")
         return Bracket(self.lower * factor, self.upper * factor)
@@ -79,7 +80,7 @@ class MomentTable:
         table: dict[MultiIndex, Fraction] = {}
         for k, v in values.items():
             k = check_index(self.basis, k, "moment index")
-            v = Fraction(v)
+            v = exact(v, "a moment")
             if v < 0:
                 raise InputError(f"moment at {k} is negative")
             table[k] = v

@@ -36,7 +36,7 @@ from .finab import (
 )
 from .inversion import Bracket, MomentTable, multi_invert_zero
 from .qseries import SimpleType
-from .rationals import MAX_DIGITS, clip, format_rational, parse_rational
+from .rationals import MAX_DIGITS, clip, exact, format_rational, parse_rational
 from .surjcount import MultiIndex, check_index
 
 
@@ -74,7 +74,7 @@ class ModuleMomentTable:
         for g, v in values.items():
             if not isinstance(g, FinAbGroup):
                 raise InputError(f"moment keys must be groups, got {clip(repr(g))}")
-            self._put(g.components, Fraction(v))
+            self._put(g.components, exact(v, "a moment"))
 
     def _put(self, comps: Components, value: Fraction | int) -> None:
         for p, _ in comps:

@@ -3,24 +3,21 @@
 Homomorphisms out of A5 are enumerated through the presentation
 <a, b | a^5 = b^2 = (ab)^3 = 1>: a homomorphism to T is exactly a pair
 (x, y) in T with x^5 = y^2 = (xy)^3 = 1. A homomorphism out of a power
-A5^e is an e-tuple of homomorphisms whose images commute elementwise,
-and it is surjective when the product of the images is the whole target.
+A5^e is an e-tuple of homomorphisms whose images commute elementwise.
 
 All of it runs on arrays: an element of A5 is its index 0..59 in _a5(),
-and a homomorphism A5 -> A5 a row of 60 image indices. The image of a
-k-tuple of them, x -> (f_1(x), ..., f_k(x)), is a bitset over A5^k with the
-element (i_1, ..., i_k) at the uint16 code i_1 60^(k-1) + ... + i_k, packed
-by np.packbits into 60^k bits padded to whole 64-bit words. Its order is a
-popcount, one np.bitwise_count per word.
-
-No table of all 121^k images is built. A block is the 121 images of the
-k-tuples that share one leading (k-1)-prefix, in lexicographic order, with
-their orders: 55 KB at k = 2. A count builds each block it reads once and
-drops it when done. For e = 1 it counts the full-size images block by
-block. For e = 2, |S1 S2| is |S1| |S2| / |S1 meet S2| over the tuples of
-commuting pairs; the count walks the commuting pairs of (k-1)-prefixes, the
-lead pairs, a few at a time, taking S1 from the block of the f-lead and S2
-from the block of the g-lead.
+and a homomorphism A5 -> A5 a row of 60 image indices. Surjections are
+counted by their kernels. _kernels(e) lists Hom(A5^e, A5), one row each:
+its kernel as a bitset over A5^e, with the element (x_1, ..., x_e) at bit
+x_1 60^(e-1) + ... + x_e, packed by np.packbits into 60^e bits padded to
+whole 64-bit words; at e = 2 that is 241 rows of 57 words, 110 KB. A
+homomorphism A5^e -> A5^k is a k-tuple of rows, and its kernel is the AND
+of those rows. By the first isomorphism theorem it is onto exactly when
+|ker| 60^k = 60^e. An order is a popcount, one np.bitwise_count per word,
+and a kernel whose order does not divide 60^e is no subgroup: the count
+refuses it as an inconsistency. The count walks the k-tuples in batches
+of whole (k-1)-prefixes, lexicographically, and meets each prefix's kernel
+with every row at once.
 
 This module exists to certify the closed-form count
 e(e-1)...(e+1-k) * 120**k for the concrete group A5; it is not a general
@@ -37,7 +34,7 @@ import numpy as np
 from .errors import BudgetExceededError, ConsistencyError, InputError
 
 MAX_POWER = 2  # enumeration budget: e, k beyond this are refused
-_BATCH = 512  # tuples of commuting pairs an e = 2 batch reads, in whole lead pairs
+_BATCH = 2**16  # 64-bit words of kernels a batch of (k-1)-prefixes meets: 512 KB
 
 
 @lru_cache(maxsize=1)
@@ -108,75 +105,42 @@ def sur_a5_bruteforce(e: int, k: int) -> int:
         )
     if e == 0 or k == 0:
         return int(k == 0)
-    n = len(_maps())
-    if e == 1:
-        return sum(int((_block(k, t)[1] == 60**k).sum()) for t in range(n ** (k - 1)))
-
-    # e == 2: k pairs (f_m, g_m) of homomorphisms whose images commute give
-    # S1, the image of (f_1, ..., f_k), and S2, that of (g_1, ..., g_k)
-    homs, times = _single_homs(), _times()
-    a, b = homs[:, None, :, None], homs[None, :, None, :]
-    pairs = np.argwhere((times[a, b] == times[b, a]).all(axis=(2, 3)))
-    f = g = np.zeros(1, dtype=np.int64)
-    for _ in range(k - 1):  # the lead pairs: their (k-1)-prefixes, as block indices
-        f = (f[:, None] * n + pairs[:, 0]).ravel()
-        g = (g[:, None] * n + pairs[:, 1]).ravel()
-    # by the later lead: a block is built when the walk reaches it and held
-    # only while a later lead pair reads it (the count holds in any order)
-    leads = sorted(zip(f.tolist(), g.tolist()), key=lambda lead: (max(lead), min(lead)))
-    per = max(1, _BATCH // len(pairs))  # lead pairs a batch: 2, 482 tuples, at k = 2
-    last = {t: i - i % per for i, lead in enumerate(leads) for t in lead}
-    width = -(-(60**k) // 64)
-    pool = np.empty((1, n, width), dtype=np.uint64)  # the blocks held, one a slot
-    sizes = np.empty((1, n), dtype=np.int64)
-    held, free = {}, [0]  # block -> its slot; the slots not in use
-    # a batch's S1 and S2 rows, reused: a fresh pair each batch faults its
-    # pages in again, which costs more than the gathers that fill them
-    rows = np.empty((2, per * len(pairs), width), dtype=np.uint64)
+    rows = _kernels(e)
+    n, width = rows.shape
+    prefixes = itertools.product(range(n), repeat=k - 1)  # lexicographically
+    per = max(1, _BATCH // (n * width))  # prefixes a batch: all 121 at e = 1, 4 at e = 2
     count = 0
-    for start in range(0, len(leads), per):
-        batch = leads[start : start + per]
-        for t in itertools.chain.from_iterable(batch):
-            if t not in held:
-                if not free:
-                    free = list(range(len(pool), 2 * len(pool)))
-                    pool, sizes = np.concatenate((pool, pool)), np.concatenate((sizes, sizes))
-                held[t] = free.pop()
-                pool[held[t]], sizes[held[t]] = _block(k, t)
-        slots = np.array([[held[t] * n for t in lead] for lead in batch])
-        fs = (slots[:, :1] + pairs[:, 0]).ravel()
-        gs = (slots[:, 1:] + pairs[:, 1]).ravel()
-        s1, s2 = rows[0, : len(fs)], rows[1, : len(fs)]
-        # mode="clip" skips take's buffered bounds check; every index is a row of the pool
-        np.take(pool.reshape(-1, width), fs, axis=0, out=s1, mode="clip")
-        np.take(pool.reshape(-1, width), gs, axis=0, out=s2, mode="clip")
-        size = sizes.ravel()[fs] * sizes.ravel()[gs]
-        meet = _popcount(np.bitwise_and(s1, s2, out=s1))
-        if (size % meet).any():
-            raise ConsistencyError("an image of a homomorphism out of A5 is not a subgroup")
-        count += int((size == 60**k * meet).sum())
-        for t in [t for t in held if last[t] == start]:
-            free.append(held.pop(t))
+    while batch := list(itertools.islice(prefixes, per)):
+        # the AND of no rows, the empty prefix's kernel, is all ones
+        kernels = np.bitwise_and.reduce(rows[np.array(batch, dtype=np.intp)], axis=1)
+        sizes = _popcount(kernels[:, None, :] & rows)
+        if (sizes < 1).any() or (60**e % sizes).any():
+            raise ConsistencyError("a kernel of a homomorphism out of A5**e is not a subgroup")
+        count += int((sizes * 60**k == 60**e).sum())
     return count
 
 
-def _block(k: int, t: int):
-    """(bits, sizes): row j of bits is the image of the k-tuple of
-    homomorphisms whose (k-1)-prefix is the t-th, lexicographically, and
-    whose last member is the j-th, packed as the module describes; sizes[j]
-    is its order. Codes in uint16 hold for k <= 2."""
-    maps = _maps().astype(np.uint16)
-    n = len(maps)
-    prefix = np.zeros(60, dtype=np.uint16)  # the empty tuple sends x to ()
-    for i in reversed(range(k - 1)):
-        prefix = prefix * 60 + maps[t // n**i % n]
-    stride = 64 * -(-(60**k) // 64)  # bits a row, padded to whole 64-bit words
-    image = np.zeros(n * stride, dtype=bool)
-    image[prefix * 60 + maps + np.arange(0, n * stride, stride)[:, None]] = True
-    bits = np.packbits(image.reshape(n, stride), axis=1).view(np.uint64)
-    return bits, _popcount(bits)
+@lru_cache(maxsize=MAX_POWER)
+def _kernels(e: int):
+    """Hom(A5**e, A5) for e = 1 or 2, one row each: its kernel, packed as the
+    module describes. At e = 1 the rows are those of _maps(); at e = 2 they
+    are the pairs (f, g) of them whose images commute, lexicographically,
+    taken as (x, y) -> f(x) g(y), whose kernel is where f(x) = g(y)^-1."""
+    maps, times = _maps(), _times()
+    if e == 1:
+        left, right = maps, np.zeros((len(maps), 1), dtype=maps.dtype)  # f(x) = 1
+    else:
+        homs = _single_homs()
+        a, b = homs[:, None, :, None], homs[None, :, None, :]  # generator images
+        pairs = np.argwhere((times[a, b] == times[b, a]).all(axis=(2, 3)))
+        inverse = times.argmin(axis=1)  # times[i, j] is 0, the identity, only at j = i^-1
+        left, right = maps[pairs[:, 0]], inverse[maps[pairs[:, 1]]]
+    kernel = (left[:, :, None] == right[:, None, :]).reshape(len(left), 60**e)
+    rows = np.zeros((len(left), 8 * -(-(60**e) // 64)), dtype=np.uint8)
+    rows[:, : -(-(60**e) // 8)] = np.packbits(kernel, axis=1)
+    return rows.view(np.uint64)
 
 
 def _popcount(bits):
-    """Set bits per row of a uint64 array, one np.bitwise_count per word."""
-    return np.bitwise_count(bits).sum(axis=1, dtype="i8")
+    """Set bits along the last axis of a uint64 array, one np.bitwise_count per word."""
+    return np.bitwise_count(bits).sum(axis=-1, dtype="i8")

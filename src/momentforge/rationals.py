@@ -21,6 +21,14 @@ def format_rational(x: Fraction | int) -> str:
         raise BudgetExceededError(f"the exact result is too long to print: {exc}") from exc
 
 
+def exact(value, what: str) -> Fraction:
+    """value as a Fraction, when it is exactly an int or a Fraction: no float's
+    binary expansion, and no bool read as 0 or 1, enters an exact result."""
+    if type(value) is not int and type(value) is not Fraction:
+        raise InputError(f"{what} must be an int or a Fraction, got {clip(repr(value))}")
+    return Fraction(value)
+
+
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """(numerators, d): the values as numerators over d, their least common
     denominator, so a weighted sum of them is one integer sum and one Fraction."""

@@ -251,8 +251,8 @@ def _prefix_measures(config: SamplerConfig, counts: Sequence[int]) -> Iterator[M
 
 def sample_cokernel(config: SamplerConfig, index: int = 0) -> FinAbGroup:
     """Cokernel of the index-th random matrix draw, in canonical form."""
-    if not 0 <= index < 2**64:
-        raise InputError(f"draw index must be in [0, 2**64), got {index}")
+    if type(index) is not int or not 0 <= index < 2**64:
+        raise InputError(f"draw index must be an integer in [0, 2**64), got {clip(repr(index))}")
     parts = cokernel_partition(_draw_matrices(config, index, index + 1), config.p, config.cap)[0]
     return FinAbGroup.from_dict({config.p: parts})
 

@@ -348,10 +348,10 @@ def check_list(seed: int, quick: bool = False) -> list[Check]:
 
 # check_list indices in the order run_all hands them to its workers: heaviest
 # first, so no heavy check starts last. By verify --quick times (fresh
-# process, median of 9, 2 vCPUs): extension-sum 25 ms, smart surjection 19,
-# A5 15, hom/aut 14, bracketing 13, end-to-end 4.5, matrix 3.6, product 1.3,
-# q-binomial 0.8, Euler 0.3.
-DISPATCH_ORDER = (8, 7, 2, 6, 4, 9, 0, 1, 3, 5)
+# process, median of 9, 2 vCPUs): extension-sum 38 ms, smart surjection 29,
+# hom/aut 18, bracketing 16, A5 7.4, end-to-end 5.8, matrix 5.6, product 1.6,
+# q-binomial 0.9, Euler 0.4.
+DISPATCH_ORDER = (8, 7, 6, 4, 2, 9, 0, 1, 3, 5)
 
 
 def _work(checks: list[Check], tasks: int, out: int, parent_end: int) -> NoReturn:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from momentforge.errors import InfeasibleMomentsError, InputError
-from momentforge.finab import FinAbGroup
+from momentforge.finab import FinAbGroup, Measure
 from momentforge.inversion import Bracket, MomentTable, _bracket_from_intervals, multi_invert_zero
+from momentforge.localize import ModuleMomentTable
 from momentforge.qseries import SimpleType, inversion_coefficient
 from momentforge.sampler import reference_mass
 from momentforge.surjcount import sur_product, sur_single
@@ -242,3 +243,18 @@ def test_early_stop_matches_the_full_loop(t, head, trailing_zeros):
     else:
         br = _bracket_from_intervals(t, intervals)
         assert (br.lower, br.upper) == want
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, "1/2", None], ids=repr)
+@pytest.mark.parametrize("make", [
+    lambda v: Measure({FinAbGroup.from_dict({}): v}),
+    lambda v: MomentTable.one_type(T2, [1, v]),
+    lambda v: ModuleMomentTable([2], {FinAbGroup.from_dict({}): v}),
+    lambda v: Bracket(0, 1).scale(v),
+], ids=["measure", "moment-table", "module-moment-table", "bracket-scale"])
+def test_only_ints_and_fractions_enter_exact_results(make, bad):
+    # 0.1 would be stored as 3602879701896397/36028797018963968 and True as 1
+    with pytest.raises(InputError, match="must be an int or a Fraction"):
+        make(bad)
+    make(Fraction(1, 2))
+    make(1)

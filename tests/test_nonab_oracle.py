@@ -1,12 +1,13 @@
 import tracemalloc
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from momentforge import nonab_oracle
 from momentforge.errors import BudgetExceededError, ConsistencyError, InputError
-from momentforge.nonab_oracle import _a5, _block, _maps, _popcount, hom_a5_count, sur_a5_bruteforce
+from momentforge.nonab_oracle import _a5, _kernels, _maps, _popcount, hom_a5_count, sur_a5_bruteforce
 from momentforge.oracle import count_surjective_matrices, surjective_matrix_counts
 from momentforge.qseries import SimpleType
 from momentforge.surjcount import sur_single
@@ -62,10 +63,65 @@ def test_word_popcount_matches_the_two_byte_table(words):
     assert (_popcount(rows.view(np.uint64)) == two_byte_popcount(rows)).all()
 
 
+@cache
+def reference_homs():
+    """(mult, homs, pairs) by composing the permutation tuples of _a5() in
+    pure Python: mult[i][j] is element i after element j; homs lists Hom(A5, A5)
+    by their relation pairs (x, y), lexicographically, each a list of 60 image
+    indices built over words in the first nontrivial pair; pairs lists the
+    index pairs (f, g) of homs, lexicographically, with f(x) g(y) = g(y) f(x)
+    for all 60 x 60 elements x, y."""
+    elements = _a5()
+    index = {p: i for i, p in enumerate(elements)}
+    mult = [[index[tuple(p[i] for i in q)] for q in elements] for p in elements]
+
+    def order_divides(x, n):
+        w = x
+        for _ in range(n - 1):
+            w = mult[w][x]
+        return w == 0
+
+    relations = [(x, y) for x in range(60) for y in range(60)
+                 if order_divides(x, 5) and order_divides(y, 2) and order_divides(mult[x][y], 3)]
+    gens = relations[1]
+    homs = []
+    for images in relations:
+        hom, words = {0: 0}, [0]
+        for w in words:  # breadth first from the identity
+            for g, image in zip(gens, images):
+                if mult[w][g] not in hom:
+                    hom[mult[w][g]] = mult[hom[w]][image]
+                    words.append(mult[w][g])
+        hom = [hom[i] for i in range(60)]
+        assert all(hom[mult[i][j]] == mult[hom[i]][hom[j]] for i in range(60) for j in range(60))
+        homs.append(hom)
+    commute = [[mult[u][v] == mult[v][u] for v in range(60)] for u in range(60)]
+    pairs = [(i, j) for i, f in enumerate(homs) for j, g in enumerate(homs)
+             if all(commute[f[x]][g[y]] for x in range(60) for y in range(60))]
+    return mult, homs, pairs
+
+
+def reference_kernels(e):
+    """Hom(A5**e, A5), one row each: its kernel as a list of 60**e bools."""
+    mult, homs, pairs = reference_homs()
+    if e == 1:
+        return [[f[x] == 0 for x in range(60)] for f in homs]
+    return [[mult[homs[i][x]][homs[j][y]] == 0 for x in range(60) for y in range(60)]
+            for i, j in pairs]
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_kernel_rows_are_the_reference_kernels(e):
+    want = np.array(reference_kernels(e))
+    bits = np.unpackbits(_kernels(e).view(np.uint8), axis=1)
+    assert bits.shape == (len(want), 64 * -(-(60**e) // 64))
+    assert (bits[:, : 60**e] == want).all() and not bits[:, 60**e :].any()
+
+
 def reference_images(k):
-    """(bits, sizes) for all 121**k images at once, the whole-table builder the
-    streamed blocks replace: row t of bits is the image of the t-th k-tuple
-    of homomorphisms, lexicographically, and sizes[t] its order."""
+    """(bits, sizes) for all 121**k images at once: row t of bits is the image
+    of the t-th k-tuple of homomorphisms, lexicographically, a bitset over
+    A5**k packed as nonab_oracle packs kernels, and sizes[t] its order."""
     maps = _maps().astype(np.uint16)
     n = len(maps)
     prefixes = np.zeros((1, 60), dtype=np.uint16)  # the empty tuple sends x to ()
@@ -80,40 +136,41 @@ def reference_images(k):
     return bits, _popcount(bits)
 
 
-def streamed_blocks(k):
-    return [_block(k, t) for t in range(121 ** (k - 1))]
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_streamed_blocks_are_the_reference_rows(k):
+def image_count(e, k):
+    """|Sur(A5**e, A5**k)| by images, not kernels: at e = 1 the k-tuples of
+    homomorphisms with a full image; at e = 2 the k-tuples of commuting pairs
+    whose images S1 and S2 have |S1 S2| = |S1| |S2| / |S1 meet S2| full."""
+    if e == 0 or k == 0:
+        return int(k == 0)
     bits, sizes = reference_images(k)
-    blocks = streamed_blocks(k)
-    assert (np.concatenate([b for b, _ in blocks]) == bits).all()
-    assert (np.concatenate([s for _, s in blocks]) == sizes).all()
+    if e == 1:
+        return int((sizes == 60**k).sum())
+    pairs = np.array(reference_homs()[2])
+    count = 0
+    for lead in product(pairs, repeat=k - 1):
+        f = g = 0
+        for i, j in lead:
+            f, g = f * 121 + i, g * 121 + j
+        fs, gs = f * 121 + pairs[:, 0], g * 121 + pairs[:, 1]
+        meet = _popcount(bits[fs] & bits[gs])
+        count += int((sizes[fs] * sizes[gs] == 60**k * meet).sum())
+    return count
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_image_orders_match_the_two_byte_table(k):
-    blocks = streamed_blocks(k)
-    assert sum(len(bits) for bits, _ in blocks) == 121**k
-    for bits, sizes in blocks:
-        assert bits.shape == (121, -(-(60**k) // 64))
-        assert (sizes == two_byte_popcount(bits.view(np.uint8))).all()
-    orders = {size for _, sizes in blocks for size in sizes.tolist()}
-    assert orders == {1, 60}  # the image of A5 is trivial or a copy of A5
+def test_the_kernel_count_matches_the_image_count():
+    for e in range(3):
+        for k in range(3):
+            assert sur_a5_bruteforce(e, k) == image_count(e, k), (e, k)
 
 
 @pytest.mark.parametrize("e", [1, 2])
-def test_a_count_builds_each_block_at_most_once(e, monkeypatch):
-    built = []
-
-    def counted(k, t):
-        built.append(t)
-        return _block(k, t)
-
-    monkeypatch.setattr(nonab_oracle, "_block", counted)
-    assert sur_a5_bruteforce(e, 2) == [0, 28800][e - 1]
-    assert sorted(built) == list(range(121))  # each (k-1)-prefix once
+def test_image_orders_match_the_two_byte_table(e):
+    rows = _kernels(e)
+    assert rows.shape == ([121, 241][e - 1], -(-(60**e) // 64))
+    sizes = _popcount(rows)
+    assert (sizes == two_byte_popcount(rows.view(np.uint8))).all()
+    # an image, trivial or a copy of A5, has order 60**e over its kernel's
+    assert set(sizes.tolist()) == [{1, 60}, {60, 3600}][e - 1]
 
 
 def test_oracle_values_up_to_two():
@@ -122,8 +179,8 @@ def test_oracle_values_up_to_two():
 
 
 def test_no_image_table_is_held_after_a_count():
-    # the k = 2 bit table would be 6.7 MB; a count reads it a 55 KB block at
-    # a time, so neither it nor the verify worker it runs in grows by the table
+    # the k = 2 image table would be 6.7 MB; a count holds 110 KB of kernel
+    # rows and meets them a batch at a time, so no verify worker grows by a table
     sur_a5_bruteforce(1, 1)  # the homomorphism tables, cached and small, outside the trace
     for e, want in ((1, 0), (2, 28800)):
         tracemalloc.start()
@@ -151,10 +208,10 @@ def test_oracles_read_only_exact_ints(call, bad):
 
 
 def test_an_image_that_is_no_subgroup_is_refused(monkeypatch):
-    def full_rows(k, t):
-        bits, sizes = _block(k, t)
-        return ~np.zeros_like(bits), sizes  # every meet is then larger than |S1| |S2|
-
-    monkeypatch.setattr(nonab_oracle, "_block", full_rows)
-    with pytest.raises(ConsistencyError, match="not a subgroup"):
-        sur_a5_bruteforce(2, 2)
+    # all-ones rows have 64 or 3648 set bits, zero rows none: no divisor of 60**e
+    real = nonab_oracle._kernels
+    for fill in (np.uint64(0), ~np.uint64(0)):
+        monkeypatch.setattr(nonab_oracle, "_kernels", lambda e: np.full_like(real(e), fill))
+        for e, k in product((1, 2), repeat=2):
+            with pytest.raises(ConsistencyError, match="not a subgroup"):
+                sur_a5_bruteforce(e, k)

@@ -318,6 +318,13 @@ def test_sample_cokernel_is_draw_i_of_a_stacked_run():
         sample_cokernel(config, 2**64)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, "1", np.int64(1)], ids=repr)
+def test_draw_index_is_an_exact_int(bad):
+    # no draw 1 for True, and no bare TypeError from numpy for 1.0
+    with pytest.raises(InputError, match="draw index must be an integer"):
+        sample_cokernel(SamplerConfig(p=2, cap=3, n=3, seed=1, count=1), bad)
+
+
 @pytest.mark.parametrize(
     "p, cap, n, u, count",
     [(2, 3, 8, 0, 1100), (3, 2, 6, 1, 1600), (2, 3, 8, 0, 0), (2, 3, 0, 0, 300), (5, 1, 0, 2, 7)],
