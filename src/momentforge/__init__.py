@@ -30,7 +30,7 @@ from .finab import (
     sur_count,
 )
 from .inversion import Bracket, MomentTable, multi_invert_zero
-from .localize import ModuleMomentTable, localized_moments, reconstruct_probability
+from .localize import Localization, ModuleMomentTable, localized_moments, reconstruct_probability
 from .qseries import SimpleType, inversion_coefficient, q_binomial, q_pochhammer
 from .surjcount import MultiIndex, sur_product, sur_single
 
@@ -60,6 +60,7 @@ __all__ = [
     "Bracket",
     "multi_invert_zero",
     "ModuleMomentTable",
+    "Localization",
     "localized_moments",
     "reconstruct_probability",
     "SamplerConfig",

@@ -26,6 +26,7 @@ from .errors import ConsistencyError, InputError, MomentforgeError
 from .finab import MAX_ORDER_BITS, FinAbGroup
 from .inversion import MomentTable, multi_invert_zero
 from .localize import (
+    Localization,
     ModuleMomentTable,
     collector_paused,
     localized_moments,
@@ -173,7 +174,7 @@ def _cmd_localize(args) -> int:
     table, primes = _table_and_primes(args)
     M = _parse_group(args.group)
     k_bound = _per_type(args.kbound, "--kbound", len(primes))
-    moments = localized_moments(table, M, primes, k_bound)
+    moments = localized_moments(table, Localization(M, primes, k_bound))
     _emit(moments.to_json_obj(), args.pretty)
     return 0
 
@@ -226,7 +227,7 @@ def _cmd_verify(args) -> int:
 
 
 _TABLE_HELP = (
-    "module moment-table JSON path; it must hold what localize.localization_middles "
+    "module moment-table JSON path; it must hold what a localize.Localization "
     "reads: the group plus a vertical strip of up to {depth} boxes at each basis "
     "prime. Any order_bound field is read but not enforced"
 )

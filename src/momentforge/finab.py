@@ -291,18 +291,19 @@ def aut_count(A: FinAbGroup) -> int:
 
 @lru_cache(maxsize=65536)
 def _aut_count_p(p: int, parts: tuple[int, ...]) -> int:
-    e = sorted(parts)  # nondecreasing exponents e_1 <= ... <= e_n
-    n = len(e)
-    d = [max(l for l in range(n) if e[l] == e[k]) + 1 for k in range(n)]
-    c = [min(l for l in range(n) if e[l] == e[k]) + 1 for k in range(n)]
-    out = 1
-    for k in range(n):
-        out *= p ** d[k] - p**k
-    for j in range(n):
-        out *= (p ** e[j]) ** (n - d[j])
-    for i in range(n):
-        out *= (p ** (e[i] - 1)) ** (n - c[i] + 1)
-    return out
+    """prod_k (p**d_k - p**k) * prod_j p**(e_j (n - d_j) + (e_j - 1)(n - c_j + 1))
+    over the nondecreasing exponents e_1 <= ... <= e_n, with c_k and d_k the
+    first and last index (from 1) of e_k's run, read one run at a time."""
+    n, out, power, start, p_k = len(parts), 1, 0, 0, 1  # p_k = p**k
+    for a, run in itertools.groupby(sorted(parts)):
+        end = start + sum(1 for _ in run)  # d_k = end and c_k = start + 1 in the run
+        top = p**end
+        for _ in range(start, end):
+            out *= top - p_k
+            p_k *= p
+        power += (end - start) * (a * (n - end) + (a - 1) * (n - start))
+        start = end
+    return out * p**power
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:

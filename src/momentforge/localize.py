@@ -8,7 +8,7 @@ consumes moment tables only; measures appear in the brute-force oracle
 oracle.mu_local_direct used to cross-check it.
 
 Localization is at a set of primes p, the simple groups Z/p, and reads a
-table only at the groups localization_middles yields.
+table only at the groups a Localization yields.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ class ModuleMomentTable:
     filled in record order. A group is built only for a record that is read,
     and a value read from JSON as plain digits becomes a Fraction only then.
     The table promises exactly the groups it lists; localizing at M reads only
-    the middles that localization_middles yields, and names any the table
-    lacks. A record whose group passes finab.MAX_ORDER_BITS (2048 bits of
-    order, judged from its exponents) is invalid: no middle comes near it. A
-    legacy `order_bound` field in JSON is type-checked and otherwise ignored.
+    the middles of its Localization, and names any the table lacks. A record
+    whose group passes finab.MAX_ORDER_BITS (2048 bits of order, judged from
+    its exponents) is invalid: no middle comes near it. A legacy `order_bound`
+    field in JSON is type-checked and otherwise ignored.
     """
 
     def __init__(self, primes: Iterable[int], values: Mapping[FinAbGroup, Fraction | int]):
@@ -249,68 +249,72 @@ def _parse_value(v) -> Fraction | int:
     return parse_rational(v)
 
 
-def localization_middles(
-    M: FinAbGroup, primes: Sequence[int], k_bound: Sequence[int]
-) -> Iterator[tuple[MultiIndex, FinAbGroup, list[FinAbGroup]]]:
-    """The one rule for what localizing at M reads: (k, N_k, middles) for each
-    k <= k_bound, k_i the exponent of F_p for the i-th of the distinct `primes`,
-    N_k = prod F_p**k_i and the middles the M' of 0 -> N_k -> M' -> M -> 0,
-    M plus a vertical strip of k_i boxes at each p (candidate_middles). The
-    primes and k_bound are checked as the first item is drawn."""
-    primes = tuple(primes)
-    not_prime = any(type(p) is not int or not is_prime(p) for p in primes)
-    if not_prime or len(set(primes)) < len(primes):
-        raise InputError(f"localization needs distinct primes, got {list(primes)}")
-    k_bound = check_index(tuple(map(SimpleType.abelian, primes)), k_bound, "k_bound")
-    by_prime = sorted(range(len(primes)), key=primes.__getitem__)
-    for k in itertools.product(*(range(b + 1) for b in k_bound)):
-        N = FinAbGroup(tuple((primes[i], (1,) * k[i]) for i in by_prime if k[i]))
-        yield k, N, candidate_middles(N, M)
+class Localization:
+    """The one rule for what localizing at M reads, as a plan every walk
+    replays: for each k <= k_bound, k_i the exponent of F_p for the i-th of
+    the distinct `primes`, the middles M' of 0 -> N_k -> M' -> M -> 0 with
+    N_k = prod F_p**k_i, M plus a vertical strip of k_i boxes at each p
+    (candidate_middles). The primes and k_bound are checked when the plan is
+    made; a step when an iteration first reaches it, and then kept. Iterating
+    yields (k, N_k, middles), N_k as built for a new step and None for a kept
+    one: N_k is not kept, and kernel(k) builds it where needed."""
+
+    def __init__(self, M: FinAbGroup, primes: Sequence[int], k_bound: Sequence[int]):
+        primes = tuple(primes)
+        not_prime = any(type(p) is not int or not is_prime(p) for p in primes)
+        if not_prime or len(set(primes)) < len(primes):
+            raise InputError(f"localization needs distinct primes, got {list(primes)}")
+        self.M, self.primes = M, primes
+        self.k_bound = check_index(tuple(map(SimpleType.abelian, primes)), k_bound, "k_bound")
+        self._middles: list[list[FinAbGroup]] = []  # the steps made, in the order of k
+
+    def kernel(self, k: MultiIndex) -> FinAbGroup:
+        return FinAbGroup(tuple(sorted((p, (1,) * n) for p, n in zip(self.primes, k) if n)))
+
+    def __iter__(self) -> Iterator[tuple[MultiIndex, FinAbGroup | None, list[FinAbGroup]]]:
+        made = self._middles
+        for i, k in enumerate(itertools.product(*(range(b + 1) for b in self.k_bound))):
+            N = None
+            if i == len(made):
+                N = self.kernel(k)
+                made.append(candidate_middles(N, self.M))
+            yield k, N, made[i]
+
+    def bracket(self, table: ModuleMomentTable) -> Bracket:
+        """Certified bracket for the mass at M of any nonnegative measure with
+        the moments in `table`: the localized moments inverted, over |Aut(M)|."""
+        bracket = multi_invert_zero(localized_moments(table, self), self.k_bound)
+        return bracket.scale(Fraction(1, aut_count(self.M)))
 
 
-def localized_moments(
-    table: ModuleMomentTable,
-    M: FinAbGroup,
-    primes: Sequence[int],
-    k_bound: Sequence[int],
-) -> MomentTable:
-    """Moments of the localized measure at M, one per multi-index k <= k_bound
-    of localization_middles, which also names the only groups read.
+def localized_moments(table: ModuleMomentTable, loc: Localization) -> MomentTable:
+    """Moments of the localized measure at loc.M, one per step of the plan
+    loc, whose middles are the only groups read.
 
     The k-th localized moment is the extension-class sum
     sum_{M'} classCount(N_k, M', M) * table(M') / |Hom(M, N_k)| over the
     middles M' of 0 -> N_k -> M' -> M -> 0. A middle the table lacks is a
-    hard error naming it.
-    """
-    primes = tuple(primes)
-    values: dict[MultiIndex, Fraction] = {}
-    for k, N, middles in localization_middles(M, primes, k_bound):
+    hard error naming it. N_k is built only for that error or a nonzero term."""
+    M, values = loc.M, {}
+    for k, N, middles in loc:
         missing = [mid for mid in middles if mid not in table]
         if missing:  # the middles are bounded groups, so their order prints
-            raise InputError(
-                f"moment table lacks middles for N={N}, M={M} "
-                f"(order {N.order * M.order}): "
-                + ", ".join(str(g) for g in missing[:8])
-                + ("..." if len(missing) > 8 else "")
-            )
+            N, named = N or loc.kernel(k), ", ".join(map(str, missing[:8]))
+            raise InputError(f"moment table lacks middles for N={N}, M={M} (order "
+                             f"{N.order * M.order}): {named}{'...' * (len(missing) > 8)}")
         total = Fraction(0)
         for mid in middles:
             v = table(mid)
             if v:
+                N = N or loc.kernel(k)
                 total += extension_class_count(N, M, mid) * v
-        values[k] = total / hom_count(M, N)
-    return MomentTable(tuple(map(SimpleType.abelian, primes)), k_bound, values)
+        values[k] = total / hom_count(M, N) if total else total
+    return MomentTable(tuple(map(SimpleType.abelian, loc.primes)), loc.k_bound, values)
 
 
 def reconstruct_probability(
-    table: ModuleMomentTable,
-    M: FinAbGroup,
-    primes: Sequence[int],
-    r_max: Sequence[int],
+    table: ModuleMomentTable, M: FinAbGroup, primes: Sequence[int], r_max: Sequence[int]
 ) -> Bracket:
     """Certified bracket for the mass at M of any nonnegative measure with
-    the given moments: invert the moments localized at the given primes, then
-    divide by |Aut(M)|."""
-    moments = localized_moments(table, M, primes, r_max)
-    bracket = multi_invert_zero(moments, r_max)
-    return bracket.scale(Fraction(1, aut_count(M)))
+    the given moments: Localization(M, primes, r_max).bracket(table)."""
+    return Localization(M, primes, r_max).bracket(table)

@@ -262,11 +262,6 @@ def mu_local_direct(mu: Measure, M: FinAbGroup, N: FinAbGroup) -> Fraction:
     return out
 
 
-def count_surjective_matrices(h: int, e: int, k: int) -> int:
-    """Brute-force count of surjective k x e matrices over the h-element field."""
-    return surjective_matrix_counts(h, e, k)[k]
-
-
 def surjective_matrix_counts(h: int, e: int, k: int) -> list[int]:
     """Brute-force counts of surjective j x e matrices over the h-element
     field for j = 0..k, from one walk.

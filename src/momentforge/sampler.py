@@ -31,7 +31,7 @@ import numpy as np
 from .budget import budget_from_env
 from .errors import InputError, Value
 from .finab import FinAbGroup, Measure, aut_count, is_prime, sur_count
-from .localize import ModuleMomentTable, localization_middles, reconstruct_probability
+from .localize import Localization, ModuleMomentTable
 from .rationals import clip, format_rational, over_common_denominator
 
 
@@ -317,17 +317,15 @@ def convergence_report(
                 f"{config.cap - 1}"
             )
 
-    moment_targets = [
-        mid for M in targets for _, _, mids in localization_middles(M, (config.p,), (r_max,))
-        for mid in mids
-    ]
+    plans = [Localization(M, (config.p,), (r_max,)) for M in targets]
+    moment_targets = [mid for plan in plans for _, _, mids in plan for mid in mids]
 
     references = [repr(float(reference_mass(config.p, config.u, M))) for M in targets]
     records: list[dict] = []
     for t, mu in zip(counts, _prefix_measures(config, counts)):
         table = empirical_moments(mu, moment_targets)
-        for M, reference in zip(targets, references):
-            bracket = reconstruct_probability(table, M, (config.p,), (r_max,))
+        for M, plan, reference in zip(targets, plans, references):
+            bracket = plan.bracket(table)
             records.append(
                 {
                     "t": t,

@@ -35,7 +35,7 @@ from .finab import (
     sur_count,
 )
 from .inversion import MomentTable, multi_invert_zero
-from .localize import localization_middles, reconstruct_probability
+from .localize import Localization
 from .nonab_oracle import hom_a5_count, sur_a5_bruteforce
 from .oracle import (
     aut_bruteforce,
@@ -273,13 +273,11 @@ def check_end_to_end(
         max(g.rank(2) for g in mu.support()) + 1,
         max(g.rank(3) for g in mu.support()) + 1,
     )
-    targets = enumerate_groups({2, 3}, target_order)
-    table = empirical_moments(mu, [
-        mid for M in targets for _, _, mids in localization_middles(M, (2, 3), r_max) for mid in mids
-    ])
+    plans = [Localization(M, (2, 3), r_max) for M in enumerate_groups({2, 3}, target_order)]
+    table = empirical_moments(mu, [mid for plan in plans for _, _, mids in plan for mid in mids])
     checked = 0
-    for M in targets:
-        br = reconstruct_probability(table, M, (2, 3), r_max)
+    for plan in plans:
+        M, br = plan.M, plan.bracket(table)
         truth = mu.mass(M)
         if br.lower != truth or br.upper != truth:
             return False, f"reconstruction at {M}: bracket {br}, true mass {truth}"
@@ -348,10 +346,10 @@ def check_list(seed: int, quick: bool = False) -> list[Check]:
 
 # check_list indices in the order run_all hands them to its workers: heaviest
 # first, so no heavy check starts last. By verify --quick times (fresh
-# process, median of 9, 2 vCPUs): extension-sum 38 ms, smart surjection 29,
-# hom/aut 18, bracketing 16, A5 7.4, end-to-end 5.8, matrix 5.6, product 1.6,
-# q-binomial 0.9, Euler 0.4.
-DISPATCH_ORDER = (8, 7, 6, 4, 2, 9, 0, 1, 3, 5)
+# process, medians of 9 over seeds 0-8 and 9-17, 2 vCPUs): extension-sum
+# 35-38 ms, smart surjection 30, hom/aut 17-19, bracketing 15-18, A5 6.5-6.8,
+# matrix 5.8-6.9, end-to-end 4.2, product 1.6-2.0, q-binomial 0.9, Euler 0.4.
+DISPATCH_ORDER = (8, 7, 6, 4, 2, 0, 9, 1, 3, 5)
 
 
 def _work(checks: list[Check], tasks: int, out: int, parent_end: int) -> NoReturn:

@@ -416,6 +416,27 @@ def test_deep_report_reads_only_needed_middles(capsys):
     assert code == 0 and len(_report_brackets_contain_frequencies(out)) == 4
 
 
+@pytest.mark.parametrize("primes, groups, rmax, message", [
+    # (Z/2)**2049 is too large, so a plan made whole before its first sum
+    # would refuse it; one made step by step stops at the first missing middle
+    ([2], [{"2": [1] * k} for k in range(6)], "2049",
+     "lacks middles for N=" + " x ".join(["Z/2"] * 6) + ", M=0"),
+    # 1001 x 501 steps that a plan made whole would build before any sum
+    ([2, 3], [g.to_json_obj() for g in enumerate_groups([2, 3], 36)], "1000,500",
+     "lacks middles for N="),
+], ids=["past-the-order-bound", "wide"])
+def test_a_missing_middle_stops_reconstruct_at_its_step(primes, groups, rmax, message, tmp_path,
+                                                        capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"primes": primes, "moments": [
+        {"group": g, "value": "1"} for g in groups]}))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "reconstruct", "--file", str(path), "--group", "{}",
+                         "--rmax", rmax)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and out == "" and message in err
+
+
 @pytest.mark.parametrize(
     "budget",
     ['{"max_candidates":"x"}', '{"max_candidates":null}', '"5"', "-1", "0",

@@ -19,7 +19,6 @@ SRC = ROOT / "src" / "momentforge"
 ALLOWED = {
     "cli._Parser.error": "overrides argparse.ArgumentParser.error",
     "oracle.mu_local_direct": "the oracle the tests hold localized_moments to",
-    "oracle.count_surjective_matrices": "the one-k form of surjective_matrix_counts the tests read",
 }
 
 

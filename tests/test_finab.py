@@ -28,10 +28,9 @@ from momentforge.finab import (
     partitions,
     sur_count,
 )
-from momentforge.localize import ModuleMomentTable, localized_moments
+from momentforge.localize import Localization, ModuleMomentTable, localized_moments
 from momentforge.oracle import (
     aut_bruteforce,
-    count_surjective_matrices,
     hom_count_bruteforce,
     kernel_pair_count,
     sur_bruteforce,
@@ -155,7 +154,7 @@ class TestCanonicalForm:
 def test_finab_forwards_only_the_traced_oracles():
     for name in ("sur_bruteforce", "aut_bruteforce", "hom_count_bruteforce", "kernel_pair_count"):
         assert getattr(finab, name) is getattr(oracle, name)
-    for name in ("surjection_kernel_profile", "count_surjective_matrices", "_hom_images"):
+    for name in ("surjection_kernel_profile", "surjective_matrix_counts", "_hom_images"):
         with pytest.raises(AttributeError):
             getattr(finab, name)
 
@@ -227,6 +226,28 @@ class TestHomAut:
         assert aut_count(Z(4, 2)) == 8
         assert aut_count(elementary(2, 3)) == 168
         assert aut_count(Z(6)) == 2
+
+    def test_aut_count_matches_the_per_index_formula(self):
+        # the reference: d_k and c_k (last and first index of e_k's run, from
+        # 1) found by a scan per index, and one power per factor
+        def reference(p, parts):
+            e = sorted(parts)
+            n = len(e)
+            d = [max(l for l in range(n) if e[l] == e[k]) + 1 for k in range(n)]
+            c = [min(l for l in range(n) if e[l] == e[k]) + 1 for k in range(n)]
+            out = 1
+            for k in range(n):
+                out *= p ** d[k] - p**k
+            for j in range(n):
+                out *= (p ** e[j]) ** (n - d[j])
+            for i in range(n):
+                out *= (p ** (e[i] - 1)) ** (n - c[i] + 1)
+            return out
+
+        for p in (2, 3, 5, 7):
+            for n in range(14):
+                for lam in partitions(n):
+                    assert finab._aut_count_p(p, lam) == reference(p, lam), (p, lam)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_cohen_lenstra_mass_identity(self, p):
@@ -459,11 +480,11 @@ class TestSurjectionOracles:
             t = SimpleType.abelian(h)
             for e in range(5):
                 for k in range(5):
-                    assert count_surjective_matrices(h, e, k) == sur_single(t, e, k)
+                    assert surjective_matrix_counts(h, e, k)[k] == sur_single(t, e, k)
         # (3, 5, 3) merges 29,040 spans of 243 points each; packed rows keep it under 1 s
         monkeypatch.setenv(budget.ENV_VAR, str(2 * 10**7))
         started = time.perf_counter()
-        got = count_surjective_matrices(3, 5, 3)
+        got = surjective_matrix_counts(3, 5, 3)[3]
         assert time.perf_counter() - started < 1.0
         assert got == sur_single(SimpleType.abelian(3), 5, 3)
 
@@ -483,14 +504,14 @@ class TestSurjectionOracles:
 
         def refusal(k):
             with pytest.raises(BudgetExceededError) as exc:
-                count_surjective_matrices(2, 5, k)
+                surjective_matrix_counts(2, 5, k)
             return str(exc.value)
 
         first = refusal(4)
         assert first.startswith("matrix oracle level 3: 26040 candidate tuples exceed")
         t = SimpleType.abelian(2)
         for k in (3, 0, 2, 1, 3):
-            assert count_surjective_matrices(2, 5, k) == sur_single(t, 5, k)
+            assert surjective_matrix_counts(2, 5, k)[k] == sur_single(t, 5, k)
             assert refusal(4) == refusal(5) == first
         assert surjective_matrix_counts(2, 5, 3) == [sur_single(t, 5, j) for j in range(4)]
         with pytest.raises(BudgetExceededError, match="^matrix oracle level 3: 26040 "):
@@ -501,7 +522,7 @@ class TestSurjectionOracles:
             for k in range(4):
                 a = elementary(2, e)
                 b = elementary(2, k)
-                assert count_surjective_matrices(2, e, k) == sur_bruteforce(a, b)
+                assert surjective_matrix_counts(2, e, k)[k] == sur_bruteforce(a, b)
 
     def test_sur_count_agrees_with_bruteforce(self):
         pool = enumerate_groups({2, 3}, 24)
@@ -546,7 +567,7 @@ class TestSemisimplify:
         table = ModuleMomentTable([2], {g: 1 for g in enumerate_groups([2], 4)})
         for primes in ((4,), (2, 2), (True,)):
             with pytest.raises(InputError, match="distinct primes"):
-                localized_moments(table, triv, primes, (1,) * len(primes))
+                localized_moments(table, Localization(triv, primes, (1,) * len(primes)))
 
     def test_respects_surjections(self):
         # Sur(X, S) = Sur(X mod radical, S) for semisimple S

@@ -21,8 +21,8 @@ from momentforge.finab import (
     extension_class_count,
 )
 from momentforge.localize import (
+    Localization,
     ModuleMomentTable,
-    localization_middles,
     localized_moments,
     reconstruct_probability,
 )
@@ -391,25 +391,29 @@ class TestCollectorPause:
             (gc.enable if was else gc.disable)()
 
 
+def localized(table, M, primes, k_bound):
+    return localized_moments(table, Localization(M, primes, k_bound))
+
+
 class TestLocalizedMoments:
     def test_spec_values(self, table_half):
-        lm = localized_moments(table_half, triv, P2, (1,))
+        lm = localized(table_half, triv, P2, (1,))
         assert lm.values[(0,)] == 1
         assert lm.values[(1,)] == HALF
 
-        lm = localized_moments(table_half, Z(2), P2, (1,))
+        lm = localized(table_half, Z(2), P2, (1,))
         assert lm.values[(0,)] == HALF
         assert lm.values[(1,)] == 0
 
     def test_zeroth_moment_is_table_value(self, table_half):
         for M in enumerate_groups([2], 8):
-            lm = localized_moments(table_half, M, P2, (0,))
+            lm = localized(table_half, M, P2, (0,))
             assert lm.values[(0,)] == table_half(M)
 
     def test_missing_middles_named(self, mu_half):
         small = empirical_moments(mu_half, enumerate_groups([2], 4))
         with pytest.raises(InputError, match="lacks middles"):
-            localized_moments(small, Z(4), P2, (1,))
+            localized(small, Z(4), P2, (1,))
 
     def test_zero_weight_middles_not_needed(self, table_half):
         # 0 -> F2 -> (Z/2)**3 -> Z/4 -> 0 is not exact for any maps, so a
@@ -417,13 +421,13 @@ class TestLocalizedMoments:
         values = {g: table_half(g) for g in enumerate_groups([2], 4)}
         values.update({g: table_half(g) for g in (Z(8), Z(4, 2))})
         partial = ModuleMomentTable([2], values)
-        assert localized_moments(partial, Z(4), P2, (1,)).values == (
-            localized_moments(table_half, Z(4), P2, (1,)).values
+        assert localized(partial, Z(4), P2, (1,)).values == (
+            localized(table_half, Z(4), P2, (1,)).values
         )
 
     def test_basis_must_cover_group(self, table_half):
         with pytest.raises(InputError):
-            localized_moments(table_half, Z(3), P2, (1,))
+            localized(table_half, Z(3), P2, (1,))
 
 
 class TestLocalizationMiddles:
@@ -434,28 +438,50 @@ class TestLocalizationMiddles:
     )
     @settings(max_examples=80, deadline=None)
     def test_a_table_of_the_middles_is_all_localizing_reads(self, M, primes, k_bound):
-        plan = list(localization_middles(M, primes, k_bound))
+        loc = Localization(M, primes, k_bound)
+        plan = list(loc)
         assert [k for k, _, _ in plan] == list(itertools.product(*(range(b + 1) for b in k_bound)))
         for k, N, middles in plan:  # k follows the caller's prime order
+            assert N == loc.kernel(k)
             assert N.is_semisimple and [N.rank(p) for p in primes] == list(k)
             assert middles == candidate_middles(N, M)
         reads = {mid: (N, mid) for _, N, middles in plan for mid in middles}
         exact = ModuleMomentTable([2, 3], {g: FULL_23(g) for g in reads})
-        want = localized_moments(FULL_23, M, primes, k_bound).values
-        assert localized_moments(exact, M, primes, k_bound).values == want
+        want = localized(FULL_23, M, primes, k_bound).values
+        assert localized_moments(exact, loc).values == want  # a kept plan answers the same
         for dropped, (N, mid) in reads.items():
             if extension_class_count(N, M, mid):
                 lacking = ModuleMomentTable([2, 3], {g: FULL_23(g) for g in reads if g != dropped})
                 with pytest.raises(InputError, match="lacks middles"):
-                    localized_moments(lacking, M, primes, k_bound)
+                    localized_moments(lacking, loc)
+
+    def test_a_second_iteration_builds_nothing(self, groups_built, monkeypatch):
+        calls = []
+
+        def counted_middles(N, M):
+            calls.append(N)
+            return candidate_middles(N, M)
+
+        monkeypatch.setattr(localize, "candidate_middles", counted_middles)
+        loc = Localization(Z(2), P23, (2, 1))
+        walk = iter(loc)
+        first = [next(walk), next(walk)]  # a walk that stops leaves the rest unmade
+        assert len(calls) == 2
+        first += list(loc)[2:]  # the next walk replays two steps and makes four
+        assert len(calls) == 6 and [N for _, N, _ in first] == calls
+        built = groups_built[0]
+        again = list(loc)
+        assert groups_built[0] == built and len(calls) == 6
+        assert [(k, None, middles) for k, _, middles in first] == again
 
     @pytest.mark.parametrize("primes, k_bound, message", [
         ((2, 2), (1, 1), "distinct primes"), ((4, 3), (1, 1), "distinct primes"),
         ((2, 3), (1,), "k_bound has length 1"), ((2, 3), (-1, 0), "nonnegative"),
     ])
     def test_checks_come_with_the_first_localization(self, primes, k_bound, message):
+        # the plan checks its primes and depth when made, before any step
         with pytest.raises(InputError, match=message):
-            next(localization_middles(triv, primes, k_bound))
+            Localization(triv, primes, k_bound)
 
 
 class TestMuLocalDirect:
@@ -490,7 +516,7 @@ def test_localized_moments_match_direct_definition():
         if g.is_semisimple and g.rank(2) <= 3 and g.rank(3) <= 2
     ]
     for M in enumerate_groups({2, 3}, 6):
-        lm = localized_moments(table, M, P23, (2, 2))
+        lm = localized(table, M, P23, (2, 2))
         for k2 in range(3):
             for k3 in range(3):
                 N = FinAbGroup.from_dict({2: [1] * k2, 3: [1] * k3})

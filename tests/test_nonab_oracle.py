@@ -8,7 +8,7 @@ import pytest
 from momentforge import nonab_oracle
 from momentforge.errors import BudgetExceededError, ConsistencyError, InputError
 from momentforge.nonab_oracle import _a5, _kernels, _maps, _popcount, hom_a5_count, sur_a5_bruteforce
-from momentforge.oracle import count_surjective_matrices, surjective_matrix_counts
+from momentforge.oracle import surjective_matrix_counts
 from momentforge.qseries import SimpleType
 from momentforge.surjcount import sur_single
 
@@ -198,8 +198,8 @@ def test_no_image_table_is_held_after_a_count():
     lambda x: sur_a5_bruteforce(2, x),
     lambda x: surjective_matrix_counts(x, 2, 1),
     lambda x: surjective_matrix_counts(2, x, 1),
-    lambda x: count_surjective_matrices(2, 2, x),
-    lambda x: count_surjective_matrices(x, 2, 1),
+    lambda x: surjective_matrix_counts(2, 2, x),
+    lambda x: surjective_matrix_counts(x, 2, 0),  # checked before the k = 0 answer
 ], ids=["a5-e", "a5-k", "matrix-counts-h", "matrix-counts-e", "matrix-k", "matrix-h"])
 def test_oracles_read_only_exact_ints(call, bad):
     # no answer for True or 1.0 read as 1, and no bare TypeError

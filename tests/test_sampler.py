@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from momentforge import sampler
+from momentforge import localize, sampler
 from momentforge.budget import Budget
 from momentforge.errors import BudgetExceededError, InputError
 from momentforge.finab import FinAbGroup, Measure, enumerate_groups, sur_count
@@ -349,6 +349,18 @@ def test_convergence_report_matches_oracle_draws():
         tally = Counter(draws[: rec["t"]])
         group = FinAbGroup.from_json_obj(rec["group"])
         assert rec["frequency"] == format_rational(Fraction(tally[group], rec["t"]))
+
+
+def test_report_walks_each_target_once(monkeypatch):
+    # one plan per target gives both the middles to tabulate and every
+    # prefix's bracket: r + 1 steps per target, however many prefixes
+    walked = []
+    middles = localize.candidate_middles
+    monkeypatch.setattr(localize, "candidate_middles",
+                        lambda N, M: walked.append(N) or middles(N, M))
+    config = SamplerConfig(p=2, cap=3, n=8, seed=1, count=100)
+    convergence_report(config, [10, 50, 100], [triv, Z(2)], r_max=20)
+    assert len(walked) == 2 * 21
 
 
 def test_sample_work_over_the_cap_is_refused_before_drawing(monkeypatch):

@@ -2,7 +2,9 @@
 the in-process results, check order, clean failures and bounded time."""
 
 import errno
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import momentforge
-from momentforge import verify
+from momentforge import localize, verify
 from momentforge.cli import main
 from momentforge.errors import ConsistencyError
+from momentforge.finab import enumerate_groups
 from momentforge.verify import check_list, run_all
 
 NAMES = [name for name, _ in check_list(0, quick=True)]
@@ -40,6 +43,18 @@ def test_workers_match_the_checks_run_in_order(seed):
 def test_dispatch_order_hands_out_every_check_once_the_extension_sum_first():
     assert sorted(verify.DISPATCH_ORDER) == list(range(len(NAMES)))
     assert NAMES[verify.DISPATCH_ORDER[0]] == "extension-sum identity"
+
+
+def test_end_to_end_check_walks_each_target_once(monkeypatch):
+    # one plan per target gives both the middles to tabulate and its bracket
+    walked = []
+    middles = localize.candidate_middles
+    monkeypatch.setattr(localize, "candidate_middles",
+                        lambda N, M: walked.append(N) or middles(N, M))
+    assert verify.check_end_to_end(3)[0]
+    mu = verify.synthetic_measure(random.Random(3), 72, 12)
+    steps = math.prod(max(g.rank(p) for g in mu.support()) + 2 for p in (2, 3))
+    assert len(walked) == len(enumerate_groups({2, 3}, 24)) * steps
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
