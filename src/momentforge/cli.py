@@ -167,7 +167,8 @@ def _cmd_invert(args) -> int:
 def _table_and_primes(args) -> tuple[ModuleMomentTable, tuple[int, ...]]:
     with collector_paused():  # the parsed JSON holds no cycles either
         table = ModuleMomentTable.from_json_obj(_load_json(args.file))
-    return table, _int_list(args.primes, "--primes") if args.primes else table.primes
+    primes = _int_list(args.primes, "--primes") if args.primes is not None else table.primes
+    return table, primes
 
 
 def _cmd_localize(args) -> int:

@@ -11,12 +11,15 @@ forming p**a, passes MAX_ORDER_BITS = 2048. So every order is below 2**2048 <
 10**617 and prints under any digit limit Python allows (640 or more), far
 above the groups a localization reads: M plus a vertical strip at each prime.
 
-Counts are closed forms on these partitions: hom_count, aut_count, and the
-Hall numbers g^lambda_{mu,(1^m)}(p) of Macdonald, Symmetric Functions and
-Hall Polynomials, ch. II (4.6), from which sur_count, extension_pair_count
-and candidate_middles follow. None of them enumerates group elements, so
-none is metered by a Budget, and this module imports neither Budget nor
-numpy. The brute-force oracles that check them live in momentforge.oracle.
+Counts are closed forms on these partitions. sur_count and aut_count
+(|Aut A| = |Sur(A, A)|) are one product per prime, _sur_p: a homomorphism
+is onto exactly when it is onto B/pB, so a surjection count is a count of
+full-rank matrices over F_p with a staircase of forced zeros. The Hall numbers
+g^lambda_{mu,(1^m)}(p) of Macdonald, Symmetric Functions and Hall Polynomials,
+ch. II (4.6), give extension_pair_count and candidate_middles. None of them
+enumerates group elements, so none is metered by a Budget, and this module
+imports neither Budget nor numpy. The brute-force oracles that check them live
+in momentforge.oracle.
 """
 
 from __future__ import annotations
@@ -143,14 +146,6 @@ class FinAbGroup(Value):
     def rank(self, p: int) -> int:
         return len(self.partition(p))
 
-    def conjugate(self, p: int) -> tuple[int, ...]:
-        """Conjugate partition at p: entry j counts parts >= j+1."""
-        return _conjugate(self.partition(p))
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.components
-
     @property
     def is_semisimple(self) -> bool:
         """True when every cyclic factor is of prime order."""
@@ -276,36 +271,6 @@ def _hom_exponent(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     return sum(min(i, j) for i in alpha for j in beta)
 
 
-def aut_count(A: FinAbGroup) -> int:
-    """|Aut(A)| via the per-prime closed form for abelian p-groups.
-
-    Agrees with aut_bruteforce wherever the latter is affordable; the
-    extension-class machinery relies on this for middles whose endomorphism
-    sets are far too large to enumerate.
-    """
-    out = 1
-    for p, parts in A.components:
-        out *= _aut_count_p(p, parts)
-    return out
-
-
-@lru_cache(maxsize=65536)
-def _aut_count_p(p: int, parts: tuple[int, ...]) -> int:
-    """prod_k (p**d_k - p**k) * prod_j p**(e_j (n - d_j) + (e_j - 1)(n - c_j + 1))
-    over the nondecreasing exponents e_1 <= ... <= e_n, with c_k and d_k the
-    first and last index (from 1) of e_k's run, read one run at a time."""
-    n, out, power, start, p_k = len(parts), 1, 0, 0, 1  # p_k = p**k
-    for a, run in itertools.groupby(sorted(parts)):
-        end = start + sum(1 for _ in run)  # d_k = end and c_k = start + 1 in the run
-        top = p**end
-        for _ in range(start, end):
-            out *= top - p_k
-            p_k *= p
-        power += (end - start) * (a * (n - end) + (a - 1) * (n - start))
-        start = end
-    return out * p**power
-
-
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugate partition: entry j counts parts >= j+1."""
     return tuple(sum(1 for a in parts if a > j) for j in range(parts[0] if parts else 0))
@@ -348,17 +313,6 @@ def _blocks(parts: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(a, parts.count(a)) for a in sorted(set(parts), reverse=True)]
 
 
-def _strips_below(beta: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every gamma with beta/gamma a vertical strip: in each block of equal
-    parts, the last j parts drop by one."""
-    blocks = _blocks(beta)
-    for js in itertools.product(*(range(c + 1) for _, c in blocks)):
-        gamma: list[int] = []
-        for (a, c), j in zip(blocks, js):
-            gamma += [a] * (c - j) + [a - 1] * j
-        yield tuple(g for g in gamma if g)
-
-
 def _strips_above(mu: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
     """Every lam with lam/mu a vertical m-strip: in each block of equal
     parts the first j parts grow by one, and the rest of the m boxes start
@@ -375,43 +329,44 @@ def _strips_above(mu: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
 
 
 def sur_count(A: FinAbGroup, B: FinAbGroup) -> int:
-    """|Sur(A, B)| in closed form, one Sylow part at a time.
+    """|Sur(A, B)| = prod over the primes p of B of _sur_p(p, alpha, beta),
+    with alpha, beta the types of A_p, B_p. sur_bruteforce is its oracle."""
+    return prod(_sur_p(p, A.partition(p), parts) for p, parts in B.components)
 
-    Quotients of A can only shrink conjugate partitions, so a failed
-    domination check forces 0. Otherwise Moebius inversion on the subgroup
-    lattice of B_p: P. Hall's Moebius function mu(H, B_p) is
-    (-1)**k p**C(k, 2) when B_p/H is elementary of rank k and 0 otherwise,
-    so with beta the type of B_p
 
-        Sur(A_p, B_p) = sum over vertical k-strips beta/gamma of
-            (-1)**k p**C(k, 2) g^beta_{gamma,(1^k)}(p) |Hom(A_p, C_gamma)|,
-
-    where g is the Hall number of Macdonald, Symmetric Functions and Hall
-    Polynomials, ch. II (4.6). sur_bruteforce is the oracle for it.
-    """
-    if B.is_trivial:
-        return 1
-    if A.order % B.order:
-        return 0
-    for p in B.primes:
-        ca, cb = A.conjugate(p), B.conjugate(p)
-        if len(cb) > len(ca) or any(b > a for a, b in zip(ca, cb)):
-            return 0
-    return prod(_sur_p(p, A.partition(p), B.partition(p)) for p in B.primes)
+def aut_count(A: FinAbGroup) -> int:
+    """|Aut(A)| = |Sur(A, A)|, one _sur_p per prime; aut_bruteforce is its
+    oracle. The extension-class counts rely on it for middles whose
+    endomorphism sets are far too large to enumerate."""
+    return prod(_sur_p(p, parts, parts) for p, parts in A.components)
 
 
 @lru_cache(maxsize=65536)
 def _sur_p(p: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
-    out = 0
-    for gamma in _strips_below(beta):
-        k = sum(beta) - sum(gamma)
-        out += (
-            (-1) ** k
-            * p ** (k * (k - 1) // 2)
-            * _hall_number(p, beta, gamma, k)
-            * p ** _hom_exponent(alpha, gamma)
-        )
-    return out
+    """|Sur(A, B)| for p-groups A, B of types alpha, beta (b_0 >= b_1 >= ...):
+
+        p**(sum_{a, b} min(a, b - 1)) * prod_i (p**n(b_i) - p**i),
+
+    with n(b) the number of parts a >= b of alpha. A homomorphism is onto
+    exactly when the map A/pA -> B/pB it induces is (Burnside's basis
+    theorem). The induced maps are the matrices whose row for a factor Z/p^b
+    is zero outside the n(b) generators of order >= p^b, and each comes from
+    p**(sum min(a, b - 1)) homomorphisms: an entry Z/p^a -> Z/p^b has
+    p**min(a, b) choices, and p**min(a, b - 1) of them give each residue it
+    can take mod p (any when a >= b, only 0 when a < b). Taken largest b
+    first, row i has p**n(b_i) - p**i choices outside the span of the rows
+    before it, so the count is 0 from the first row with n(b_i) <= i, and
+    no later row is read."""
+    ac = _conjugate(alpha)  # n(b) = ac[b - 1]
+    out, p_i = 1, 1  # p_i = p**i
+    for i, b in enumerate(beta):
+        n = ac[b - 1] if b <= len(ac) else 0
+        if n <= i:
+            return 0
+        out *= p**n - p_i
+        p_i *= p
+    # sum_{a, b} min(a, b - 1) = sum_{j >= 1} #{a >= j} #{b >= j + 1}
+    return out * p ** sum(x * y for x, y in zip(ac, _conjugate(beta)[1:]))
 
 
 # --------------------------------------------------------------------------

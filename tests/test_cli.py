@@ -385,6 +385,32 @@ def test_explicit_table_primes_match_the_default(command, depth, tmp_path, capsy
     assert run(capsys, *argv, "--primes", "2,3") == (0, plain, "")
 
 
+@pytest.mark.parametrize("command, depth", [("localize", "--kbound"), ("reconstruct", "--rmax")])
+def test_empty_primes_are_refused(command, depth, half_table_path, capsys):
+    # an empty list is no list of primes, not a request for the table's own
+    code, out, err = run(capsys, command, "--file", str(half_table_path), "--group", "{}",
+                         depth, "1", "--primes", "")
+    assert code == 1 and out == ""
+    assert err.startswith("error: --primes must be a comma-separated integer list: ")
+
+
+def test_report_target_off_the_sampled_prime_exits_1(capsys):
+    code, out, err = run(
+        capsys, "sample", "--report", "--p", "2", "--cap", "3", "--n", "8", "--count", "100",
+        "--seed", "1", "--ts", "100", "--target", '{"3":[1]}',
+    )
+    assert (code, out, err) == (1, "", "error: target Z/3 is not a 2-group\n")
+
+
+def test_a_bracket_too_long_to_print_exits_3(tmp_path, capsys):
+    # at h = 2**80 the coefficient c_20 has 2**15200 in its denominator, past
+    # Python's 4300-digit limit on printing an int
+    path = tmp_path / "table.json"
+    path.write_text(MomentTable.one_type(SimpleType.abelian(2**80), [1] * 21).dumps())
+    code, out, err = run(capsys, "invert", "--file", str(path), "--rmax", "20")
+    assert code == 3 and out == "" and err.startswith("error: the exact result is too long to print")
+
+
 def _report_brackets_contain_frequencies(out: str) -> list[dict]:
     records = [json.loads(line) for line in out.splitlines()]
     for rec in records:

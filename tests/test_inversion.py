@@ -174,6 +174,9 @@ def test_bracket_invariant():
     br = Bracket(Fraction(1, 3), Fraction(1, 2))
     assert br.width == Fraction(1, 6)
     assert br.to_json_obj() == {"lower": "1/3", "upper": "1/2"}
+    assert br.scale(Fraction(6)) == Bracket(Fraction(2), Fraction(3))
+    with pytest.raises(InputError, match="^bracket scaling factor must be nonnegative$"):
+        br.scale(Fraction(-1))
 
 
 def test_moment_table_validation():

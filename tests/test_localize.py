@@ -57,6 +57,13 @@ class TestModuleMomentTable:
         with pytest.raises(InputError):
             ModuleMomentTable([2], {triv: Fraction(-1)})
 
+    def test_missing_entry_and_non_group_key_refused(self):
+        table = ModuleMomentTable([2], {triv: 1})
+        with pytest.raises(InputError, match="^moment table has no entry for Z/2$"):
+            table(Z(2))
+        with pytest.raises(InputError, match="^moment keys must be groups, got "):
+            ModuleMomentTable([2], {"Z/2": 1})
+
     def test_prime_support_checked(self):
         with pytest.raises(InputError):
             ModuleMomentTable([2], {triv: 1, Z(2): 1, Z(3): 1})

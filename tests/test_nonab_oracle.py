@@ -42,6 +42,15 @@ def test_oracle_matches_formula_up_to_two():
             assert sur_a5_bruteforce(e, k) == sur_single(A5, e, k), (e, k)
 
 
+def test_negative_powers_are_refused():
+    with pytest.raises(InputError, match="^e and k must be nonnegative, got e=-1, k=0$"):
+        sur_a5_bruteforce(-1, 0)
+    with pytest.raises(InputError, match="^matrix oracle needs a prime field size, got h=4$"):
+        surjective_matrix_counts(4, 2, 1)
+    with pytest.raises(InputError, match="^e and k must be nonnegative$"):
+        surjective_matrix_counts(2, -1, 1)
+
+
 def test_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         sur_a5_bruteforce(3, 1)

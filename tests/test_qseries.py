@@ -161,6 +161,8 @@ def test_prime_power_validation():
         SimpleType.nonabelian(0)
     with pytest.raises(InputError):
         SimpleType(kind="abelian", h=2, aut=3)
+    with pytest.raises(InputError, match="^nonabelian type takes aut, not h$"):
+        SimpleType(kind="nonabelian", h=2)
 
 
 def trial_division_is_prime(n):

@@ -386,7 +386,7 @@ def test_default_cap_admits_every_single_draw_and_criterion_9():
 
 
 def test_trivial_matrix_sizes():
-    assert sample_cokernel(SamplerConfig(p=2, cap=3, n=0, seed=1, count=1)).is_trivial
+    assert sample_cokernel(SamplerConfig(p=2, cap=3, n=0, seed=1, count=1)) == triv
 
 
 def test_determinism_and_prefix():
