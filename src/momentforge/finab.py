@@ -14,12 +14,14 @@ above the groups a localization reads: M plus a vertical strip at each prime.
 Counts are closed forms on these partitions. sur_count and aut_count
 (|Aut A| = |Sur(A, A)|) are one product per prime, _sur_p: a homomorphism
 is onto exactly when it is onto B/pB, so a surjection count is a count of
-full-rank matrices over F_p with a staircase of forced zeros. The Hall numbers
-g^lambda_{mu,(1^m)}(p) of Macdonald, Symmetric Functions and Hall Polynomials,
-ch. II (4.6), give extension_pair_count and candidate_middles. None of them
-enumerates group elements, so none is metered by a Budget, and this module
-imports neither Budget nor numpy. The brute-force oracles that check them live
-in momentforge.oracle.
+full-rank matrices over F_p with a staircase of forced zeros.
+extension_class_count is one product per prime too: a class in
+Ext^1(M, F_p**m) is one vector of F_p**m per cyclic factor of M, and the
+middle depends only on the ranks those vectors add block by block, so the
+count is over rank profiles; candidate_middles lists the vertical strips
+where it is nonzero. None of them enumerates group elements, so none is
+metered by a Budget, and this module imports neither Budget nor numpy. The
+brute-force oracles that check them live in momentforge.oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, ConsistencyError, InputError, Value
+from .errors import BudgetExceededError, InputError, Value
 from .qseries import is_prime, q_binomial
 from .rationals import MAX_DIGITS, clip, clip_int, exact, format_rational
 
@@ -276,38 +278,6 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for a in parts if a > j) for j in range(parts[0] if parts else 0))
 
 
-@lru_cache(maxsize=65536)
-def _hall_number(p: int, lam: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
-    """Hall number g^lam_{mu,(1^m)}(p): the number of subgroups H of a
-    p-group G of type lam with H elementary of rank m and G/H of type mu.
-
-    Macdonald, Symmetric Functions and Hall Polynomials, ch. II (4.6): with
-    lam', mu' the conjugate partitions and n(lam) = sum_j C(lam'_j, 2),
-
-        g = p**(n(lam) - n(mu) - C(m, 2))
-            * prod_j [lam'_j - lam'_{j+1} choose lam'_j - mu'_j]_{1/p},
-
-    nonzero exactly when lam/mu is a vertical m-strip. By duality of finite
-    abelian groups it also counts subgroups of type mu with quotient (1^m).
-    """
-    lc, mc = _conjugate(lam), _conjugate(mu)
-    if sum(lam) - sum(mu) != m or len(mc) > len(lc):
-        return 0
-    mc += (0,) * (len(lc) - len(mc))
-    exponent = sum(c * (c - 1) for c in lc) // 2 - sum(c * (c - 1) for c in mc) // 2
-    exponent -= m * (m - 1) // 2
-    out = 1
-    for j, (l, u) in enumerate(zip(lc, mc)):
-        free = l - (lc[j + 1] if j + 1 < len(lc) else 0)
-        k = l - u
-        if not 0 <= k <= free:
-            return 0
-        # [free choose k]_{1/p} = p**(-k(free - k)) [free choose k]_p
-        exponent -= k * (free - k)
-        out *= q_binomial(free, k, p)
-    return out * p**exponent
-
-
 def _blocks(parts: tuple[int, ...]) -> list[tuple[int, int]]:
     """(part, multiplicity) per block of equal parts, largest part first."""
     return [(a, parts.count(a)) for a in sorted(set(parts), reverse=True)]
@@ -336,8 +306,8 @@ def sur_count(A: FinAbGroup, B: FinAbGroup) -> int:
 
 def aut_count(A: FinAbGroup) -> int:
     """|Aut(A)| = |Sur(A, A)|, one _sur_p per prime; aut_bruteforce is its
-    oracle. The extension-class counts rely on it for middles whose
-    endomorphism sets are far too large to enumerate."""
+    oracle. A bracket at M divides by |Aut(M)|, for groups whose endomorphism
+    sets are far too large to enumerate."""
     return prod(_sur_p(p, parts, parts) for p, parts in A.components)
 
 
@@ -374,51 +344,51 @@ def _sur_p(p: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
 # --------------------------------------------------------------------------
 
 
-def extension_pair_count(N: FinAbGroup, middle: FinAbGroup, M: FinAbGroup) -> int:
-    """Number of pairs (iota: N into M', pi: M' ->> M) with im iota = ker pi.
+def extension_class_count(N: FinAbGroup, M: FinAbGroup, middle: FinAbGroup) -> int:
+    """Number of isomorphism classes of exact sequences 0->N->M'->M->0 with
+    the given middle M', for semisimple N: a product over the primes p, with
+    m = rank_p(N).
 
-    Such a pair is a subgroup H of M' with H isomorphic to N and M'/H to M,
-    plus one of the |Aut(N)| isomorphisms N -> H and one of the |Aut(M)|
-    isomorphisms M'/H -> M. Subgroups split over Sylow parts, and for
-    elementary N the subgroups at p are counted by the Hall number
-    g^lam_{mu,(1^m)}(p) of Macdonald, Symmetric Functions and Hall
-    Polynomials, ch. II (4.6), with lam, mu the p-types of M', M and
-    m = rank_p(N). So the count is |Aut N| |Aut M| prod_p g. Its oracle, a
-    join of enumerated embeddings and surjections, lives with the tests.
+    Ext^1(Z/p^a, F_p) = F_p, so at p a class is one vector x_i in F_p**m for
+    each cyclic factor Z/p^(a_i) of M. For a_i > a_j, replacing the generator
+    e_j by e_j - p**(a_i - a_j) e_i moves x_j by x_i, so M' depends only on a
+    rank profile. Take M's blocks (a, c_a) of equal parts largest first: block
+    a adds j_a to the rank s of the larger blocks' x's, j_a of its parts grow
+    to a + 1, and the m - sum j_a dimensions left become parts of size 1. The
+    x's with that profile number
+
+        prod_a p**(s c_a) * [m - s choose j_a]_p * prod_{i<j_a} (p**c_a - p**i),
+
+    a part in the span so far for each of the c_a vectors, a j_a-space of the
+    quotient and a map of the c_a vectors onto it. A middle that is not M plus
+    a vertical m-strip at each p has no class. Summed over candidate_middles
+    the count is |Ext^1(M, N)| = |Hom(M, N)|. Its oracles, Riedtmann's formula
+    by Hall numbers and a join of enumerated embeddings and surjections, live
+    with the tests.
     """
     if not N.is_semisimple:
         raise InputError(f"N must be semisimple, got {N}")
-    out = aut_count(N) * aut_count(M)
-    for p in sorted(set(middle.primes) | set(N.primes) | set(M.primes)):
-        out *= _hall_number(p, middle.partition(p), M.partition(p), N.rank(p))
+    out = 1
+    for p in set(middle.primes) | set(N.primes) | set(M.primes):
+        lam, mu, m = middle.partition(p), M.partition(p), N.rank(p)
+        if len(lam) < len(mu) or sum(lam) - sum(mu) != m or any(x != 1 for x in lam[len(mu) :]):
+            return 0
+        s = i = 0
+        for a, c in _blocks(mu):
+            j = lam[i : i + c].count(a + 1)
+            if lam[i + j : i + c].count(a) != c - j:
+                return 0
+            out *= p ** (s * c) * q_binomial(m - s, j, p) * prod(p**c - p**r for r in range(j))
+            s, i = s + j, i + c
     return out
-
-
-def extension_class_count(N: FinAbGroup, M: FinAbGroup, middle: FinAbGroup) -> Fraction:
-    """Number of isomorphism classes of exact sequences 0->N->M'->M->0 with
-    the given middle: pair count times |Hom(M, N)| / |Aut(M')|.
-
-    The automorphisms of a fixed sequence are the unipotent maps
-    id + iota f pi for f in Hom(M, N), and they act freely, so the orbit
-    count under Aut(M') is as stated. Must come out a nonnegative integer;
-    anything else is an internal inconsistency.
-    """
-    pairs = extension_pair_count(N, middle, M)
-    entry = Fraction(pairs * hom_count(M, N), aut_count(middle))
-    if entry.denominator != 1:
-        raise ConsistencyError(
-            f"extension class count for 0 -> {N} -> {middle} -> {M} -> 0 "
-            f"is not an integer: {entry}"
-        )
-    return entry
 
 
 def candidate_middles(N: FinAbGroup, M: FinAbGroup) -> list[FinAbGroup]:
     """Every M' with an exact sequence 0 -> N -> M' -> M -> 0, sorted.
 
     For elementary N these are the groups whose partition at each prime p
-    is M's plus a vertical strip of rank_p(N) boxes: exactly where the Hall
-    number in extension_pair_count is nonzero.
+    is M's plus a vertical strip of rank_p(N) boxes: exactly where
+    extension_class_count is nonzero.
     """
     if not N.is_semisimple:
         raise InputError(f"N must be semisimple, got {N}")

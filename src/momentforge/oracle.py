@@ -5,7 +5,8 @@ hom_count_bruteforce, aut_bruteforce and sur_bruteforce check hom_count,
 aut_count and sur_count; kernel_pair_count and mu_local_direct the
 extension-class sums of localized_moments; surjective_matrix_counts, one
 walk for every row count up to k, the abelian surjection formula. The A5
-oracle is in nonab_oracle, and extension_pair_count's lives with the tests.
+oracle is in nonab_oracle, and extension_class_count's, a join of enumerated
+embeddings and surjections, lives with the tests.
 
 Every oracle that walks homomorphisms gets them from one enumerator,
 _hom_images, which yields generator images (any element of B, found by

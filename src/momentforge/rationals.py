@@ -17,8 +17,10 @@ def format_rational(x: Fraction | int) -> str:
         if x.denominator == 1:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
-    except ValueError as exc:  # past sys.get_int_max_str_digits()
-        raise BudgetExceededError(f"the exact result is too long to print: {exc}") from exc
+    except ValueError as exc:  # past sys.get_int_max_str_digits(): as check_printable words it
+        raise BudgetExceededError(
+            f"the exact result is too long to print: over {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def exact(value, what: str) -> Fraction:

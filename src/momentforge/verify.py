@@ -231,7 +231,7 @@ def check_extension_sum_identity(order_bound: int = 72) -> tuple[bool, str]:
                 continue
             middles = candidate_middles(N, M)
             denom = hom_count(M, N)
-            classes: dict[FinAbGroup, Fraction] = {}
+            classes: dict[FinAbGroup, int] = {}
             for X in xs:
                 lhs = kernel_pair_count(X, M, N)
                 rhs = Fraction(0)

@@ -100,9 +100,11 @@ def kernel_profile_by_tables(X: FinAbGroup, M: FinAbGroup) -> dict[FinAbGroup, i
 
 
 def extension_pair_count_direct(N: FinAbGroup, middle: FinAbGroup, M: FinAbGroup) -> int:
-    """Same count as finab.extension_pair_count by the dumbest route:
-    enumerate embeddings and surjections separately and join on the
-    image/kernel set. Cost grows with |M'|**rank(N)."""
+    """Number of pairs (iota: N into M', pi: M' ->> M) with im iota = ker pi,
+    by the dumbest route: enumerate embeddings and surjections separately and
+    join on the image/kernel set. It is the oracle of extension_class_count,
+    which orbit-stabilizer relates to it: classes * |Aut M'| = pairs *
+    |Hom(M, N)|. Cost grows with |M'|**rank(N)."""
     budget = budget_from_env()
     moduli = middle.cyclic_moduli
     strides = np.array([prod(moduli[c + 1 :]) for c in range(len(moduli))], dtype=np.int64)

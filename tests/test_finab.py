@@ -23,7 +23,6 @@ from momentforge.finab import (
     candidate_middles,
     enumerate_groups,
     extension_class_count,
-    extension_pair_count,
     group_components,
     hom_count,
     partitions,
@@ -47,7 +46,7 @@ from element_tables import (
     kernel_profile_by_tables,
     sur_by_tables,
 )
-from groups import Z, elementary
+from groups import Z, elementary, hall_number
 
 triv = FinAbGroup.trivial()
 F2 = elementary(2, 1)
@@ -278,7 +277,7 @@ class TestHomAut:
         for n in range(11):
             for lam in partitions(n):
                 for m in range(len(lam) + 1):
-                    total = sum(finab._hall_number(p, lam, mu, m) for mu in partitions(n - m))
+                    total = sum(hall_number(p, lam, mu, m) for mu in partitions(n - m))
                     assert total == q_binomial(len(lam), m, p), (p, lam, m)
 
     def test_closed_forms_match_bruteforce(self, monkeypatch):
@@ -489,7 +488,7 @@ def moebius_sur(p, alpha, beta):
     out = 0
     for gamma in strips_below(beta):
         k = sum(beta) - sum(gamma)
-        out += ((-1) ** k * p ** (k * (k - 1) // 2) * finab._hall_number(p, beta, gamma, k)
+        out += ((-1) ** k * p ** (k * (k - 1) // 2) * hall_number(p, beta, gamma, k)
                 * p ** sum(min(a, c) for a in alpha for c in gamma))
     return out
 
@@ -648,10 +647,19 @@ class TestKernelPairs:
             kernel_pair_count(Z(8), Z(2), Z(4))
 
 
+def joined_classes(N, M, mid):
+    """extension_class_count(N, M, mid) * |Aut mid| and the pair count of
+    the brute-force join times |Hom(M, N)|, which orbit-stabilizer makes equal:
+    the unipotent maps id + iota f pi, f in Hom(M, N), are the automorphisms
+    of a fixed sequence, and they act freely."""
+    return (extension_class_count(N, M, mid) * aut_count(mid),
+            extension_pair_count_direct(N, mid, M) * hom_count(M, N))
+
+
 class TestExtensions:
     def test_nonsemisimple_n_rejected(self):
         with pytest.raises(InputError, match="^N must be semisimple, got Z/4$"):
-            extension_pair_count(Z(4), Z(8), Z(2))
+            extension_class_count(Z(4), Z(2), Z(8))
         with pytest.raises(InputError, match="^N must be semisimple, got Z/4$"):
             candidate_middles(Z(4), Z(2))
 
@@ -702,7 +710,8 @@ class TestExtensions:
             (triv, Z(6), Z(6)),
         ]
         for N, mid, M in cases:
-            assert extension_pair_count(N, mid, M) == extension_pair_count_direct(N, mid, M)
+            counted, joined = joined_classes(N, M, mid)
+            assert counted == joined, (N, mid, M)
 
     @given(sequence_ends_st(64), st.data())
     @settings(max_examples=60, deadline=None)
@@ -710,7 +719,8 @@ class TestExtensions:
         N, M = ends
         mid = data.draw(st.sampled_from(middles_of_order(N, M)))
         assume(hom_count(N, mid) <= ORACLE_HOMS and hom_count(mid, M) <= ORACLE_HOMS)
-        assert extension_pair_count(N, mid, M) == extension_pair_count_direct(N, mid, M)
+        counted, joined = joined_classes(N, M, mid)
+        assert counted == joined
 
     # Of all draws of sequence_ends_st(32), only N = 0, M = (Z/2)^5 puts the
     # oracle over the default budget: its middle (Z/2)^5 needs 2^25
@@ -734,17 +744,35 @@ class TestExtensions:
         assert candidate_middles(triv, E5) == [E5]
 
     def test_orbit_stabilizer_consistency(self):
-        # classCount * |Aut(M')| == P * |Hom(M, N)| by construction; check
-        # against the independently joined pair count
-        N, M = F2, Z(2)
-        for mid in (Z(4), Z(2, 2)):
-            cc = extension_class_count(N, M, mid)
-            assert cc * aut_count(mid) == extension_pair_count_direct(N, mid, M) * hom_count(
-                M, N
-            )
+        # classCount * |Aut(M')| == P * |Hom(M, N)|, P the independently
+        # joined pair count, at every middle, the ones with no class too
+        for N, M in ((F2, Z(2)), (F3, Z(3)), (elementary(2, 2), Z(2))):
+            for mid in middles_of_order(N, M):
+                counted, joined = joined_classes(N, M, mid)
+                assert counted == joined, (N, M, mid)
 
     def test_middle_with_wrong_order_contributes_nothing(self):
-        assert extension_pair_count(F2, Z(8), Z(2)) == 0
+        assert joined_classes(F2, Z(2), Z(8)) == (0, 0)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_class_count_matches_riedtmanns_formula(self, p):
+        # |Aut N| |Aut M| g |Hom(M, N)| / |Aut M'|, g the Hall number, at every
+        # M of order <= p**5, N = F_p**m with m <= 4 and M' of order |N||M|,
+        # 269 of them M plus a vertical m-strip
+        checked = 0
+        for n in range(6):
+            for mu in partitions(n):
+                M = FinAbGroup.from_dict({p: mu})
+                for m in range(5):
+                    N = elementary(p, m)
+                    pairs = aut_count(N) * aut_count(M) * hom_count(M, N)
+                    for lam in partitions(n + m):
+                        mid = FinAbGroup.from_dict({p: lam})
+                        want = Fraction(pairs * hall_number(p, lam, mu, m), aut_count(mid))
+                        got = extension_class_count(N, M, mid)
+                        assert type(got) is int and got == want, (mu, m, lam)
+                        checked += want != 0
+        assert checked == 269
 
 
 class TestMeasure:

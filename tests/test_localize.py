@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from momentforge import localize
+from momentforge import finab, localize
 from momentforge.cli import main
 from momentforge.errors import InputError
 from momentforge.finab import (
@@ -480,6 +480,16 @@ class TestLocalizationMiddles:
         again = list(loc)
         assert groups_built[0] == built and len(calls) == 6
         assert [(k, None, middles) for k, _, middles in first] == again
+
+    def test_localizing_counts_no_automorphisms(self, monkeypatch):
+        # the class counts are rank-profile products: no |Aut M'| of a middle,
+        # so no _sur_p call, at any depth
+        calls = []
+        sur_p = finab._sur_p
+        monkeypatch.setattr(finab, "_sur_p", lambda *args: calls.append(args) or sur_p(*args))
+        table = ModuleMomentTable(P2, {elementary(2, k): 1 for k in range(301)})
+        values = localized_moments(table, Localization(triv, P2, (300,))).values
+        assert calls == [] and set(values.values()) == {1}
 
     @pytest.mark.parametrize("primes, k_bound, message", [
         ((2, 2), (1, 1), "distinct primes"), ((4, 3), (1, 1), "distinct primes"),

@@ -14,6 +14,7 @@ from momentforge import localize, sampler
 from momentforge.budget import Budget
 from momentforge.errors import BudgetExceededError, InputError
 from momentforge.finab import FinAbGroup, Measure, enumerate_groups, sur_count
+from momentforge.localize import Localization
 from momentforge.rationals import format_rational
 from momentforge.sampler import (
     SamplerConfig,
@@ -353,14 +354,31 @@ def test_convergence_report_matches_oracle_draws():
 
 def test_report_walks_each_target_once(monkeypatch):
     # one plan per target gives both the middles to tabulate and every
-    # prefix's bracket: r + 1 steps per target, however many prefixes
+    # prefix's bracket: depth + 1 steps per target, however many prefixes,
+    # with the depth r_max = 20 capped at n + 2 = 10
     walked = []
     middles = localize.candidate_middles
     monkeypatch.setattr(localize, "candidate_middles",
                         lambda N, M: walked.append(N) or middles(N, M))
     config = SamplerConfig(p=2, cap=3, n=8, seed=1, count=100)
     convergence_report(config, [10, 50, 100], [triv, Z(2)], r_max=20)
-    assert len(walked) == 2 * 21
+    assert len(walked) == 2 * 11
+
+
+@given(st.integers(0, 2**32), st.integers(0, 5), st.integers(0, 12))
+@settings(max_examples=25, deadline=None)
+def test_report_depth_cap_keeps_every_bracket(seed, n, r_max):
+    # a draw has p-rank <= n, so the report walks to depth min(r_max, n + 2)
+    # and still gives each bracket the full depth r_max gives
+    config = SamplerConfig(p=2, cap=3, n=n, u=1, seed=seed, count=60)
+    ts, targets = [20, 60], [triv, Z(2), Z(2, 2), Z(4)]
+    records = iter(convergence_report(config, ts, targets, r_max))
+    for t in ts:
+        mu = sample_measure(SamplerConfig(p=2, cap=3, n=n, u=1, seed=seed, count=t))
+        for M in targets:
+            plan = Localization(M, (2,), (r_max,))
+            table = empirical_moments(mu, [mid for _, _, mids in plan for mid in mids])
+            assert next(records)["bracket"] == plan.bracket(table).to_json_obj(), (t, M)
 
 
 def test_sample_work_over_the_cap_is_refused_before_drawing(monkeypatch):
