@@ -60,7 +60,8 @@ class InfeasibleMomentsError(InputError):
 
 
 class ConsistencyError(MomentforgeError):
-    """An internal cross-check failed (e.g. a non-integer extension-class count)."""
+    """An internal cross-check failed (e.g. a verify check, or an A5 kernel
+    that is not a subgroup), or a verify worker could not start."""
 
     exit_code = 2
 

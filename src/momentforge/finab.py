@@ -15,13 +15,14 @@ Counts are closed forms on these partitions. sur_count and aut_count
 (|Aut A| = |Sur(A, A)|) are one product per prime, _sur_p: a homomorphism
 is onto exactly when it is onto B/pB, so a surjection count is a count of
 full-rank matrices over F_p with a staircase of forced zeros.
-extension_class_count is one product per prime too: a class in
-Ext^1(M, F_p**m) is one vector of F_p**m per cyclic factor of M, and the
-middle depends only on the ranks those vectors add block by block, so the
-count is over rank profiles; candidate_middles lists the vertical strips
-where it is nonzero. None of them enumerates group elements, so none is
-metered by a Budget, and this module imports neither Budget nor numpy. The
-brute-force oracles that check them live in momentforge.oracle.
+candidate_middles pairs each middle of an extension of M by a semisimple N
+with its class count, one product per prime too: a class in Ext^1(M, F_p**m)
+is one vector of F_p**m per cyclic factor of M, and the middle depends only
+on the ranks those vectors add block by block, so one walk over rank
+profiles builds each vertical strip and counts its classes. None of them
+enumerates group elements, so none is metered by a Budget, and this module
+imports neither Budget nor numpy. The brute-force oracles that check them
+live in momentforge.oracle.
 """
 
 from __future__ import annotations
@@ -283,19 +284,23 @@ def _blocks(parts: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(a, parts.count(a)) for a in sorted(set(parts), reverse=True)]
 
 
-def _strips_above(mu: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
-    """Every lam with lam/mu a vertical m-strip: in each block of equal
-    parts the first j parts grow by one, and the rest of the m boxes start
-    new parts of size 1."""
+def _strips_above(p: int, mu: tuple[int, ...], m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every lam with lam/mu a vertical m-strip, with its class count at p
+    (see candidate_middles): in each block (a, c_a) of equal parts the first
+    j_a parts grow by one and give the block's factor of the count, and the
+    rest of the m boxes start new parts of size 1."""
     blocks = _blocks(mu)
     for js in itertools.product(*(range(min(c, m) + 1) for _, c in blocks)):
         new = m - sum(js)
         if new < 0:
             continue
         lam: list[int] = []
+        count, s = 1, 0
         for (a, c), j in zip(blocks, js):
             lam += [a + 1] * j + [a] * (c - j)
-        yield tuple(lam) + (1,) * new
+            count *= p ** (s * c) * q_binomial(m - s, j, p) * prod(p**c - p**i for i in range(j))
+            s += j
+        yield tuple(lam) + (1,) * new, count
 
 
 def sur_count(A: FinAbGroup, B: FinAbGroup) -> int:
@@ -344,11 +349,12 @@ def _sur_p(p: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
 # --------------------------------------------------------------------------
 
 
-def extension_class_count(N: FinAbGroup, M: FinAbGroup, middle: FinAbGroup) -> int:
-    """Number of isomorphism classes of exact sequences 0->N->M'->M->0 with
-    the given middle M', for semisimple N: a product over the primes p, with
-    m = rank_p(N).
+def candidate_middles(N: FinAbGroup, M: FinAbGroup) -> list[tuple[FinAbGroup, int]]:
+    """Every M' with an exact sequence 0 -> N -> M' -> M -> 0, paired with
+    the number of isomorphism classes of those sequences with middle M', for
+    semisimple N; sorted by middle.
 
+    The count is a product over the primes p, with m = rank_p(N).
     Ext^1(Z/p^a, F_p) = F_p, so at p a class is one vector x_i in F_p**m for
     each cyclic factor Z/p^(a_i) of M. For a_i > a_j, replacing the generator
     e_j by e_j - p**(a_i - a_j) e_i moves x_j by x_i, so M' depends only on a
@@ -360,44 +366,30 @@ def extension_class_count(N: FinAbGroup, M: FinAbGroup, middle: FinAbGroup) -> i
         prod_a p**(s c_a) * [m - s choose j_a]_p * prod_{i<j_a} (p**c_a - p**i),
 
     a part in the span so far for each of the c_a vectors, a j_a-space of the
-    quotient and a map of the c_a vectors onto it. A middle that is not M plus
-    a vertical m-strip at each p has no class. Summed over candidate_middles
-    the count is |Ext^1(M, N)| = |Hom(M, N)|. Its oracles, Riedtmann's formula
-    by Hall numbers and a join of enumerated embeddings and surjections, live
-    with the tests.
-    """
-    if not N.is_semisimple:
-        raise InputError(f"N must be semisimple, got {N}")
-    out = 1
-    for p in set(middle.primes) | set(N.primes) | set(M.primes):
-        lam, mu, m = middle.partition(p), M.partition(p), N.rank(p)
-        if len(lam) < len(mu) or sum(lam) - sum(mu) != m or any(x != 1 for x in lam[len(mu) :]):
-            return 0
-        s = i = 0
-        for a, c in _blocks(mu):
-            j = lam[i : i + c].count(a + 1)
-            if lam[i + j : i + c].count(a) != c - j:
-                return 0
-            out *= p ** (s * c) * q_binomial(m - s, j, p) * prod(p**c - p**r for r in range(j))
-            s, i = s + j, i + c
-    return out
-
-
-def candidate_middles(N: FinAbGroup, M: FinAbGroup) -> list[FinAbGroup]:
-    """Every M' with an exact sequence 0 -> N -> M' -> M -> 0, sorted.
-
-    For elementary N these are the groups whose partition at each prime p
-    is M's plus a vertical strip of rank_p(N) boxes: exactly where
-    extension_class_count is nonzero.
+    quotient and a map of the c_a vectors onto it. So the middles are the
+    groups whose partition at each p is M's plus a vertical strip of m boxes,
+    each count is at least 1, and the counts sum to |Ext^1(M, N)| =
+    |Hom(M, N)|. Their oracles, Riedtmann's formula by Hall numbers and a join
+    of enumerated embeddings and surjections, live with the tests.
     """
     if not N.is_semisimple:
         raise InputError(f"N must be semisimple, got {N}")
     primes = sorted(set(N.primes) | set(M.primes))
     per_prime = [
-        [(p, lam) for lam in _strips_above(M.partition(p), N.rank(p))] for p in primes
+        [((p, lam), n) for lam, n in _strips_above(p, M.partition(p), N.rank(p))] for p in primes
     ]
-    middles = [FinAbGroup(comps) for comps in itertools.product(*per_prime)]
-    return sorted(middles, key=FinAbGroup.sort_key)
+    pairs = [
+        (FinAbGroup(tuple(comp for comp, _ in combo)), prod(n for _, n in combo))
+        for combo in itertools.product(*per_prime)
+    ]
+    return sorted(pairs, key=lambda pair: pair[0].sort_key())
+
+
+def extension_class_count(N: FinAbGroup, M: FinAbGroup, middle: FinAbGroup) -> int:
+    """Number of isomorphism classes of exact sequences 0->N->M'->M->0 with
+    the given middle M', for semisimple N: its count in candidate_middles,
+    0 for a middle it does not list."""
+    return dict(candidate_middles(N, M)).get(middle, 0)
 
 
 # --------------------------------------------------------------------------

@@ -146,15 +146,15 @@ def _bracket_from_intervals(t: SimpleType, intervals: Sequence[Bracket]) -> Brac
     sum_k c_k * interval_k, evaluated endpoint-wise by the sign of c_k, with
     the coefficients c_k of t taken in order from one running sequence.
 
-    Past the last interval that is not the point 0 the partial sums stop
-    moving, so the sum stops two terms later: one more term of each parity
-    fixes both bounds, and no later term can cross them."""
+    Past the last interval L that is not the point 0 the partial sums stop
+    at S_L, so the sum stops one term later: term L gives S_L to its parity
+    and term L + 1 to the other, and no later term can cross them."""
     last = len(intervals) - 1
     while last >= 0 and intervals[last].lower == 0 == intervals[last].upper:
         last -= 1
     lo_sum = hi_sum = Fraction(0)
     best_lower, best_upper = Fraction(0), intervals[0].upper  # masses are nonnegative; c_0 = 1
-    terms = zip(inversion_coefficients(t), intervals[: last + 3])
+    terms = zip(inversion_coefficients(t), intervals[: last + 2])
     for r, (c, iv) in enumerate(terms):
         lo, hi = (iv.lower, iv.upper) if c > 0 else (iv.upper, iv.lower)
         lo_sum += c * lo

@@ -27,9 +27,7 @@ from .finab import (
     FinAbGroup,
     aut_count,
     candidate_middles,
-    extension_class_count,
     group_components,
-    hom_count,
     is_prime,
     json_component,
     order_bits,
@@ -253,11 +251,11 @@ class Localization:
     """The one rule for what localizing at M reads, as a plan every walk
     replays: for each k <= k_bound, k_i the exponent of F_p for the i-th of
     the distinct `primes`, the middles M' of 0 -> N_k -> M' -> M -> 0 with
-    N_k = prod F_p**k_i, M plus a vertical strip of k_i boxes at each p
-    (candidate_middles). The primes and k_bound are checked when the plan is
-    made; a step when an iteration first reaches it, and then kept. Iterating
-    yields (k, N_k, middles), N_k as built for a new step and None for a kept
-    one: N_k is not kept, and kernel(k) builds it where needed."""
+    N_k = prod F_p**k_i, M plus a vertical strip of k_i boxes at each p. The
+    primes and k_bound are checked when the plan is made; a step when an
+    iteration first reaches it, and then kept. Iterating yields (k, step),
+    step the (middle, class count) pairs of candidate_middles(N_k, M);
+    kernel(k) builds N_k, which is not kept."""
 
     def __init__(self, M: FinAbGroup, primes: Sequence[int], k_bound: Sequence[int]):
         primes = tuple(primes)
@@ -266,19 +264,17 @@ class Localization:
             raise InputError(f"localization needs distinct primes, got {list(primes)}")
         self.M, self.primes = M, primes
         self.k_bound = check_index(tuple(map(SimpleType.abelian, primes)), k_bound, "k_bound")
-        self._middles: list[list[FinAbGroup]] = []  # the steps made, in the order of k
+        self._steps: list[list[tuple[FinAbGroup, int]]] = []  # the steps made, in the order of k
 
     def kernel(self, k: MultiIndex) -> FinAbGroup:
         return FinAbGroup(tuple(sorted((p, (1,) * n) for p, n in zip(self.primes, k) if n)))
 
-    def __iter__(self) -> Iterator[tuple[MultiIndex, FinAbGroup | None, list[FinAbGroup]]]:
-        made = self._middles
+    def __iter__(self) -> Iterator[tuple[MultiIndex, list[tuple[FinAbGroup, int]]]]:
+        steps = self._steps
         for i, k in enumerate(itertools.product(*(range(b + 1) for b in self.k_bound))):
-            N = None
-            if i == len(made):
-                N = self.kernel(k)
-                made.append(candidate_middles(N, self.M))
-            yield k, N, made[i]
+            if i == len(steps):
+                steps.append(candidate_middles(self.kernel(k), self.M))
+            yield k, steps[i]
 
     def bracket(self, table: ModuleMomentTable) -> Bracket:
         """Certified bracket for the mass at M of any nonnegative measure with
@@ -292,23 +288,23 @@ def localized_moments(table: ModuleMomentTable, loc: Localization) -> MomentTabl
     loc, whose middles are the only groups read.
 
     The k-th localized moment is the extension-class sum
-    sum_{M'} classCount(N_k, M', M) * table(M') / |Hom(M, N_k)| over the
-    middles M' of 0 -> N_k -> M' -> M -> 0. A middle the table lacks is a
-    hard error naming it. N_k is built only for that error or a nonzero term."""
+    sum n * table(M') / sum n over the (middle M', class count n) pairs of
+    the step: the counts sum to |Ext^1(M, N_k)| = |Hom(M, N_k)|. A middle
+    the table lacks is a hard error naming it, and N_k is built again only
+    to name it there."""
     M, values = loc.M, {}
-    for k, N, middles in loc:
-        missing = [mid for mid in middles if mid not in table]
+    for k, step in loc:
+        missing = [mid for mid, _ in step if mid not in table]
         if missing:  # the middles are bounded groups, so their order prints
-            N, named = N or loc.kernel(k), ", ".join(map(str, missing[:8]))
+            N, named = loc.kernel(k), ", ".join(map(str, missing[:8]))
             raise InputError(f"moment table lacks middles for N={N}, M={M} (order "
                              f"{N.order * M.order}): {named}{'...' * (len(missing) > 8)}")
         total = Fraction(0)
-        for mid in middles:
+        for mid, n in step:
             v = table(mid)
             if v:
-                N = N or loc.kernel(k)
-                total += extension_class_count(N, M, mid) * v
-        values[k] = total / hom_count(M, N) if total else total
+                total += n * v
+        values[k] = total / sum(n for _, n in step) if total else total
     return MomentTable(tuple(map(SimpleType.abelian, loc.primes)), loc.k_bound, values)
 
 

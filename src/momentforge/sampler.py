@@ -318,11 +318,11 @@ def convergence_report(
             )
 
     # a middle at depth k has p-rank >= k and a draw p-rank <= n, so every
-    # moment past depth n is 0, and the bracket reads two terms past the last
-    # nonzero one: depth n + 2 gives the bracket of depth r_max
-    depth = min(r_max, config.n + 2)
+    # moment past depth n is 0, and the bracket reads one term past the last
+    # nonzero one: depth n + 1 gives the bracket of depth r_max
+    depth = min(r_max, config.n + 1)
     plans = [Localization(M, (config.p,), (depth,)) for M in targets]
-    moment_targets = [mid for plan in plans for _, _, mids in plan for mid in mids]
+    moment_targets = [mid for plan in plans for _, step in plan for mid, _ in step]
 
     references = [repr(float(reference_mass(config.p, config.u, M))) for M in targets]
     records: list[dict] = []

@@ -18,7 +18,6 @@ from momentforge.finab import (
     aut_count,
     candidate_middles,
     enumerate_groups,
-    extension_class_count,
 )
 from momentforge.localize import (
     Localization,
@@ -115,7 +114,7 @@ class TestModuleMomentTable:
             mid
             for k2 in range(r_max[0] + 1)
             for k3 in range(r_max[1] + 1)
-            for mid in candidate_middles(FinAbGroup.from_dict({2: [1] * k2, 3: [1] * k3}), M)
+            for mid, _ in candidate_middles(FinAbGroup.from_dict({2: [1] * k2, 3: [1] * k3}), M)
         }
         lost = {str(g) for g in drop & needed}
         if not lost:
@@ -447,20 +446,20 @@ class TestLocalizationMiddles:
     def test_a_table_of_the_middles_is_all_localizing_reads(self, M, primes, k_bound):
         loc = Localization(M, primes, k_bound)
         plan = list(loc)
-        assert [k for k, _, _ in plan] == list(itertools.product(*(range(b + 1) for b in k_bound)))
-        for k, N, middles in plan:  # k follows the caller's prime order
-            assert N == loc.kernel(k)
+        assert [k for k, _ in plan] == list(itertools.product(*(range(b + 1) for b in k_bound)))
+        for k, step in plan:  # k follows the caller's prime order
+            N = loc.kernel(k)
             assert N.is_semisimple and [N.rank(p) for p in primes] == list(k)
-            assert middles == candidate_middles(N, M)
-        reads = {mid: (N, mid) for _, N, middles in plan for mid in middles}
+            assert step == candidate_middles(N, M)
+        reads = {mid: n for _, step in plan for mid, n in step}
         exact = ModuleMomentTable([2, 3], {g: FULL_23(g) for g in reads})
         want = localized(FULL_23, M, primes, k_bound).values
         assert localized_moments(exact, loc).values == want  # a kept plan answers the same
-        for dropped, (N, mid) in reads.items():
-            if extension_class_count(N, M, mid):
-                lacking = ModuleMomentTable([2, 3], {g: FULL_23(g) for g in reads if g != dropped})
-                with pytest.raises(InputError, match="lacks middles"):
-                    localized_moments(lacking, loc)
+        for dropped, n in reads.items():  # every middle read has a class
+            assert n >= 1
+            lacking = ModuleMomentTable([2, 3], {g: FULL_23(g) for g in reads if g != dropped})
+            with pytest.raises(InputError, match="lacks middles"):
+                localized_moments(lacking, loc)
 
     def test_a_second_iteration_builds_nothing(self, groups_built, monkeypatch):
         calls = []
@@ -475,11 +474,11 @@ class TestLocalizationMiddles:
         first = [next(walk), next(walk)]  # a walk that stops leaves the rest unmade
         assert len(calls) == 2
         first += list(loc)[2:]  # the next walk replays two steps and makes four
-        assert len(calls) == 6 and [N for _, N, _ in first] == calls
+        assert len(calls) == 6 and [loc.kernel(k) for k, _ in first] == calls
         built = groups_built[0]
         again = list(loc)
         assert groups_built[0] == built and len(calls) == 6
-        assert [(k, None, middles) for k, _, middles in first] == again
+        assert first == again
 
     def test_localizing_counts_no_automorphisms(self, monkeypatch):
         # the class counts are rank-profile products: no |Aut M'| of a middle,

@@ -355,20 +355,20 @@ def test_convergence_report_matches_oracle_draws():
 def test_report_walks_each_target_once(monkeypatch):
     # one plan per target gives both the middles to tabulate and every
     # prefix's bracket: depth + 1 steps per target, however many prefixes,
-    # with the depth r_max = 20 capped at n + 2 = 10
+    # with the depth r_max = 20 capped at n + 1 = 9
     walked = []
     middles = localize.candidate_middles
     monkeypatch.setattr(localize, "candidate_middles",
                         lambda N, M: walked.append(N) or middles(N, M))
     config = SamplerConfig(p=2, cap=3, n=8, seed=1, count=100)
     convergence_report(config, [10, 50, 100], [triv, Z(2)], r_max=20)
-    assert len(walked) == 2 * 11
+    assert len(walked) == 2 * 10
 
 
 @given(st.integers(0, 2**32), st.integers(0, 5), st.integers(0, 12))
 @settings(max_examples=25, deadline=None)
 def test_report_depth_cap_keeps_every_bracket(seed, n, r_max):
-    # a draw has p-rank <= n, so the report walks to depth min(r_max, n + 2)
+    # a draw has p-rank <= n, so the report walks to depth min(r_max, n + 1)
     # and still gives each bracket the full depth r_max gives
     config = SamplerConfig(p=2, cap=3, n=n, u=1, seed=seed, count=60)
     ts, targets = [20, 60], [triv, Z(2), Z(2, 2), Z(4)]
@@ -377,7 +377,7 @@ def test_report_depth_cap_keeps_every_bracket(seed, n, r_max):
         mu = sample_measure(SamplerConfig(p=2, cap=3, n=n, u=1, seed=seed, count=t))
         for M in targets:
             plan = Localization(M, (2,), (r_max,))
-            table = empirical_moments(mu, [mid for _, _, mids in plan for mid in mids])
+            table = empirical_moments(mu, [mid for _, step in plan for mid, _ in step])
             assert next(records)["bracket"] == plan.bracket(table).to_json_obj(), (t, M)
 
 
