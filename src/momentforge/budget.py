@@ -27,7 +27,7 @@ import os
 from functools import lru_cache
 
 from .errors import BudgetExceededError, InputError, Value
-from .rationals import clip
+from .rationals import clip, clip_int, natural
 
 ENV_VAR = "MOMENTFORGE_BUDGET"
 
@@ -47,30 +47,26 @@ class Budget(Value):
                  max_sample_work: int = 2**35) -> None:
         self._init(max_candidates, max_order, max_sample_work)
         for name in self.__slots__:
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise InputError(
-                    f"budget field {name} must be a positive integer, got {clip(repr(value))}"
-                )
+            natural(getattr(self, name), f"budget field {name}", 1)
 
     def check_candidates(self, count: int, what: str) -> None:
         if count > self.max_candidates:
             raise BudgetExceededError(
-                f"{what}: {count} candidate tuples exceed the budget of "
+                f"{what}: {clip_int(count)} candidate tuples exceed the budget of "
                 f"{self.max_candidates} (override with {ENV_VAR})"
             )
 
     def check_order(self, order: int, what: str) -> None:
         if order > self.max_order:
             raise BudgetExceededError(
-                f"{what}: group order {order} exceeds the element-table cap of "
+                f"{what}: group order {clip_int(order)} exceeds the element-table cap of "
                 f"{self.max_order} (override with {ENV_VAR})"
             )
 
     def check_sample_work(self, work: int, what: str) -> None:
         if work > self.max_sample_work:
             raise BudgetExceededError(
-                f"{what}: estimated work {work} exceeds the sampler cap of "
+                f"{what}: estimated work {clip_int(work)} exceeds the sampler cap of "
                 f"{self.max_sample_work} (override with {ENV_VAR})"
             )
 

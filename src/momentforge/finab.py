@@ -34,8 +34,8 @@ from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, Value
-from .qseries import is_prime, q_binomial
-from .rationals import MAX_DIGITS, clip, clip_int, exact, format_rational
+from .qseries import check_primes, is_prime, q_binomial
+from .rationals import MAX_DIGITS, clip_int, exact, format_rational, natural, quote
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -77,7 +77,7 @@ def _check_components(comps: Components) -> None:
     last, bits = 0, 0
     for p, parts in comps:
         if type(p) is not int or not is_prime(p):
-            raise InputError(f"{p!r} is not prime")
+            raise InputError(f"{quote(p)} is not prime")
         if p <= last:
             raise InputError(f"primes must be strictly increasing, got {p} after {last}")
         if type(parts) is not tuple or not parts:
@@ -175,7 +175,7 @@ class FinAbGroup(Value):
 
 
 def _bad_group(obj, why: str) -> InputError:
-    return InputError(f"bad group JSON {clip(repr(obj))}: {why}")
+    return InputError(f"bad group JSON {quote(obj)}: {why}")
 
 
 def json_component(key, parts, obj=None) -> tuple[int, tuple[int, ...]]:
@@ -186,7 +186,7 @@ def json_component(key, parts, obj=None) -> tuple[int, tuple[int, ...]]:
     in _check_components. A refusal of the JSON's shape quotes obj, the group
     JSON the key is read from, by default {key: parts}."""
     if not (isinstance(key, str) and key.isascii() and key.isdigit()):
-        raise _bad_group(obj or {key: parts}, f"prime {clip(repr(key))} is not a decimal integer")
+        raise _bad_group(obj or {key: parts}, f"prime {quote(key)} is not a decimal integer")
     try:
         if len(key) > MAX_DIGITS:
             raise ValueError
@@ -208,7 +208,7 @@ def group_components(obj) -> Components:
     dropped, and a group past MAX_ORDER_BITS, the one rule of _check_components
     left, refused by it; so the result can key a group that is never built."""
     if not isinstance(obj, dict):
-        raise InputError(f"group JSON must be an object, got {clip(repr(obj))}")
+        raise InputError(f"group JSON must be an object, got {quote(obj)}")
     comps: dict[int, tuple[int, ...]] = {}
     for p, parts in map(json_component, obj, obj.values(), itertools.repeat(obj)):
         if p in comps:
@@ -228,13 +228,8 @@ MAX_GROUPS = 2**15
 def enumerate_groups(primes: Iterable[int], order_bound: int) -> list[FinAbGroup]:
     """All groups supported on `primes` of order <= order_bound, each once,
     sorted by (order, partition data); BudgetExceededError past MAX_GROUPS."""
-    ps = tuple(primes)
-    for p in ps:
-        if type(p) is not int or not is_prime(p):
-            raise InputError(f"{clip(repr(p))} is not prime")
-    if type(order_bound) is not int or order_bound < 1:
-        raise InputError(f"order_bound must be an integer >= 1, got {clip(repr(order_bound))}")
-    return list(_enumerate_cached(tuple(sorted(set(ps))), order_bound))
+    ps = tuple(sorted(set(check_primes(primes))))
+    return list(_enumerate_cached(ps, natural(order_bound, "order_bound", 1)))
 
 
 @lru_cache(maxsize=1024)
@@ -331,17 +326,22 @@ def _sur_p(p: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     can take mod p (any when a >= b, only 0 when a < b). Taken largest b
     first, row i has p**n(b_i) - p**i choices outside the span of the rows
     before it, so the count is 0 from the first row with n(b_i) <= i, and
-    no later row is read."""
+    no later row is read. The rows are multiplied in pairs, then pairs of
+    pairs, so each product is of two factors of like size: one at a time,
+    the k rows of (Z/p)**k would take time quadratic in the count's k**2
+    bits."""
     ac = _conjugate(alpha)  # n(b) = ac[b - 1]
-    out, p_i = 1, 1  # p_i = p**i
+    rows, p_i = [], 1  # p_i = p**i
     for i, b in enumerate(beta):
         n = ac[b - 1] if b <= len(ac) else 0
         if n <= i:
             return 0
-        out *= p**n - p_i
+        rows.append(p**n - p_i)
         p_i *= p
+    while len(rows) > 1:
+        rows = [x * y for x, y in itertools.zip_longest(rows[::2], rows[1::2], fillvalue=1)]
     # sum_{a, b} min(a, b - 1) = sum_{j >= 1} #{a >= j} #{b >= j + 1}
-    return out * p ** sum(x * y for x, y in zip(ac, _conjugate(beta)[1:]))
+    return prod(rows) * p ** sum(x * y for x, y in zip(ac, _conjugate(beta)[1:]))
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +408,7 @@ class Measure:
         for g, v in masses.items():
             v = exact(v, "a mass")
             if v < 0:
-                raise InputError(f"negative mass {v} at {g}")
+                raise InputError(f"negative mass at {g}")  # v may pass the digit limit
             if v:
                 store[g] = v
         self._masses = store

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .errors import InfeasibleMomentsError, InputError, Value
 from .qseries import SimpleType, inversion_coefficients
-from .rationals import exact, format_rational, parse_rational
+from .rationals import clip_int, exact, format_rational, parse_rational, quote
 from .surjcount import Basis, MultiIndex, basis_from_json_obj, check_index
 
 
@@ -82,7 +82,7 @@ class MomentTable:
             k = check_index(self.basis, k, "moment index")
             v = exact(v, "a moment")
             if v < 0:
-                raise InputError(f"moment at {k} is negative")
+                raise InputError(f"moment at {quote(k)} is negative")
             table[k] = v
         for k in itertools.product(*(range(b + 1) for b in self.bound)):
             if k not in table:
@@ -104,7 +104,7 @@ class MomentTable:
         """Table with the basis types permuted; entry i comes from perm[i]."""
         perm = tuple(perm)
         if sorted(perm) != list(range(len(self.basis))):
-            raise InputError(f"not a permutation of 0..{len(self.basis) - 1}: {perm}")
+            raise InputError(f"not a permutation of 0..{len(self.basis) - 1}: {quote(perm)}")
         basis = tuple(self.basis[i] for i in perm)
         bound = tuple(self.bound[i] for i in perm)
         values = {
@@ -129,9 +129,11 @@ class MomentTable:
             bound = obj["bound"]
             values: dict[tuple, Fraction] = {}
             for rec in obj["moments"]:
-                k = tuple(rec["k"])
+                k = check_index(basis, rec["k"], "moment index")
                 if k in values:
-                    raise InputError(f"duplicate moment index {list(k)} in moment-table JSON")
+                    raise InputError(
+                        f"duplicate moment index {quote(list(k))} in moment-table JSON"
+                    )
                 values[k] = parse_rational(rec["value"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad moment-table JSON: {exc}") from exc
@@ -179,9 +181,7 @@ def multi_invert_zero(moments: MomentTable, r_max: Sequence[int]) -> Bracket:
     r_max = check_index(moments.basis, r_max, "r_max")
     for i, (r, b) in enumerate(zip(r_max, moments.bound)):
         if r > b:
-            raise InputError(
-                f"r_max={r_max} exceeds the table bound {moments.bound} at type {i}"
-            )
+            raise InputError(f"r_max {clip_int(r)} exceeds the table bound {b} at type {i}")
     # current[idx] for idx over the remaining types j..m-1
     current: dict[MultiIndex, Bracket] = {
         idx: Bracket(moments.values[idx], moments.values[idx])

@@ -28,13 +28,12 @@ from .finab import (
     aut_count,
     candidate_middles,
     group_components,
-    is_prime,
     json_component,
     order_bits,
 )
 from .inversion import Bracket, MomentTable, multi_invert_zero
-from .qseries import SimpleType
-from .rationals import MAX_DIGITS, clip, exact, format_rational, parse_rational
+from .qseries import SimpleType, check_primes
+from .rationals import MAX_DIGITS, exact, format_rational, natural, parse_rational, quote
 from .surjcount import MultiIndex, check_index
 
 
@@ -56,22 +55,11 @@ class ModuleMomentTable:
     """
 
     def __init__(self, primes: Iterable[int], values: Mapping[FinAbGroup, Fraction | int]):
-        try:
-            primes = tuple(primes)
-        except TypeError as exc:
-            raise InputError(
-                f"primes must be a list of integers, got {clip(repr(primes))}"
-            ) from exc
-        if any(type(p) is not int for p in primes):
-            raise InputError(f"primes must be a list of integers, got {clip(repr(primes))}")
-        self.primes = tuple(sorted(set(primes)))
-        for p in self.primes:
-            if not is_prime(p):
-                raise InputError(f"{p} is not prime")
+        self.primes = tuple(sorted(set(check_primes(primes))))
         self._store: dict[Components, Fraction | int] = {}
         for g, v in values.items():
             if not isinstance(g, FinAbGroup):
-                raise InputError(f"moment keys must be groups, got {clip(repr(g))}")
+                raise InputError(f"moment keys must be groups, got {quote(g)}")
             self._put(g.components, exact(v, "a moment"))
 
     def _put(self, comps: Components, value: Fraction | int) -> None:
@@ -120,11 +108,7 @@ class ModuleMomentTable:
             try:
                 table = cls(obj["primes"], {})
                 if "order_bound" in obj:
-                    order_bound = obj["order_bound"]
-                    if type(order_bound) is not int or order_bound < 1:
-                        raise InputError(
-                            f"order_bound must be an integer >= 1, got {clip(repr(order_bound))}"
-                        )
+                    natural(obj["order_bound"], "order_bound", 1)
                 records = obj["moments"]
                 if not _ingest_columns(table, records):
                     table._store.clear()
@@ -258,9 +242,8 @@ class Localization:
     kernel(k) builds N_k, which is not kept."""
 
     def __init__(self, M: FinAbGroup, primes: Sequence[int], k_bound: Sequence[int]):
-        primes = tuple(primes)
-        not_prime = any(type(p) is not int or not is_prime(p) for p in primes)
-        if not_prime or len(set(primes)) < len(primes):
+        primes = check_primes(primes)
+        if len(set(primes)) < len(primes):
             raise InputError(f"localization needs distinct primes, got {list(primes)}")
         self.M, self.primes = M, primes
         self.k_bound = check_index(tuple(map(SimpleType.abelian, primes)), k_bound, "k_bound")

@@ -31,7 +31,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConsistencyError, InputError
+from .errors import BudgetExceededError, ConsistencyError
+from .rationals import clip_int, natural
 
 MAX_POWER = 2  # enumeration budget: e, k beyond this are refused
 _BATCH = 2**16  # 64-bit words of kernels a batch of (k-1)-prefixes meets: 512 KB
@@ -93,15 +94,10 @@ def _maps():
 
 def sur_a5_bruteforce(e: int, k: int) -> int:
     """Exact |Sur(A5**e, A5**k)| for e, k <= 2, by enumeration."""
-    if type(e) is not int or type(k) is not int:
-        raise InputError(
-            f"e and k must be of type int, got {type(e).__name__} and {type(k).__name__}"
-        )
-    if e < 0 or k < 0:
-        raise InputError(f"e and k must be nonnegative, got e={e}, k={k}")
+    e, k = natural(e, "e"), natural(k, "k")
     if e > MAX_POWER or k > MAX_POWER:
         raise BudgetExceededError(
-            f"A5 oracle supports powers up to {MAX_POWER}, got e={e}, k={k}"
+            f"A5 oracle supports powers up to {MAX_POWER}, got e={clip_int(e)}, k={clip_int(k)}"
         )
     if e == 0 or k == 0:
         return int(k == 0)

@@ -29,6 +29,7 @@ from .budget import Budget, budget_from_env
 from .errors import InputError
 from .finab import FinAbGroup, Measure
 from .qseries import is_prime
+from .rationals import natural
 
 _BLOCK = 1 << 16  # candidate homomorphisms per block
 
@@ -275,13 +276,9 @@ def surjective_matrix_counts(h: int, e: int, k: int) -> list[int]:
     for k alone would. Independent of the closed-form product it is used
     to check.
     """
-    if type(h) is not int or type(e) is not int or type(k) is not int:
-        names = ", ".join(type(v).__name__ for v in (h, e, k))
-        raise InputError(f"h, e and k must be of type int, got {names}")
-    if h < 2 or not is_prime(h):
+    if not is_prime(natural(h, "h", 2)):  # is_prime bounds h
         raise InputError(f"matrix oracle needs a prime field size, got h={h}")
-    if e < 0 or k < 0:
-        raise InputError("e and k must be nonnegative")
+    e, k = natural(e, "e"), natural(k, "k")
     if k == 0 or e == 0:
         return [1] + [0] * k
     budget = budget_from_env()

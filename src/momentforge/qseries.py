@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import InputError, Value
-from .rationals import clip
+from .rationals import clip_int, natural, quote
 
 ABELIAN = "abelian"
 NONABELIAN = "nonabelian"
@@ -54,6 +54,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_primes(primes) -> tuple[int, ...]:
+    """primes as a tuple, each an int (not a bool) that is prime: the one rule
+    for a list of primes. A caller that needs them distinct says so."""
+    try:
+        ps = tuple(primes)
+    except TypeError as exc:
+        raise InputError(f"primes must be a list of integers, got {quote(primes)}") from exc
+    if any(type(p) is not int for p in ps):
+        raise InputError(f"primes must be a list of integers, got {quote(ps)}")
+    for p in ps:
+        if not is_prime(p):
+            raise InputError(f"{clip_int(p)} is not prime")
+    return ps
+
+
 def is_prime_power(n: int) -> bool:
     """True iff n = p**r for a prime p and r >= 1."""
     if n < 2:
@@ -79,15 +94,14 @@ class SimpleType(Value):
         if kind == ABELIAN:
             if aut is not None:
                 raise InputError("abelian type takes h, not aut")
-            if type(h) is not int or h < 2 or not is_prime_power(h):
-                raise InputError(f"abelian type needs a prime-power h >= 2, got {clip(repr(h))}")
+            if not is_prime_power(natural(h, "h", 2)):  # is_prime bounds h
+                raise InputError(f"abelian type needs a prime-power h, got {h}")
         elif kind == NONABELIAN:
             if h is not None:
                 raise InputError("nonabelian type takes aut, not h")
-            if type(aut) is not int or aut < 1:
-                raise InputError(f"nonabelian type needs aut >= 1, got {clip(repr(aut))}")
+            natural(aut, "aut", 1)
         else:
-            raise InputError(f"unknown simple type kind {kind!r}")
+            raise InputError(f"unknown simple type kind {quote(kind)}")
 
     @classmethod
     def abelian(cls, h: int) -> "SimpleType":
@@ -109,20 +123,17 @@ class SimpleType(Value):
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimpleType":
         if not isinstance(obj, dict) or "kind" not in obj:
-            raise InputError(f"bad simple-type JSON: {clip(repr(obj))}")
+            raise InputError(f"bad simple-type JSON: {quote(obj)}")
         kind = obj["kind"]
         if kind not in (ABELIAN, NONABELIAN):
-            raise InputError(f"bad simple-type kind in JSON: {clip(repr(kind))}")
+            raise InputError(f"bad simple-type kind in JSON: {quote(kind)}")
         field = "h" if kind == ABELIAN else "aut"
         return cls(kind=kind, **{field: obj.get(field)})
 
 
 def q_pochhammer(h: int, k: int) -> int:
     """prod_{j=1..k} (h**j - 1); the empty product for k = 0."""
-    if type(h) is not int or h < 2:
-        raise InputError(f"q_pochhammer needs an integer h >= 2, got {h!r}")
-    if type(k) is not int or k < 0:
-        raise InputError(f"q_pochhammer needs an integer k >= 0, got {k!r}")
+    h, k = natural(h, "h", 2), natural(k, "k")
     out = 1
     power = 1
     for _ in range(k):
@@ -137,10 +148,7 @@ def q_binomial(e: int, k: int, h: int) -> int:
     Counts k-dimensional subspaces of an e-dimensional space over the
     h-element field; 0 when k > e.
     """
-    if type(h) is not int or h < 2:
-        raise InputError(f"q_binomial needs an integer h >= 2, got {h!r}")
-    if type(e) is not int or type(k) is not int or e < 0 or k < 0:
-        raise InputError(f"q_binomial needs integers e, k >= 0, got e={e!r}, k={k!r}")
+    h, e, k = natural(h, "h", 2), natural(e, "e"), natural(k, "k")
     if k > e:
         return 0
     k = min(k, e - k)
@@ -169,6 +177,4 @@ def inversion_coefficients(t: SimpleType) -> Iterator[Fraction]:
 
 def inversion_coefficient(t: SimpleType, k: int) -> Fraction:
     """The k-th term of inversion_coefficients(t)."""
-    if type(k) is not int or k < 0:
-        raise InputError(f"inversion_coefficient needs an integer k >= 0, got {k!r}")
-    return next(itertools.islice(inversion_coefficients(t), k, None))
+    return next(itertools.islice(inversion_coefficients(t), natural(k, "k"), None))

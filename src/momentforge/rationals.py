@@ -1,4 +1,7 @@
-"""Exact-rational JSON encoding: "p/q" strings, integers as plain digits."""
+"""Exact-rational JSON encoding: "p/q" strings, integers as plain digits, and
+the rules every argument passes on its way in: exact for a rational, natural
+for an integer, and quote for the value a refusal names, which clips it and
+cannot itself fail however large an int it holds."""
 
 from __future__ import annotations
 
@@ -27,8 +30,16 @@ def exact(value, what: str) -> Fraction:
     """value as a Fraction, when it is exactly an int or a Fraction: no float's
     binary expansion, and no bool read as 0 or 1, enters an exact result."""
     if type(value) is not int and type(value) is not Fraction:
-        raise InputError(f"{what} must be an int or a Fraction, got {clip(repr(value))}")
+        raise InputError(f"{what} must be an int or a Fraction, got {quote(value)}")
     return Fraction(value)
+
+
+def natural(value, what: str, least: int = 0) -> int:
+    """value, when it is an int (not a bool) >= least: the one rule for an
+    integer argument, such as an exponent, a depth or a count."""
+    if type(value) is int and value >= least:
+        return value
+    raise InputError(f"{what} must be an integer >= {least}, got {quote(value)}")
 
 
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -72,6 +83,17 @@ def clip_int(n: int) -> str:
     return clip(str(n))
 
 
+def quote(value) -> str:
+    """value for a message: an int by clip_int, anything else by clip(repr()),
+    or by its type alone where repr() would pass the digit limit."""
+    if type(value) is int:
+        return clip_int(value)
+    try:
+        return clip(repr(value))
+    except ValueError:  # it holds an int past sys.get_int_max_str_digits()
+        return f"<a {type(value).__name__} too long to print>"
+
+
 def parse_rational(s) -> Fraction:
     """Fraction from a JSON value: an int, or a string Fraction() reads. A run
     of more than MAX_DIGITS digits, or an exponent past MAX_DIGITS in
@@ -82,7 +104,7 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if not isinstance(s, str):
-        raise InputError(f"rational values must be strings or integers, got {clip(repr(s))}")
+        raise InputError(f"rational values must be strings or integers, got {quote(s)}")
     try:
         if len(s) > MAX_DIGITS:  # only so long a string holds so long a run
             run = max((len(r) - r.count("_") for r in _DIGIT_RUN.findall(s)), default=0)

@@ -32,7 +32,7 @@ from .budget import budget_from_env
 from .errors import InputError, Value
 from .finab import FinAbGroup, Measure, aut_count, is_prime, sur_count
 from .localize import Localization, ModuleMomentTable
-from .rationals import clip, format_rational, over_common_denominator
+from .rationals import clip_int, format_rational, natural, over_common_denominator
 
 
 # Entry cap on one drawn matrix, checked before anything is allocated: a
@@ -48,24 +48,19 @@ class SamplerConfig(Value):
 
     def __init__(self, *, p: int, cap: int, n: int, u: int = 0, seed: int, count: int) -> None:
         self._init(p, cap, n, u, seed, count)
-        for name, value in zip(self.__slots__, (p, cap, n, u, seed, count)):
-            if type(value) is not int:
-                raise InputError(f"{name} must be an integer, got {clip(repr(value))}")
-        if self.cap < 1:
-            raise InputError(f"cap must be >= 1, got {self.cap}")
+        for name, least in zip(self.__slots__, (2, 1, 0, 0, 0, 0)):
+            natural(getattr(self, name), name, least)
         if self.cap * (self.p.bit_length() - 1) >= 31 or self.p ** (2 * self.cap) >= 2**62:
             raise InputError("p**(2*cap) must be below 2**62 for int64 Smith reduction")
-        if not is_prime(self.p):
+        if not is_prime(self.p):  # below 2**31 here
             raise InputError(f"p must be prime, got {self.p}")
-        if self.n < 0 or self.u < 0 or self.count < 0:
-            raise InputError("n, u and count must be nonnegative")
         if self.n * (self.n + self.u) > MAX_MATRIX_ENTRIES:
             raise InputError(
                 f"an n x (n+u) matrix may have at most {MAX_MATRIX_ENTRIES} entries, "
                 f"got {self.n} x {self.n + self.u}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise InputError(f"seed must fit in 64 bits, got {self.seed}")
+        if self.seed >= 2**64:
+            raise InputError(f"seed must fit in 64 bits, got {clip_int(self.seed)}")
 
 
 # Philox4x64-10 constants (Salmon et al., SC 2011), as numpy's Philox uses them
@@ -193,9 +188,9 @@ def cokernel_partition(mats: np.ndarray, p: int, cap: int) -> list[tuple[int, ..
     Pivot p**v contributes a Z/p**v factor; pivotless rows and zero blocks
     (v = cap) contribute Z/p**cap.
 
-    Each draw's partition is counted as one mixed-radix code, digit v - 1
-    the multiplicity of exponent v, and one tuple is built per distinct code;
-    draws with equal partitions share it.
+    Each draw's partition is read off the bytes of its row of int8
+    exponents, one sorted tuple per distinct row; draws with equal rows share
+    it.
     """
     q, mats = p**cap, np.asarray(mats)
     width = _width(q)
@@ -220,16 +215,10 @@ def cokernel_partition(mats: np.ndarray, p: int, cap: int) -> list[tuple[int, ..
         rest = unit * a[:, 1:, 1:]
         rest -= colfac * a[:, :1, 1:]
         a = np.remainder(rest, q, out=rest)
-    radix = nrows + 1
-    if radix**cap > 2**63:  # the codes would overflow int64
-        return [tuple(sorted(filter(None, row), reverse=True)) for row in exps.tolist()]
-    place = np.array([0] + [radix**e for e in range(cap)], np.int64)
-    codes, inverse = np.unique(place[exps].sum(axis=1), return_inverse=True)
-    parts = [
-        tuple(e for e in range(cap, 0, -1) for _ in range(code // radix ** (e - 1) % radix))
-        for code in codes.tolist()
-    ]
-    return [parts[i] for i in inverse.tolist()]
+    raw = exps.tobytes()  # each draw's row of nrows bytes, b"" when nrows is 0
+    rows = [raw[i : i + nrows] for i in range(0, len(raw), nrows)] if nrows else [b""] * count
+    parts = {row: tuple(sorted(filter(None, row), reverse=True)) for row in set(rows)}
+    return list(map(parts.__getitem__, rows))
 
 
 def _prefix_measures(config: SamplerConfig, counts: Sequence[int]) -> Iterator[Measure]:
@@ -251,8 +240,8 @@ def _prefix_measures(config: SamplerConfig, counts: Sequence[int]) -> Iterator[M
 
 def sample_cokernel(config: SamplerConfig, index: int = 0) -> FinAbGroup:
     """Cokernel of the index-th random matrix draw, in canonical form."""
-    if type(index) is not int or not 0 <= index < 2**64:
-        raise InputError(f"draw index must be an integer in [0, 2**64), got {clip(repr(index))}")
+    if natural(index, "draw index") >= 2**64:
+        raise InputError(f"draw index must be below 2**64, got {clip_int(index)}")
     parts = cokernel_partition(_draw_matrices(config, index, index + 1), config.p, config.cap)[0]
     return FinAbGroup.from_dict({config.p: parts})
 
@@ -303,9 +292,10 @@ def convergence_report(
     if any(a >= b for a, b in zip(counts, counts[1:])):
         raise InputError("counts must be strictly increasing")
     if counts[-1] > config.count:
-        raise InputError(f"counts go up to {counts[-1]} but config.count = {config.count}")
-    if type(r_max) is not int or r_max < 0:
-        raise InputError(f"r_max must be an integer >= 0, got {clip(repr(r_max))}")
+        raise InputError(
+            f"counts go up to {clip_int(counts[-1])} but config.count = {clip_int(config.count)}"
+        )
+    natural(r_max, "r_max")
     for M in targets:
         if any(p != config.p for p in M.primes):
             raise InputError(f"target {M} is not a {config.p}-group")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .qseries import SimpleType
-from .rationals import clip
+from .rationals import natural, quote
 
 MultiIndex = tuple[int, ...]
 Basis = tuple[SimpleType, ...]
@@ -22,7 +22,7 @@ Basis = tuple[SimpleType, ...]
 
 def basis_from_json_obj(obj: list) -> Basis:
     if not isinstance(obj, list):
-        raise InputError(f"basis JSON must be a list of simple types, got {clip(repr(obj))}")
+        raise InputError(f"basis JSON must be a list of simple types, got {quote(obj)}")
     return tuple(SimpleType.from_json_obj(entry) for entry in obj)
 
 
@@ -30,16 +30,11 @@ def check_index(basis: Basis, idx: Sequence[int], name: str) -> MultiIndex:
     try:
         idx = tuple(idx)
     except TypeError as exc:
-        raise InputError(f"{name} must be a list of integers, got {clip(repr(idx))}") from exc
-    if any(type(v) is not int for v in idx):  # no silent truncation of 1.9 or True
-        raise InputError(f"{name} must be a list of integers, got {clip(repr(list(idx)))}")
+        raise InputError(f"{name} must be a list of integers, got {quote(idx)}") from exc
     if len(idx) != len(basis):
-        raise InputError(
-            f"{name} has length {len(idx)} but the basis has {len(basis)} types"
-        )
-    if any(v < 0 for v in idx):
-        raise InputError(f"{name} must be coordinatewise nonnegative, got {clip(str(idx))}")
-    return idx
+        raise InputError(f"{name} has length {len(idx)}, not {len(basis)}")
+    what = f"each entry of {name}"  # no silent truncation of 1.9 or True
+    return tuple([natural(v, what) for v in idx])
 
 
 def sur_single(t: SimpleType, e: int, k: int) -> int:
@@ -47,8 +42,7 @@ def sur_single(t: SimpleType, e: int, k: int) -> int:
 
     Returns 0 whenever k > e and 1 when k = 0.
     """
-    if type(e) is not int or type(k) is not int or e < 0 or k < 0:
-        raise InputError(f"sur_single needs integers e, k >= 0, got e={e!r}, k={k!r}")
+    e, k = natural(e, "e"), natural(k, "k")
     if k > e:
         return 0
     if t.is_abelian:

@@ -362,14 +362,17 @@ def test_uncovered_basis_prime_names_missing_middle(half_table_path, capsys):
     assert code == 1 and out == "" and "lacks middles" in err and err.rstrip().endswith(": Z/5")
 
 
-@pytest.mark.parametrize("primes", ["4", "3,3", "1"])
-def test_localization_primes_must_be_distinct_primes(primes, half_table_path, capsys):
+@pytest.mark.parametrize("primes, message", [
+    ("4", "4 is not prime"), ("3,3", "localization needs distinct primes, got [3, 3]"),
+    ("1", "1 is not prime"),
+], ids=["4", "3,3", "1"])
+def test_localization_primes_must_be_distinct_primes(primes, message, half_table_path, capsys):
     code, out, err = run(
         capsys, "reconstruct", "--file", str(half_table_path), "--group", "{}",
         "--primes", primes, "--rmax", "1",
     )
     assert code == 1 and out == ""
-    assert f"localization needs distinct primes, got [{primes.replace(',', ', ')}]" in err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, depth", [("localize", "--kbound"), ("reconstruct", "--rmax")])
@@ -1020,12 +1023,24 @@ def test_exponents_at_the_digit_limit_still_parse(capsys, tmp_path):
     assert code == 1 and "exponent past 4300" in err
 
 
-def _cli(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+def _cli(argv, env=None, timeout=120, **kwargs) -> subprocess.CompletedProcess:
     """`python -m momentforge.cli` on argv in a fresh interpreter."""
     src = Path(momentforge.__file__).resolve().parent.parent
     env = {**(os.environ if env is None else env), "PYTHONPATH": str(src)}
     return subprocess.run([sys.executable, "-m", "momentforge.cli", *argv],
-                          env=env, timeout=120, **kwargs)
+                          env=env, timeout=timeout, **kwargs)
+
+
+def test_a_huge_automorphism_count_is_refused_in_bounded_time(tmp_path):
+    # |Aut((Z/2)**2000)| has some 4 million bits: its 2000 row factors took 8 s
+    # multiplied one at a time, and take well under a second in pairs (2 vCPUs)
+    group = json.dumps({"2": [1] * 2000})
+    path = tmp_path / "one.json"
+    path.write_text('{"primes": [2], "moments": [{"group": %s, "value": "1"}]}' % group)
+    argv = ["reconstruct", "--file", str(path), "--group", group, "--rmax", "0"]
+    proc = _cli(argv, capture_output=True, text=True, timeout=4)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: the exact result is too long to print: over ")
 
 
 def test_exit_path_matches_in_process_main(half_table_path, monkeypatch, capsys):

@@ -612,8 +612,9 @@ class TestSemisimplify:
 
     def test_basis_must_be_prime_fields(self):
         table = ModuleMomentTable([2], {g: 1 for g in enumerate_groups([2], 4)})
-        for primes in ((4,), (2, 2), (True,)):
-            with pytest.raises(InputError, match="distinct primes"):
+        for primes, message in (((4,), "^4 is not prime$"), ((2, 2), "distinct primes"),
+                                ((True,), "^primes must be a list of integers, got \\(True,\\)$")):
+            with pytest.raises(InputError, match=message):
                 localized_moments(table, Localization(triv, primes, (1,) * len(primes)))
 
     def test_respects_surjections(self):

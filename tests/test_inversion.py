@@ -188,6 +188,19 @@ def test_moment_table_validation():
         multi_invert_zero(all_ones(3), (9,))
 
 
+def test_json_index_is_checked_before_the_duplicate_test():
+    # (True,) equals (1,) as a key: read first, it made a bool a duplicate
+    obj = {"basis": [T2.to_json_obj()], "bound": [1],
+           "moments": [{"k": [0], "value": "1"}, {"k": [1], "value": "1"},
+                       {"k": [True], "value": "1"}]}
+    with pytest.raises(InputError, match="^each entry of moment index must be an integer "
+                                         ">= 0, got True$"):
+        MomentTable.from_json_obj(obj)
+    obj["moments"][2]["k"] = [1]
+    with pytest.raises(InputError, match="^duplicate moment index \\[1\\] in moment-table JSON$"):
+        MomentTable.from_json_obj(obj)
+
+
 def test_moment_table_json_roundtrip():
     values = {
         (i, j): Fraction(i + 1, j + 2) for i in range(3) for j in range(2)

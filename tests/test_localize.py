@@ -491,8 +491,9 @@ class TestLocalizationMiddles:
         assert calls == [] and set(values.values()) == {1}
 
     @pytest.mark.parametrize("primes, k_bound, message", [
-        ((2, 2), (1, 1), "distinct primes"), ((4, 3), (1, 1), "distinct primes"),
-        ((2, 3), (1,), "k_bound has length 1"), ((2, 3), (-1, 0), "nonnegative"),
+        ((2, 2), (1, 1), "distinct primes"), ((4, 3), (1, 1), "^4 is not prime$"),
+        ((2, 3), (1,), "^k_bound has length 1, not 2$"),
+        ((2, 3), (-1, 0), "^each entry of k_bound must be an integer >= 0, got -1$"),
     ])
     def test_checks_come_with_the_first_localization(self, primes, k_bound, message):
         # the plan checks its primes and depth when made, before any step

@@ -122,7 +122,7 @@ def test_coefficient_sequence_matches_closed_forms(t):
     assert [inversion_coefficient(t, k) for k in (0, 1, 2, 17, 40)] == [
         seq[k] for k in (0, 1, 2, 17, 40)
     ]
-    with pytest.raises(InputError, match="k >= 0"):
+    with pytest.raises(InputError, match="^k must be an integer >= 0, got -1$"):
         inversion_coefficient(t, -1)
 
 
