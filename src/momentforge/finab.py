@@ -14,7 +14,7 @@ above the groups a localization reads: M plus a vertical strip at each prime.
 Counts are closed forms on these partitions. sur_count and aut_count
 (|Aut A| = |Sur(A, A)|) are one product per prime, _sur_p: a homomorphism
 is onto exactly when it is onto B/pB, so a surjection count is a count of
-full-rank matrices over F_p with a staircase of forced zeros.
+full-rank matrices over F_p with a staircase of forced zeros: qseries.frames.
 candidate_middles pairs each middle of an extension of M by a semisimple N
 with its class count, one product per prime too: a class in Ext^1(M, F_p**m)
 is one vector of F_p**m per cyclic factor of M, and the middle depends only
@@ -34,7 +34,7 @@ from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, Value
-from .qseries import check_primes, is_prime, q_binomial
+from .qseries import check_primes, frames, is_prime, q_binomial
 from .rationals import MAX_DIGITS, clip_int, exact, format_rational, natural, quote
 
 
@@ -293,7 +293,7 @@ def _strips_above(p: int, mu: tuple[int, ...], m: int) -> Iterator[tuple[tuple[i
         count, s = 1, 0
         for (a, c), j in zip(blocks, js):
             lam += [a + 1] * j + [a] * (c - j)
-            count *= p ** (s * c) * q_binomial(m - s, j, p) * prod(p**c - p**i for i in range(j))
+            count *= p ** (s * c) * q_binomial(m - s, j, p) * frames(p, [c] * j)
             s += j
         yield tuple(lam) + (1,) * new, count
 
@@ -324,24 +324,13 @@ def _sur_p(p: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     p**(sum min(a, b - 1)) homomorphisms: an entry Z/p^a -> Z/p^b has
     p**min(a, b) choices, and p**min(a, b - 1) of them give each residue it
     can take mod p (any when a >= b, only 0 when a < b). Taken largest b
-    first, row i has p**n(b_i) - p**i choices outside the span of the rows
-    before it, so the count is 0 from the first row with n(b_i) <= i, and
-    no later row is read. The rows are multiplied in pairs, then pairs of
-    pairs, so each product is of two factors of like size: one at a time,
-    the k rows of (Z/p)**k would take time quadratic in the count's k**2
-    bits."""
+    first, n(b_i) weakly increases and row i has p**n(b_i) - p**i choices
+    outside the span of the rows before it: qseries.frames, which reads no
+    row past its first zero one."""
     ac = _conjugate(alpha)  # n(b) = ac[b - 1]
-    rows, p_i = [], 1  # p_i = p**i
-    for i, b in enumerate(beta):
-        n = ac[b - 1] if b <= len(ac) else 0
-        if n <= i:
-            return 0
-        rows.append(p**n - p_i)
-        p_i *= p
-    while len(rows) > 1:
-        rows = [x * y for x, y in itertools.zip_longest(rows[::2], rows[1::2], fillvalue=1)]
-    # sum_{a, b} min(a, b - 1) = sum_{j >= 1} #{a >= j} #{b >= j + 1}
-    return prod(rows) * p ** sum(x * y for x, y in zip(ac, _conjugate(beta)[1:]))
+    rows = frames(p, (ac[b - 1] if b <= len(ac) else 0 for b in beta))
+    # sum_{a, b} min(a, b - 1) = sum_{j >= 1} #{a >= j} #{b >= j + 1}, read only when rows > 0
+    return rows and rows * p ** sum(x * y for x, y in zip(ac, _conjugate(beta)[1:]))
 
 
 # --------------------------------------------------------------------------

@@ -103,7 +103,7 @@ class MomentTable:
     def reorder(self, perm: Sequence[int]) -> "MomentTable":
         """Table with the basis types permuted; entry i comes from perm[i]."""
         perm = tuple(perm)
-        if sorted(perm) != list(range(len(self.basis))):
+        if any(type(i) is not int for i in perm) or sorted(perm) != list(range(len(self.basis))):
             raise InputError(f"not a permutation of 0..{len(self.basis) - 1}: {quote(perm)}")
         basis = tuple(self.basis[i] for i in perm)
         bound = tuple(self.bound[i] for i in perm)

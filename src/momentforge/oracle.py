@@ -25,11 +25,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .budget import Budget, budget_from_env
-from .errors import InputError
+from .budget import ENV_VAR, Budget, budget_from_env
+from .errors import BudgetExceededError, InputError
 from .finab import FinAbGroup, Measure
 from .qseries import is_prime
-from .rationals import natural
+from .rationals import clip_int, natural
 
 _BLOCK = 1 << 16  # candidate homomorphisms per block
 
@@ -281,9 +281,13 @@ def surjective_matrix_counts(h: int, e: int, k: int) -> list[int]:
     e, k = natural(e, "e"), natural(k, "k")
     if k == 0 or e == 0:
         return [1] + [0] * k
-    budget = budget_from_env()
+    budget, what = budget_from_env(), f"matrix oracle over F_{h}^{clip_int(e)}"
+    if e >= budget.max_order.bit_length():  # h**e >= 2**e > max_order: refuse it unformed
+        raise BudgetExceededError(
+            f"{what}: group order {h}**{clip_int(e)} exceeds the element-table cap of "
+            f"{budget.max_order} (override with {ENV_VAR})")
     n = h**e
-    budget.check_order(n, f"matrix oracle over F_{h}^{e}")
+    budget.check_order(n, what)
     budget.check_candidates(n * n, f"matrix oracle difference table over F_{h}^{e}")
 
     sub, mul = _fp_tables(h, e)

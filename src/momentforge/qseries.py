@@ -1,6 +1,6 @@
-"""Exact q-series arithmetic: q-Pochhammer products, Gaussian binomials,
-and the alternating inversion coefficients used to recover the mass at the
-trivial group from surjection moments.
+"""Exact q-series arithmetic: frames, q-Pochhammer products, Gaussian
+binomials, and the alternating inversion coefficients used to recover the
+mass at the trivial group from surjection moments.
 
 Everything here is exact: integers are arbitrary precision and the
 coefficients are `fractions.Fraction`. Floating point never enters.
@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from math import prod
+from typing import Iterable, Iterator
 
 from .errors import InputError, Value
 from .rationals import clip_int, natural, quote
@@ -131,6 +132,26 @@ class SimpleType(Value):
         return cls(kind=kind, **{field: obj.get(field)})
 
 
+def frames(h: int, dims: Iterable[int]) -> int:
+    """prod_i (h**dims[i] - h**i), unchecked, for weakly increasing dims: the
+    tuples over F_h whose i-th vector lies in a dims[i]-space holding the ones
+    before it, outside their span. dims is read lazily: the count is 0 at the
+    first i with dims[i] <= i, and no later power is formed. Many factors
+    multiply in pairs, then pairs of pairs, as one at a time the k factors of
+    |GL_k(F_h)| would take time quadratic in its k**2 bits."""
+    out, h_i, n_last, h_n = [], 1, -1, 1  # h_i = h**i, h_n = h**n_last
+    for i, n in enumerate(dims):
+        if n <= i:
+            return 0
+        if n != n_last:
+            n_last, h_n = n, h**n
+        out.append(h_n - h_i)
+        h_i *= h
+    while len(out) > 8:  # a few factors multiply as fast one at a time
+        out = [x * y for x, y in itertools.zip_longest(out[::2], out[1::2], fillvalue=1)]
+    return prod(out)
+
+
 def q_pochhammer(h: int, k: int) -> int:
     """prod_{j=1..k} (h**j - 1); the empty product for k = 0."""
     h, k = natural(h, "h", 2), natural(k, "k")
@@ -152,12 +173,7 @@ def q_binomial(e: int, k: int, h: int) -> int:
     if k > e:
         return 0
     k = min(k, e - k)
-    num = 1
-    for j in range(e - k + 1, e + 1):
-        num *= h**j - 1
-    den = q_pochhammer(h, k)
-    assert num % den == 0, "Gaussian binomial must be integral"
-    return num // den
+    return frames(h, [e] * k) // frames(h, [k] * k)
 
 
 def inversion_coefficients(t: SimpleType) -> Iterator[Fraction]:

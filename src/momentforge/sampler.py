@@ -32,7 +32,7 @@ from .budget import budget_from_env
 from .errors import InputError, Value
 from .finab import FinAbGroup, Measure, aut_count, is_prime, sur_count
 from .localize import Localization, ModuleMomentTable
-from .rationals import clip_int, format_rational, natural, over_common_denominator
+from .rationals import clip_int, format_rational, natural, over_common_denominator, quote
 
 
 # Entry cap on one drawn matrix, checked before anything is allocated: a
@@ -286,9 +286,12 @@ def convergence_report(
     Deterministic given the config seed. Targets must have exponent at most
     cap - 1 so the modulus truncation cannot bias their moments.
     """
-    counts = list(counts)
-    if not counts or any(type(t) is not int or t <= 0 for t in counts):
-        raise InputError("counts must be positive integers")
+    try:
+        counts = [natural(t, "each entry of counts", 1) for t in counts]
+    except TypeError as exc:
+        raise InputError(f"counts must be a list of integers, got {quote(counts)}") from exc
+    if not counts:
+        raise InputError("counts must not be empty")
     if any(a >= b for a, b in zip(counts, counts[1:])):
         raise InputError("counts must be strictly increasing")
     if counts[-1] > config.count:

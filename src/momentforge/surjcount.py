@@ -2,18 +2,19 @@
 
 For an abelian type with endomorphism field of size h,
 Sur(G**e, G**k) = (h**e - 1)(h**e - h)...(h**e - h**(k-1)), the number of
-surjective k x e matrices over the field. For a non-abelian simple type,
-Sur(G**e, G**k) = e(e-1)...(e+1-k) * aut**k. Counts across a basis, a
+surjective k x e matrices over the field: qseries.frames. For a non-abelian
+type, Sur(G**e, G**k) = e(e-1)...(e+1-k) * aut**k. Counts across a basis, a
 tuple of types taken as pairwise non-isomorphic (distinctness is positional,
-not checked), multiply coordinatewise.
+not checked), multiply coordinatewise; some k_i > e_i gives 0 at once.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .errors import InputError
-from .qseries import SimpleType
+from .qseries import SimpleType, frames
 from .rationals import natural, quote
 
 MultiIndex = tuple[int, ...]
@@ -38,34 +39,20 @@ def check_index(basis: Basis, idx: Sequence[int], name: str) -> MultiIndex:
 
 
 def sur_single(t: SimpleType, e: int, k: int) -> int:
-    """Number of surjections from the e-th power of t onto the k-th power.
-
-    Returns 0 whenever k > e and 1 when k = 0.
-    """
+    """Number of surjections from the e-th power of t onto the k-th power:
+    0 whenever k > e and 1 when k = 0."""
     e, k = natural(e, "e"), natural(k, "k")
     if k > e:
         return 0
     if t.is_abelian:
-        he = t.h**e
-        out = 1
-        power = 1
-        for _ in range(k):
-            out *= he - power
-            power *= t.h
-        return out
-    out = t.aut**k
-    for j in range(k):
-        out *= e - j
-    return out
+        return frames(t.h, [e] * k)
+    return math.perm(e, k) * t.aut**k
 
 
 def sur_product(basis: Basis, e: Sequence[int], k: Sequence[int]) -> int:
     """Surjection count between products prod t_i**e_i -> prod t_i**k_i."""
     e = check_index(basis, e, "e")
     k = check_index(basis, k, "k")
-    out = 1
-    for t, ei, ki in zip(basis, e, k):
-        out *= sur_single(t, ei, ki)
-        if out == 0:
-            return 0
-    return out
+    if any(ki > ei for ei, ki in zip(e, k)):
+        return 0
+    return math.prod(sur_single(t, ei, ki) for t, ei, ki in zip(basis, e, k))

@@ -1043,6 +1043,17 @@ def test_a_huge_automorphism_count_is_refused_in_bounded_time(tmp_path):
     assert proc.stderr.startswith("error: the exact result is too long to print: over ")
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--abelian", "3", "--e", "30000000", "--k", "0"], "1"),
+    (["--basis", '[{"kind":"abelian","h":3},{"kind":"abelian","h":3}]',
+      "--e", "30000000,1", "--k", "1,2"], "0"),
+], ids=["k=0", "k>e-elsewhere"])
+def test_sur_forms_no_power_it_does_not_need(argv, want):
+    # 3**30000000 took 14-23 s to form, for a count that is 1 or 0 without it
+    proc = _cli(["sur", *argv], capture_output=True, text=True, timeout=4)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
+
+
 def test_exit_path_matches_in_process_main(half_table_path, monkeypatch, capsys):
     # a finished command ends without interpreter teardown; what it printed and
     # its exit code are those of main() in-process, for every exit code

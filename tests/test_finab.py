@@ -542,6 +542,30 @@ class TestSurjectionOracles:
         with pytest.raises(BudgetExceededError, match="^matrix oracle level 3: 26040 "):
             surjective_matrix_counts(2, 5, 4)
 
+    def test_matrix_oracle_refuses_a_huge_space_before_forming_its_order(self):
+        # e >= 17 = bit length of the default max_order 65536 puts h**e past it:
+        # 3**(10**7) took 3 s to form, and 2**(10**5000) never ends
+        script = (
+            "from momentforge.errors import BudgetExceededError\n"
+            "from momentforge.oracle import surjective_matrix_counts\n"
+            "for h, e in ((3, 10**7), (2, 10**5000)):\n"
+            "    try:\n"
+            "        surjective_matrix_counts(h, e, 1)\n"
+            "    except BudgetExceededError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = Path(finab.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != budget.ENV_VAR}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**env, "PYTHONPATH": str(src)}, timeout=4)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        cap = "exceeds the element-table cap of 65536 (override with MOMENTFORGE_BUDGET)"
+        assert proc.stdout.splitlines() == [
+            f"matrix oracle over F_3^10000000: group order 3**10000000 {cap}",
+            f"matrix oracle over F_2^<a 16610-bit integer>: group order "
+            f"2**<a 16610-bit integer> {cap}",
+        ]
+
     def test_matrix_oracle_matches_elementary_bruteforce(self):
         for e in range(4):
             for k in range(4):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,13 @@ def test_multi_invert_soundness_randomized():
         # elimination order does not change the collapsed point
         swapped = multi_invert_zero(table.reorder((1, 0)), (3, 3))
         assert (swapped.lower, swapped.upper) == (m0, m0)
+
+
+@pytest.mark.parametrize("perm", [(0, "a"), (0, 1.0), (True, 0)], ids=repr)
+def test_reorder_refuses_a_permutation_of_anything_but_ints(perm):
+    table = two_type_moments({(0, 0): Fraction(1)}, (1, 1))
+    with pytest.raises(InputError, match=f"^{re.escape(f'not a permutation of 0..1: {perm}')}$"):
+        table.reorder(perm)
 
 
 def test_empty_basis():

@@ -15,17 +15,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "momentforge"
 
 
-def declared_floor() -> tuple[int, int]:
-    """(major, minor) of requires-python = ">=X.Y[.Z]" in pyproject.toml."""
-    match = re.search(r'^requires-python = ">=(\d+)\.(\d+)', (ROOT / "pyproject.toml").read_text(),
-                      re.MULTILINE)
+def declared_floor() -> tuple[int, ...]:
+    """The version X.Y[.Z] of requires-python = ">=X.Y[.Z]" in pyproject.toml."""
+    match = re.search(r'^requires-python = ">=(\d+\.\d+(?:\.\d+)?)"',
+                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     assert match, "pyproject.toml declares no requires-python floor"
-    return int(match[1]), int(match[2])
+    return tuple(int(part) for part in match[1].split("."))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_parses_at_the_declared_floor(path):
-    ast.parse(path.read_text(), filename=str(path), feature_version=declared_floor())
+    ast.parse(path.read_text(), filename=str(path), feature_version=declared_floor()[:2])
 
 
 def test_newer_syntax_is_caught():

@@ -9,6 +9,7 @@ from momentforge.errors import InputError
 from momentforge.qseries import (
     PRIME_TEST_LIMIT,
     SimpleType,
+    frames,
     inversion_coefficient,
     inversion_coefficients,
     is_prime,
@@ -75,6 +76,19 @@ def test_symmetry_and_nonnegativity(e, k, h):
     assert q_binomial(e, k, h) >= 0
     if k <= e:
         assert q_binomial(e, k, h) == q_binomial(e, e - k, h)
+
+
+@given(
+    h=st.sampled_from([2, 3, 4, 5, 9]),
+    steps=st.lists(st.integers(min_value=0, max_value=3), max_size=14),
+    start=st.integers(min_value=0, max_value=4),
+)
+def test_frames_is_the_product_of_its_factors(h, steps, start):
+    # weakly increasing dims from start by steps; a dims[i] <= i makes the count 0
+    dims = list(itertools.accumulate(steps, initial=start))
+    want = math.prod(h**n - h**i for i, n in enumerate(dims))
+    assert frames(h, dims) == want
+    assert (want == 0) == any(n <= i for i, n in enumerate(dims))
 
 
 def test_coefficient_values():

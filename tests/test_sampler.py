@@ -529,6 +529,13 @@ class TestConvergenceReport:
         with pytest.raises(InputError, match="exponent"):
             convergence_report(cfg, [10], [Z(8)], r_max=2)
 
+    def test_counts_are_refused_by_the_integer_rule(self):
+        cfg = SamplerConfig(p=2, cap=3, n=4, seed=11, count=10)
+        with pytest.raises(InputError, match=r"^each entry of counts must be an integer >= 1, got 0$"):
+            convergence_report(cfg, [5, 0], [triv], r_max=2)
+        with pytest.raises(InputError, match="^counts must be a list of integers, got None$"):
+            convergence_report(cfg, None, [triv], r_max=2)
+
     def test_counts_must_increase(self):
         cfg = SamplerConfig(p=2, cap=3, n=4, seed=11, count=10)
         with pytest.raises(InputError):
@@ -536,6 +543,7 @@ class TestConvergenceReport:
 
     @pytest.mark.parametrize("counts, r_max", [
         ([5.5], 2), ([5.0], 2), ([True], 2), (["5"], 2), ([5], 2.0), ([5], True),
+        ([0], 2), ([], 2), (None, 2), (5, 2),
     ], ids=repr)
     def test_counts_and_depth_are_exact_ints(self, counts, r_max):
         cfg = SamplerConfig(p=2, cap=3, n=4, seed=11, count=10)

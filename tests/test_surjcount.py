@@ -43,6 +43,10 @@ def test_sur_product():
     assert sur_product(basis, (1, 0), (0, 1)) == 0
     mixed = (F2, A5)
     assert sur_product(mixed, (2, 2), (1, 1)) == 3 * 240
+    # a coordinate with k > e is 0 whatever the others; k = 0 everywhere is 1
+    assert sur_product(basis, (10**9, 1), (1, 2)) == 0
+    assert sur_product(mixed, (1, 10**9), (2, 1)) == 0
+    assert sur_product(mixed, (10**9, 10**9), (0, 0)) == 1
 
 
 def test_length_mismatch_is_hard_error():
