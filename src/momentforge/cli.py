@@ -25,13 +25,7 @@ from fractions import Fraction
 from .errors import ConsistencyError, InputError, MomentforgeError
 from .finab import MAX_ORDER_BITS, FinAbGroup
 from .inversion import MomentTable, multi_invert_zero
-from .localize import (
-    Localization,
-    ModuleMomentTable,
-    collector_paused,
-    localized_moments,
-    reconstruct_probability,
-)
+from .localize import Localization, ModuleMomentTable, localized_moments
 from .qseries import SimpleType, inversion_coefficient
 from .rationals import check_printable, clip, format_rational
 from .surjcount import basis_from_json_obj, check_index, sur_product
@@ -144,6 +138,8 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_sur(args) -> int:
     if args.basis is not None:
+        if args.abelian is not None or args.nonabelian_aut is not None:
+            raise InputError("pass --basis or one type flag, not both")
         basis = basis_from_json_obj(_loads(args.basis, "bad JSON"))
     else:
         basis = (_simple_type(args),)
@@ -164,28 +160,23 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _table_and_primes(args) -> tuple[ModuleMomentTable, tuple[int, ...]]:
-    with collector_paused():  # the parsed JSON holds no cycles either
-        table = ModuleMomentTable.from_json_obj(_load_json(args.file))
+def _table_and_plan(args, depth: str, flag: str) -> tuple[ModuleMomentTable, Localization]:
+    """The table, and the Localization at --group to the depths `depth`."""
+    table = ModuleMomentTable.from_json_obj(_load_json(args.file))
     primes = _int_list(args.primes, "--primes") if args.primes is not None else table.primes
-    return table, primes
+    M = _parse_group(args.group)
+    return table, Localization(M, primes, _per_type(depth, flag, len(primes)))
 
 
 def _cmd_localize(args) -> int:
-    table, primes = _table_and_primes(args)
-    M = _parse_group(args.group)
-    k_bound = _per_type(args.kbound, "--kbound", len(primes))
-    moments = localized_moments(table, Localization(M, primes, k_bound))
-    _emit(moments.to_json_obj(), args.pretty)
+    table, plan = _table_and_plan(args, args.kbound, "--kbound")
+    _emit(localized_moments(table, plan).to_json_obj(), args.pretty)
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    table, primes = _table_and_primes(args)
-    M = _parse_group(args.group)
-    r_max = _per_type(args.rmax, "--rmax", len(primes))
-    bracket = reconstruct_probability(table, M, primes, r_max)
-    _emit(_bracket_obj(bracket, args.pretty), args.pretty)
+    table, plan = _table_and_plan(args, args.rmax, "--rmax")
+    _emit(_bracket_obj(plan.bracket(table), args.pretty), args.pretty)
     return 0
 
 

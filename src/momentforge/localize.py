@@ -33,7 +33,7 @@ from .finab import (
 )
 from .inversion import Bracket, MomentTable, multi_invert_zero
 from .qseries import SimpleType, check_primes
-from .rationals import MAX_DIGITS, exact, format_rational, natural, parse_rational, quote
+from .rationals import exact, format_rational, natural, parse_rational, quote
 from .surjcount import MultiIndex, check_index
 
 
@@ -46,7 +46,7 @@ class ModuleMomentTable:
     check per distinct (prime key, exponents) pair and per distinct value, and
     one ordering of the columns by prime per key signature, with the store
     filled in record order. A group is built only for a record that is read,
-    and a value read from JSON as plain digits becomes a Fraction only then.
+    and a value read from JSON as an int or plain digits becomes a Fraction only then.
     The table promises exactly the groups it lists; localizing at M reads only
     the middles of its Localization, and names any the table lacks. A record
     whose group passes finab.MAX_ORDER_BITS (2048 bits of order, judged from
@@ -118,7 +118,7 @@ class ModuleMomentTable:
                             raise InputError(
                                 f"duplicate group {FinAbGroup(comps)} in module moment-table JSON"
                             )
-                        table._put(comps, _parse_value(rec["value"]))
+                        table._put(comps, parse_rational(rec["value"]))
             except (KeyError, TypeError) as exc:
                 raise InputError(f"bad module moment-table JSON: {exc}") from exc
         return table
@@ -132,7 +132,8 @@ class collector_paused:
     again after it only if it was on before. Parsed JSON and a table's store
     hold no cycles, so a collection during ingest walks them and frees nothing.
     Leaving the block allocates nothing, so no collection starts before the
-    caller's next allocation."""
+    caller's next allocation. ModuleMomentTable.from_json_obj relies on it for
+    library callers and perfbench's probe; cli.run() turns the collector off."""
 
     def __enter__(self) -> None:
         self.enabled = gc.isenabled()
@@ -150,7 +151,7 @@ _GROUP, _VALUE = operator.itemgetter("group"), operator.itemgetter("value")
 def _ingest_columns(table: ModuleMomentTable, records) -> bool:
     """Store the records as the record loop of from_json_obj would, proving a
     slice of _SLICE records at a time with builtin passes that the loop would
-    accept it: types first, each distinct value once by _parse_value, each
+    accept it: types first, each distinct value once by parse_rational, each
     distinct (prime key, exponents) pair once by json_component, one key per
     prime, and no duplicate by the growth of the store. A slice's groups are
     split by signature, the tuple of their keys; each key gives a column of
@@ -176,7 +177,7 @@ def _ingest_columns(table: ModuleMomentTable, records) -> bool:
             return False
         for v in set(values).difference(parsed):
             try:
-                parsed[v] = _parse_value(v)
+                parsed[v] = parse_rational(v)
             except InputError:
                 return False
             if parsed[v] < 0:
@@ -220,17 +221,6 @@ def _ingest_columns(table: ModuleMomentTable, records) -> bool:
     return True
 
 
-def _parse_value(v) -> Fraction | int:
-    """A record's value: plain ASCII digits as an int, anything else, and a run
-    past MAX_DIGITS, by parse_rational."""
-    if type(v) is str and v.isascii() and v.isdigit() and len(v) <= MAX_DIGITS:
-        try:
-            return int(v)
-        except ValueError:  # past sys.get_int_max_str_digits(): parse_rational says so
-            pass
-    return parse_rational(v)
-
-
 class Localization:
     """The one rule for what localizing at M reads, as a plan every walk
     replays: for each k <= k_bound, k_i the exponent of F_p for the i-th of
@@ -246,7 +236,8 @@ class Localization:
         if len(set(primes)) < len(primes):
             raise InputError(f"localization needs distinct primes, got {list(primes)}")
         self.M, self.primes = M, primes
-        self.k_bound = check_index(tuple(map(SimpleType.abelian, primes)), k_bound, "k_bound")
+        self.basis = tuple(map(SimpleType.abelian, primes))
+        self.k_bound = check_index(self.basis, k_bound, "k_bound")
         self._steps: list[list[tuple[FinAbGroup, int]]] = []  # the steps made, in the order of k
 
     def kernel(self, k: MultiIndex) -> FinAbGroup:
@@ -288,7 +279,7 @@ def localized_moments(table: ModuleMomentTable, loc: Localization) -> MomentTabl
             if v:
                 total += n * v
         values[k] = total / sum(n for _, n in step) if total else total
-    return MomentTable(tuple(map(SimpleType.abelian, loc.primes)), loc.k_bound, values)
+    return MomentTable(loc.basis, loc.k_bound, values)
 
 
 def reconstruct_probability(

@@ -3,15 +3,17 @@ binomials, and the alternating inversion coefficients used to recover the
 mass at the trivial group from surjection moments.
 
 Everything here is exact: integers are arbitrary precision and the
-coefficients are `fractions.Fraction`. Floating point never enters.
+coefficients are `fractions.Fraction`. No float enters a result. Long
+products, as in frames and q_pochhammer, go through one balanced _product.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import log2, prod
 from typing import Iterable, Iterator
 
 from .errors import InputError, Value
@@ -70,15 +72,28 @@ def check_primes(primes) -> tuple[int, ...]:
     return ps
 
 
+_LN = decimal.Context(prec=40)  # ln n to 40 digits: a root below 2**82 to within 1e-13
+
+
 def is_prime_power(n: int) -> bool:
-    """True iff n = p**r for a prime p and r >= 1."""
+    """True iff n = p**r for a prime p and r >= 1. Roots are tried from r =
+    n.bit_length() down, n itself last: the first exact root c is the least
+    base, prime iff n is a prime power. A float estimates a root below 2**32
+    (within 1e-4), ln n one up to PRIME_TEST_LIMIT, past which none is sought;
+    c**r is formed only for an estimate within 1e-3 of a c that divides n."""
     if n < 2:
         return False
-    for r in range(1, n.bit_length() + 1):  # r = 1 tests n itself first
-        root = n if r == 1 else round(n ** (1 / r))
-        if any(c**r == n and is_prime(c) for c in {root - 1, root, root + 1}):
-            return True
-    return False
+    log2n, s = log2(n), max(n.bit_length() - 128, 0)  # ln n from its top 128 bits
+    with decimal.localcontext(_LN):
+        ln_n = decimal.Decimal(n >> s).ln() + s * decimal.Decimal(2).ln() if log2n >= 64 else None
+        for r in range(n.bit_length(), 1, -1):
+            root = 2 ** (log2n / r) if log2n < 32 * r else (ln_n / r).exp()
+            if root >= PRIME_TEST_LIMIT:
+                break
+            c = round(root)
+            if abs(root - c) < 1e-3 and n % c == 0 and c**r == n:
+                return is_prime(c)
+    return is_prime(n)
 
 
 class SimpleType(Value):
@@ -125,20 +140,25 @@ class SimpleType(Value):
     def from_json_obj(cls, obj: dict) -> "SimpleType":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InputError(f"bad simple-type JSON: {quote(obj)}")
-        kind = obj["kind"]
-        if kind not in (ABELIAN, NONABELIAN):
-            raise InputError(f"bad simple-type kind in JSON: {quote(kind)}")
+        kind = obj["kind"]  # __init__ refuses any other kind
         field = "h" if kind == ABELIAN else "aut"
         return cls(kind=kind, **{field: obj.get(field)})
+
+
+def _product(factors: list[int]) -> int:
+    """prod(factors), multiplied in pairs, then pairs of pairs: one at a time,
+    the k factors of |GL_k(F_h)| would take time quadratic in its k**2 bits."""
+    while len(factors) > 8:  # a few factors multiply as fast one at a time
+        pairs = itertools.zip_longest(factors[::2], factors[1::2], fillvalue=1)
+        factors = [x * y for x, y in pairs]
+    return prod(factors)
 
 
 def frames(h: int, dims: Iterable[int]) -> int:
     """prod_i (h**dims[i] - h**i), unchecked, for weakly increasing dims: the
     tuples over F_h whose i-th vector lies in a dims[i]-space holding the ones
     before it, outside their span. dims is read lazily: the count is 0 at the
-    first i with dims[i] <= i, and no later power is formed. Many factors
-    multiply in pairs, then pairs of pairs, as one at a time the k factors of
-    |GL_k(F_h)| would take time quadratic in its k**2 bits."""
+    first i with dims[i] <= i, and no later power is formed."""
     out, h_i, n_last, h_n = [], 1, -1, 1  # h_i = h**i, h_n = h**n_last
     for i, n in enumerate(dims):
         if n <= i:
@@ -147,20 +167,14 @@ def frames(h: int, dims: Iterable[int]) -> int:
             n_last, h_n = n, h**n
         out.append(h_n - h_i)
         h_i *= h
-    while len(out) > 8:  # a few factors multiply as fast one at a time
-        out = [x * y for x, y in itertools.zip_longest(out[::2], out[1::2], fillvalue=1)]
-    return prod(out)
+    return prod(out) if len(out) <= 8 else _product(out)
 
 
 def q_pochhammer(h: int, k: int) -> int:
-    """prod_{j=1..k} (h**j - 1); the empty product for k = 0."""
+    """prod_{j=1..k} (h**j - 1) by _product, 1 for k = 0: not frames' factors, so
+    it checks inversion_coefficients' running denominator without sharing code."""
     h, k = natural(h, "h", 2), natural(k, "k")
-    out = 1
-    power = 1
-    for _ in range(k):
-        power *= h
-        out *= power - 1
-    return out
+    return _product([h**j - 1 for j in range(1, k + 1)])
 
 
 def q_binomial(e: int, k: int, h: int) -> int:

@@ -94,15 +94,16 @@ def quote(value) -> str:
         return f"<a {type(value).__name__} too long to print>"
 
 
-def parse_rational(s) -> Fraction:
-    """Fraction from a JSON value: an int, or a string Fraction() reads. A run
-    of more than MAX_DIGITS digits, or an exponent past MAX_DIGITS in
-    magnitude, is refused before Fraction() converts it or builds
+def parse_rational(s) -> Fraction | int:
+    """The exact value of a JSON value: an int, or a string of plain ASCII
+    digits, as an int; any other string as the Fraction Fraction() reads. A
+    run of more than MAX_DIGITS digits, or an exponent past MAX_DIGITS in
+    magnitude, is refused before int() or Fraction() converts it or builds
     10**exponent, whatever the interpreter's digit limit."""
     if isinstance(s, bool):
         raise InputError(f"not a rational: {s!r}")
     if isinstance(s, int):
-        return Fraction(s)
+        return int(s)
     if not isinstance(s, str):
         raise InputError(f"rational values must be strings or integers, got {quote(s)}")
     try:
@@ -110,6 +111,8 @@ def parse_rational(s) -> Fraction:
             run = max((len(r) - r.count("_") for r in _DIGIT_RUN.findall(s)), default=0)
             if run > MAX_DIGITS:
                 raise ValueError(f"a run of {run} digits is past {MAX_DIGITS}")
+        if s.isascii() and s.isdigit():  # a digit-limit refusal worded as by Fraction()
+            return int(s)
         exponent = _EXPONENT.search(s)
         if exponent and abs(int(exponent[1])) > MAX_DIGITS:
             raise ValueError(f"exponent past {MAX_DIGITS} in magnitude")

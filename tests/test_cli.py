@@ -923,8 +923,11 @@ def test_single_depth_applies_to_every_type(tmp_path, capsys):
         (["sur", "--basis", "[{bad", "--e", "1", "--k", "1"], "bad JSON"),
         (["invert", "--rmax", "1", "--order", "0,0", "--file", "{moments}"], "not a permutation"),
         (["invert", "--rmax", "1", "--file", "{binary}"], ""),  # not text in every locale
+        # a type flag beside --basis was ignored: this printed 8, the count for h = 3
+        (["sur", "--abelian", "4", "--e", "2", "--k", "1", "--basis", '[{"kind":"abelian","h":3}]'],
+         "pass --basis or one type flag, not both"),
     ],
-    ids=["bad-file", "bad-group", "bad-basis", "order-0-0", "binary-file"],
+    ids=["bad-file", "bad-group", "bad-basis", "order-0-0", "binary-file", "basis-and-flag"],
 )
 def test_bad_json_and_order_exit_1(argv, message, half_table_path, tmp_path, capsys):
     bad_file = tmp_path / "bad.json"

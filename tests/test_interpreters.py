@@ -75,7 +75,9 @@ def commands(tmp_path: Path) -> list[list[str]]:
         ["invert", "--file", str(one), "--rmax", "3", "--pretty"],
         ["localize", "--file", str(module), "--group", '{"2":[1]}', "--kbound", "2"],
         ["reconstruct", "--file", str(module), "--group", '{"2":[1]}', "--rmax", "3", "--pretty"],
+        ["coeffs", "--abelian", str(2**82), "--k", "2"],  # exact roots past the primality limit
         ["coeffs", "--abelian", "6", "--k", "1"],
+        ["sur", "--abelian", "4", "--e", "2", "--k", "1", "--basis", '[{"kind":"abelian","h":3}]'],
         ["coeffs", "--abelian", "2", "--k", "5000"],
     ]
 
@@ -102,6 +104,6 @@ def test_every_interpreter_prints_the_same_bytes(tmp_path):
             child.kill()
             child.wait()
     want = reports.pop("running")
-    assert [code for code, _, _ in want] == [0] * 9 + [1, 3]
+    assert [code for code, _, _ in want] == [0] * 10 + [1, 1, 3]
     for version, got in reports.items():
         assert got == want, version

@@ -1,8 +1,12 @@
 import gc
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -26,7 +30,7 @@ from momentforge.localize import (
     reconstruct_probability,
 )
 from momentforge.oracle import mu_local_direct, sur_bruteforce
-from momentforge.rationals import parse_rational
+from momentforge.rationals import MAX_DIGITS, clip, parse_rational
 from momentforge.sampler import empirical_moments, reference_mass
 from momentforge.verify import synthetic_measure
 
@@ -217,6 +221,64 @@ class TestTableIngest:
         assert again.primes == table.primes == (2, 3)
         assert again.values == table.values == values
         assert all(type(v) is Fraction for v in again.values.values())
+
+
+def check_reads_as_fraction(value) -> None:
+    """parse_rational(value) against Fraction(value), the reading it used to
+    give every value: the same number, an int for an int or plain ASCII digits
+    and a Fraction otherwise; where Fraction() refuses plain digits, the same
+    refusal in its words, and anything else it refuses refused too."""
+    plain = type(value) is int or value.isascii() and value.isdigit()
+    try:
+        want = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(InputError) as info:
+            parse_rational(value)
+        if plain and len(value) <= MAX_DIGITS:
+            assert str(info.value) == f"cannot parse rational {clip(repr(value))}: {clip(str(exc))}"
+        return
+    try:
+        got = parse_rational(value)
+    except InputError as exc:  # a run of digits or an exponent past MAX_DIGITS
+        assert str(exc).endswith(f"past {MAX_DIGITS} in magnitude") or "digits is past" in str(exc)
+        return
+    assert got == want and type(got) is (int if plain else Fraction)
+
+
+_AROUND_MAX = st.integers(MAX_DIGITS - 2, MAX_DIGITS + 2)
+_VALUES = st.one_of(
+    st.builds(lambda head, n: head + "7" * (n - len(head)), st.text("0123456789", max_size=4),
+              _AROUND_MAX),
+    st.builds(lambda n, tail: "1" * n + tail, _AROUND_MAX, st.sampled_from(["/3", "e2", ".5", " "])),
+    st.integers(-(10**40), 10**40),
+    st.text("0123456789+-/._ eE\u0663", max_size=10),
+)
+
+
+@given(_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_parse_rational_reads_what_fraction_reads(value):
+    check_reads_as_fraction(value)
+
+
+_LOWERED_LIMIT_SCRIPT = """
+import sys
+sys.set_int_max_str_digits(640)
+from test_localize import check_reads_as_fraction
+for n in (639, 640, 641, 1000, 4300, 4301):
+    for value in ("1" * n, "0" * n, "9" * (n - 1) + "/7", "1" * n + "e1"):
+        check_reads_as_fraction(value)
+check_reads_as_fraction(10**700)
+"""
+
+
+def test_parse_rational_reads_what_fraction_reads_under_a_lowered_digit_limit():
+    # the interpreter's limit (640 here) refuses digits that MAX_DIGITS lets through
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests), str(Path(finab.__file__).resolve().parent.parent)])
+    proc = subprocess.run([sys.executable, "-c", _LOWERED_LIMIT_SCRIPT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # valid tables of random shape: a pool of groups per set of table primes

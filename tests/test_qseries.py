@@ -1,10 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import momentforge
 from momentforge.errors import InputError
 from momentforge.qseries import (
     PRIME_TEST_LIMIT,
@@ -25,6 +31,24 @@ def test_q_pochhammer_values():
     assert q_pochhammer(2, 3) == 21  # (1)(3)(7)
     assert q_pochhammer(3, 2) == 16  # (2)(8)
     assert q_pochhammer(5, 1) == 4
+
+
+@given(st.integers(2, 40), st.integers(0, 70))
+def test_q_pochhammer_is_the_product_of_its_factors(h, k):
+    # past 8 factors the product is balanced; taken one factor at a time it is the same
+    want = 1
+    for j in range(1, k + 1):
+        want *= h**j - 1
+    assert q_pochhammer(h, k) == want
+
+
+def test_q_pochhammer_is_not_quadratic_in_its_bits():
+    # one factor at a time, (2;2)_2000 took 2.1-2.6 s; balanced it takes about 0.4 s
+    script = "from momentforge.qseries import q_pochhammer; q_pochhammer(2, 2000)"
+    src = Path(momentforge.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, timeout=2)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_q_binomial_values():
@@ -208,6 +232,20 @@ def test_is_prime_power_large_inputs():
     assert is_prime_power(2**60 - 93) and is_prime_power(3**40) and is_prime_power((2**31 - 1) ** 2)
     assert not is_prime_power(6**20) and not is_prime_power(2**61 * 3)
     assert not is_prime_power((2**31 - 1) * (2**31 + 11))
+    # past PRIME_TEST_LIMIT, where testing n itself first refused them all
+    assert is_prime_power((2**61 - 1) ** 2) and is_prime_power(3**60)
+    assert is_prime_power((2**31 - 1) ** 3) and is_prime_power((2**61 - 1) ** 200)
+    assert SimpleType.abelian(2**82).h == 2**82
+    assert not is_prime_power((2**31 - 1) ** 2 * 3) and not is_prime_power(6**5000)
+    # a base past the limit is refused as n itself is, after every root is tried
+    for n in ((2**89 - 1) ** 2, 2**82 * 3):
+        with pytest.raises(InputError, match=f"^a {n.bit_length()}-bit integer is too large"):
+            is_prime_power(n)
+    started = time.perf_counter()
+    assert is_prime_power(3**8000)
+    with pytest.raises(InputError, match="^a 14001-bit integer is too large"):
+        is_prime_power(2**14000 + 1)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_simple_type_json_roundtrip():
