@@ -30,7 +30,7 @@ from .finab import (
     sur_count,
 )
 from .inversion import Bracket, MomentTable, multi_invert_zero
-from .localize import Localization, ModuleMomentTable, localized_moments, reconstruct_probability
+from .localize import Localization, ModuleMomentTable, localized_moments
 from .qseries import SimpleType, inversion_coefficient, q_binomial, q_pochhammer
 from .surjcount import MultiIndex, sur_product, sur_single
 
@@ -62,7 +62,6 @@ __all__ = [
     "ModuleMomentTable",
     "Localization",
     "localized_moments",
-    "reconstruct_probability",
     "SamplerConfig",
     "sample_cokernel",
     "empirical_moments",

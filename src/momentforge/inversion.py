@@ -10,15 +10,15 @@ beyond the truncation.
 Several types are eliminated one at a time: each stage turns the inner
 sum over one exponent into a Bracket, and later stages consume those
 Brackets with monotone (sign-directed) interval arithmetic, so soundness
-survives the induction. multi_invert_zero is the only inversion: a
-one-type table is its m = 1 case, and an empty basis returns the single
-moment as a point.
+survives the induction. A stage refuses at the first truncation where its
+bounds cross, and sums no later term. multi_invert_zero is the only
+inversion: a one-type table is its m = 1 case, and an empty basis returns
+the single moment as a point.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -139,9 +139,6 @@ class MomentTable:
             raise InputError(f"bad moment-table JSON: {exc}") from exc
         return cls(basis, bound, values)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def _bracket_from_intervals(t: SimpleType, intervals: Sequence[Bracket]) -> Bracket:
     """Best even-truncation upper bound and odd-truncation lower bound of
@@ -150,7 +147,12 @@ def _bracket_from_intervals(t: SimpleType, intervals: Sequence[Bracket]) -> Brac
 
     Past the last interval L that is not the point 0 the partial sums stop
     at S_L, so the sum stops one term later: term L gives S_L to its parity
-    and term L + 1 to the other, and no later term can cross them."""
+    and term L + 1 to the other, and no later term can cross them.
+
+    The lower bound only rises and the upper bound only falls, so bounds
+    that cross stay crossed: the sum stops at the first crossing, and
+    Bracket refuses them. Bounds that merely meet go on, since a later term
+    can still cross them."""
     last = len(intervals) - 1
     while last >= 0 and intervals[last].lower == 0 == intervals[last].upper:
         last -= 1
@@ -162,9 +164,14 @@ def _bracket_from_intervals(t: SimpleType, intervals: Sequence[Bracket]) -> Brac
         lo_sum += c * lo
         hi_sum += c * hi
         if r % 2:
-            best_lower = max(best_lower, lo_sum)
-        else:
-            best_upper = min(best_upper, hi_sum)
+            if lo_sum > best_lower:
+                best_lower = lo_sum
+                if best_lower > best_upper:
+                    break
+        elif hi_sum < best_upper:
+            best_upper = hi_sum
+            if best_lower > best_upper:
+                break
     return Bracket(best_lower, best_upper)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import json
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -99,11 +98,11 @@ class ModuleMomentTable:
         """Table from JSON, every record checked: its group, the group's
         support on the table primes, duplicates after canonicalization, and
         its value, which must parse and be >= 0. _ingest_columns proves them
-        at one json_component check per distinct (prime key, exponents) pair
-        and one parse per distinct value, orders the columns by prime once per
-        key signature and fills the store in record order. Where it cannot, the
-        record loop below runs from the first record: it is the reference and
-        the only code that words a refusal."""
+        all in one pass, at one json_component check per distinct (prime key,
+        exponents) pair and one parse per distinct value, orders the columns
+        by prime once per key signature and fills the store in record order.
+        Where it cannot, the record loop below runs from the first record: it
+        is the reference and the only code that words a refusal."""
         with collector_paused():
             try:
                 table = cls(obj["primes"], {})
@@ -123,9 +122,6 @@ class ModuleMomentTable:
                 raise InputError(f"bad module moment-table JSON: {exc}") from exc
         return table
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 class collector_paused:
     """Context manager: the cyclic garbage collector off for the block, and on
@@ -144,81 +140,76 @@ class collector_paused:
             gc.enable()
 
 
-_SLICE = 1024  # records the column pass proves at a time
 _GROUP, _VALUE = operator.itemgetter("group"), operator.itemgetter("value")
 
 
 def _ingest_columns(table: ModuleMomentTable, records) -> bool:
-    """Store the records as the record loop of from_json_obj would, proving a
-    slice of _SLICE records at a time with builtin passes that the loop would
-    accept it: types first, each distinct value once by parse_rational, each
-    distinct (prime key, exponents) pair once by json_component, one key per
-    prime, and no duplicate by the growth of the store. A slice's groups are
-    split by signature, the tuple of their keys; each key gives a column of
-    exponent lists, checked and made tuples a column at a time, and each
-    distinct pair one shared component. A signature's columns are ordered by
-    prime once, zip cuts them into keys, none sorted, and the store is filled
-    in record order. False, with the store part filled, at anything not
-    proved, rare valid shapes such as an empty exponent list too."""
+    """Store the records in the empty store of `table` as the record loop of
+    from_json_obj would, proving in one pass over them, with builtin passes,
+    that the loop would accept them all: types first, each distinct value
+    once by parse_rational, each distinct (prime key, exponents) pair once by
+    json_component, one key per prime, and no duplicate by the size of the
+    store. The groups are split by signature, the tuple of their keys; each
+    key gives a column of exponent lists, checked and made tuples a column at
+    a time, and each distinct pair one shared component. A signature's
+    columns are ordered by prime once, zip cuts them into keys, none sorted,
+    and the store is filled in record order. False at anything not proved,
+    rare valid shapes such as an empty exponent list too; the store is then
+    filled only if two records are one group."""
     if type(records) is not list:
         return False
-    store = table._store
+    try:  # whatever rec["group"] reads, as in the record loop
+        groups, values = list(map(_GROUP, records)), list(map(_VALUE, records))
+    except (KeyError, TypeError):
+        return False
+    if not set(map(type, groups)) <= {dict} or not set(map(type, values)) <= {str, int}:
+        return False
+    parsed: dict[str | int, Fraction | int] = {}
+    for v in set(values):
+        try:
+            parsed[v] = parse_rational(v)
+        except InputError:
+            return False
+        if parsed[v] < 0:
+            return False
     shared: dict[str, dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
     key_of: dict[int, str] = {}  # prime -> the one key that names it
-    parsed: dict[str | int, Fraction | int] = {}
     most_bits = 0  # order bits of the largest component
-    for start in range(0, len(records), _SLICE):
-        chunk = records[start : start + _SLICE]
-        try:  # whatever rec["group"] reads, as in the record loop
-            groups, values = list(map(_GROUP, chunk)), list(map(_VALUE, chunk))
-        except (KeyError, TypeError):
-            return False
-        if set(map(type, groups)) != {dict} or not set(map(type, values)) <= {str, int}:
-            return False
-        for v in set(values).difference(parsed):
-            try:
-                parsed[v] = parse_rational(v)
-            except InputError:
+    signatures = list(map(tuple, groups))
+    cuts = {(): itertools.repeat(())}
+    for sig in set(signatures).difference(cuts):
+        same = map(operator.eq, itertools.repeat(sig), signatures)
+        alike = list(itertools.compress(groups, same))
+        columns = {}  # prime -> the column of components
+        for key in sig:
+            exponents = list(map(operator.itemgetter(key), alike))
+            if set(map(type, exponents)) != {list}:
                 return False
-            if parsed[v] < 0:
+            exponents = list(map(tuple, exponents))
+            # types before hashing: True and 1.0 hash as 1 does
+            if not set(map(type, itertools.chain.from_iterable(exponents))) <= {int}:
                 return False
-        signatures = list(map(tuple, groups))
-        cuts = {(): itertools.repeat(())}
-        for sig in set(signatures).difference(cuts):
-            same = map(operator.eq, itertools.repeat(sig), signatures)
-            alike = list(itertools.compress(groups, same))
-            columns = {}  # prime -> the column of components
-            for key in sig:
-                exponents = list(map(operator.itemgetter(key), alike))
-                if set(map(type, exponents)) != {list}:
+            known = shared.setdefault(key, {})
+            new = set(exponents).difference(known)
+            for parts in new:
+                try:
+                    known[parts] = json_component(key, parts)
+                except InputError:
                     return False
-                exponents = list(map(tuple, exponents))
-                # types before hashing: True and 1.0 hash as 1 does
-                if not set(map(type, itertools.chain.from_iterable(exponents))) <= {int}:
-                    return False
-                known = shared.setdefault(key, {})
-                new = set(exponents).difference(known)
-                for parts in new:
-                    try:
-                        known[parts] = json_component(key, parts)
-                    except InputError:
-                        return False
-                column = list(map(known.__getitem__, exponents))
-                p = column[0][0]
-                if () in known or p not in table.primes or key_of.setdefault(p, key) != key:
-                    return False
-                if new:
-                    most_bits = max(most_bits, order_bits(p, max(new, key=sum)))
-                columns[p] = column
-            if most_bits * len(sig) > MAX_ORDER_BITS:
+            column = list(map(known.__getitem__, exponents))
+            p = column[0][0]
+            if () in known or p not in table.primes or key_of.setdefault(p, key) != key:
                 return False
-            cuts[sig] = zip(*map(columns.__getitem__, sorted(columns)))
-        before = len(store)
-        keys = map(next, map(cuts.__getitem__, signatures))
-        store.update(zip(keys, map(parsed.__getitem__, values)))
-        if len(store) != before + len(chunk):  # two records are one group
+            if new:
+                most_bits = max(most_bits, order_bits(p, max(new, key=sum)))
+            columns[p] = column
+        if most_bits * len(sig) > MAX_ORDER_BITS:
             return False
-    return True
+        cuts[sig] = zip(*map(columns.__getitem__, sorted(columns)))
+    store = table._store
+    keys = map(next, map(cuts.__getitem__, signatures))
+    store.update(zip(keys, map(parsed.__getitem__, values)))
+    return len(store) == len(records)  # else two records are one group
 
 
 class Localization:
@@ -281,10 +272,3 @@ def localized_moments(table: ModuleMomentTable, loc: Localization) -> MomentTabl
         values[k] = total / sum(n for _, n in step) if total else total
     return MomentTable(loc.basis, loc.k_bound, values)
 
-
-def reconstruct_probability(
-    table: ModuleMomentTable, M: FinAbGroup, primes: Sequence[int], r_max: Sequence[int]
-) -> Bracket:
-    """Certified bracket for the mass at M of any nonnegative measure with
-    the given moments: Localization(M, primes, r_max).bracket(table)."""
-    return Localization(M, primes, r_max).bracket(table)

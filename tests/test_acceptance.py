@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from momentforge.finab import FinAbGroup, enumerate_groups, sur_count
-from momentforge.localize import reconstruct_probability
+from momentforge.localize import Localization
 from momentforge.sampler import SamplerConfig, empirical_moments, sample_measure
 from momentforge.verify import (
     check_abelian_matrix_oracle,
@@ -111,7 +111,7 @@ def _sampler_run(seed):
     zscore = abs(float(moment) - 1.0) / sigma
 
     table = empirical_moments(mu, enumerate_groups([2], 2**10))
-    bracket = reconstruct_probability(table, FinAbGroup.trivial(), (2,), (10,))
+    bracket = Localization(FinAbGroup.trivial(), (2,), (10,)).bracket(table)
     mid_error = abs(float((bracket.lower + bracket.upper) / 2) - 0.288788)
     assert bracket.contains(mu.mass(FinAbGroup.trivial()))
     return zscore, mid_error

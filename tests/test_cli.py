@@ -23,6 +23,7 @@ from momentforge.qseries import SimpleType, inversion_coefficient
 from momentforge.rationals import parse_rational
 
 from groups import Z
+from test_inversion import infeasible_table
 
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -60,7 +61,7 @@ def test_coeffs_example(capsys):
 def test_invert_example(tmp_path, capsys):
     table = MomentTable.one_type(SimpleType.abelian(2), [1] * 5)
     path = tmp_path / "moments.json"
-    path.write_text(table.dumps())
+    path.write_text(json.dumps(table.to_json_obj()))
     code, out, _ = run(capsys, "invert", "--file", str(path), "--rmax", "4")
     assert code == 0
     assert json.loads(out) == {"lower": "2/7", "upper": "13/45"}
@@ -102,7 +103,7 @@ def half_table_path(tmp_path):
 
     table = empirical_moments(mu, enumerate_groups([2], 16))
     path = tmp_path / "table.json"
-    path.write_text(table.dumps())
+    path.write_text(json.dumps(table.to_json_obj()))
     return path
 
 
@@ -150,7 +151,8 @@ def test_the_work_leaves_no_cyclic_garbage(tmp_path, capsys):
 
     for bound in (2**4, 2**4, 2**9):
         path = tmp_path / f"table{bound}.json"
-        path.write_text(empirical_moments(mu, enumerate_groups([2], bound)).dumps())
+        path.write_text(json.dumps(
+            empirical_moments(mu, enumerate_groups([2], bound)).to_json_obj()))
         left.append(_garbage_left(capsys, "reconstruct", "--file", str(path),
                                   "--group", '{"2":[1]}', "--rmax", "3"))
     assert left[1] == left[2] and left[4] == left[5], left
@@ -242,7 +244,7 @@ def test_localize_ignores_budget(monkeypatch, tmp_path, capsys):
     # refuse any enumeration leaves the output unchanged
     table = ModuleMomentTable([2], {g: 1 for g in enumerate_groups([2], 4)})
     path = tmp_path / "ones.json"
-    path.write_text(table.dumps())
+    path.write_text(json.dumps(table.to_json_obj()))
     argv = ("localize", "--file", str(path), "--group", '{"2":[1]}', "--kbound", "1")
     code, plain, _ = run(capsys, *argv)
     assert code == 0
@@ -381,7 +383,7 @@ def test_explicit_table_primes_match_the_default(command, depth, tmp_path, capsy
     from momentforge.sampler import empirical_moments
 
     path = tmp_path / "table.json"
-    path.write_text(empirical_moments(mu, enumerate_groups([2, 3], 72)).dumps())
+    path.write_text(json.dumps(empirical_moments(mu, enumerate_groups([2, 3], 72)).to_json_obj()))
     argv = (command, "--file", str(path), "--group", '{"2":[1]}', depth, "2,1")
     code, plain, _ = run(capsys, *argv)
     assert code == 0
@@ -409,7 +411,8 @@ def test_a_bracket_too_long_to_print_exits_3(tmp_path, capsys):
     # at h = 2**80 the coefficient c_20 has 2**15200 in its denominator, past
     # Python's 4300-digit limit on printing an int
     path = tmp_path / "table.json"
-    path.write_text(MomentTable.one_type(SimpleType.abelian(2**80), [1] * 21).dumps())
+    table = MomentTable.one_type(SimpleType.abelian(2**80), [1] * 21)
+    path.write_text(json.dumps(table.to_json_obj()))
     code, out, err = run(capsys, "invert", "--file", str(path), "--rmax", "20")
     limit = sys.get_int_max_str_digits()
     assert (code, out, err) == (3, "", f"error: the exact result is too long to print: over {limit} digits\n")
@@ -540,7 +543,8 @@ print(json.dumps({"codes": codes, "loaded_before_sample": loaded, "numpy_after":
 
 def test_closed_form_commands_do_not_load_numpy(half_table_path, tmp_path):
     moments = tmp_path / "moments.json"
-    moments.write_text(MomentTable.one_type(SimpleType.abelian(2), [1] * 5).dumps())
+    table = MomentTable.one_type(SimpleType.abelian(2), [1] * 5)
+    moments.write_text(json.dumps(table.to_json_obj()))
     src = Path(momentforge.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
@@ -902,7 +906,7 @@ def test_pretty_scalar_and_bracket_decimals(half_table_path, capsys):
 def test_single_depth_applies_to_every_type(tmp_path, capsys):
     table = ModuleMomentTable([2, 3], {g: 1 for g in enumerate_groups([2, 3], 6 * 4 * 9)})
     path = tmp_path / "ones.json"
-    path.write_text(table.dumps())
+    path.write_text(json.dumps(table.to_json_obj()))
     outs = []
     for rmax in ("2", "2,2"):
         code, out, _ = run(
@@ -1032,6 +1036,17 @@ def _cli(argv, env=None, timeout=120, **kwargs) -> subprocess.CompletedProcess:
     env = {**(os.environ if env is None else env), "PYTHONPATH": str(src)}
     return subprocess.run([sys.executable, "-m", "momentforge.cli", *argv],
                           env=env, timeout=timeout, **kwargs)
+
+
+def test_an_infeasible_table_is_refused_at_its_first_crossing(tmp_path):
+    # the bounds cross by r = 20; summing on to r = 400 took over 3 s
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(infeasible_table()))
+    proc = _cli(["invert", "--file", str(path), "--rmax", "400"], capture_output=True, text=True,
+                timeout=1)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+        "error: bracket lower bound exceeds upper bound; "
+        "the inputs are not moments of any nonnegative measure\n"))
 
 
 def test_a_huge_automorphism_count_is_refused_in_bounded_time(tmp_path):

@@ -1,10 +1,10 @@
 """Every function, class and method the package defines has a caller.
 
 The sibling of test_dead_imports: a definition passes when its name is
-referenced (as a Name or an Attribute) somewhere in the package outside its
-own body, is listed in a module's __all__, is a dunder, is a span the
-benchmark tracer wraps (perfbench/trace_child.TARGETS), or is on ALLOWED
-with the reason it stays.
+referenced (as a Name, or as an Attribute not read from a name that a plain
+`import` binds) somewhere in the package outside its own body, is listed in
+a module's __all__, is a dunder, is a span the benchmark tracer wraps
+(perfbench/trace_child.TARGETS), or is on ALLOWED with the reason it stays.
 """
 
 import ast
@@ -30,11 +30,20 @@ def _trace_targets() -> set[str]:
     return {attr for _, _, attr, _ in module.TARGETS}
 
 
-def _references(node: ast.AST) -> Counter:
+def _imported(tree: ast.Module) -> set[str]:
+    """Names a plain `import` binds (json, np, os, ...): an attribute read
+    from one of them, such as json.dumps, is not a package reference. Names
+    that `from . import` binds are package modules and stay references."""
+    return {alias.asname or alias.name.partition(".")[0]
+            for n in ast.walk(tree) if isinstance(n, ast.Import) for alias in n.names}
+
+
+def _references(node: ast.AST, imported: set[str]) -> Counter:
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, ast.Name) or isinstance(n, ast.Attribute)
+        and not (isinstance(n.value, ast.Name) and n.value.id in imported)
     )
 
 
@@ -64,13 +73,15 @@ def _exported(tree: ast.Module) -> set[str]:
 def dead_definitions(trees: dict[str, ast.Module], targets: set[str]) -> list[str]:
     """module.qualname of each definition in `trees` (module name -> AST) that
     meets none of the conditions in the module docstring."""
-    references = sum((_references(tree) for tree in trees.values()), Counter())
+    imported = {module: _imported(tree) for module, tree in trees.items()}
+    references = sum((_references(tree, imported[m]) for m, tree in trees.items()), Counter())
     exported = set().union(*map(_exported, trees.values()))
     dead = []
     for module, tree in trees.items():
         for qualname, node in _definitions(tree):
             name = node.name
-            if (references[name] - _references(node)[name] > 0 or name in exported
+            if (references[name] - _references(node, imported[module])[name] > 0
+                    or name in exported
                     or (name.startswith("__") and name.endswith("__"))
                     or qualname in targets or f"{module}.{qualname}" in ALLOWED):
                 continue
@@ -99,7 +110,14 @@ def test_dead_definitions_are_caught():
         "    def __eq__(self, other): pass\n"
         "    def method(self): pass\n"
         "    def called(self): pass\n"
+        "    def dumps(self): pass\n"
+        "    def load(self): pass\n"
+        "import json\n"
+        "from . import sibling\n"
         "used()\n"
         "C().called()\n"
+        "json.dumps({})\n"  # the stdlib's dumps, not C's
+        "sibling.load()\n"  # a package module's load: a reference
     )
-    assert dead_definitions({"m": tree}, {"traced"}) == ["m.unused", "m.recursive", "m.C.method"]
+    assert dead_definitions({"m": tree}, {"traced"}) == [
+        "m.unused", "m.recursive", "m.C.method", "m.C.dumps"]

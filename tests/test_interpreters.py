@@ -25,6 +25,7 @@ from momentforge.qseries import SimpleType
 from momentforge.sampler import empirical_moments
 
 from groups import Z
+from test_inversion import infeasible_table
 from test_python_floor import declared_floor
 
 CHILD = """
@@ -63,7 +64,9 @@ def commands(tmp_path: Path) -> list[list[str]]:
                               .to_json_obj()))
     module = tmp_path / "module.json"
     mu = Measure({FinAbGroup.trivial(): half, Z(2): half})
-    module.write_text(empirical_moments(mu, enumerate_groups([2], 16)).dumps())
+    module.write_text(json.dumps(empirical_moments(mu, enumerate_groups([2], 16)).to_json_obj()))
+    infeasible = tmp_path / "infeasible.json"
+    infeasible.write_text(json.dumps(infeasible_table()))
     basis = '[{"kind":"abelian","h":3},{"kind":"abelian","h":3}]'
     return [
         ["coeffs", "--abelian", "9", "--k", "4"],
@@ -79,6 +82,7 @@ def commands(tmp_path: Path) -> list[list[str]]:
         ["coeffs", "--abelian", "6", "--k", "1"],
         ["sur", "--abelian", "4", "--e", "2", "--k", "1", "--basis", '[{"kind":"abelian","h":3}]'],
         ["coeffs", "--abelian", "2", "--k", "5000"],
+        ["invert", "--file", str(infeasible), "--rmax", "400"],  # refused at r <= 20
     ]
 
 
@@ -104,6 +108,6 @@ def test_every_interpreter_prints_the_same_bytes(tmp_path):
             child.kill()
             child.wait()
     want = reports.pop("running")
-    assert [code for code, _, _ in want] == [0] * 10 + [1, 1, 3]
+    assert [code for code, _, _ in want] == [0] * 10 + [1, 1, 3, 1]
     for version, got in reports.items():
         assert got == want, version

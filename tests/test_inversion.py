@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from momentforge import inversion
 from momentforge.errors import InfeasibleMomentsError, InputError
 from momentforge.finab import FinAbGroup, Measure
 from momentforge.inversion import Bracket, MomentTable, _bracket_from_intervals, multi_invert_zero
 from momentforge.localize import ModuleMomentTable
-from momentforge.qseries import SimpleType, inversion_coefficient
+from momentforge.qseries import SimpleType, inversion_coefficient, inversion_coefficients
 from momentforge.sampler import reference_mass
 from momentforge.surjcount import sur_product, sur_single
 from momentforge.verify import one_type_moments, random_mass_function
@@ -21,6 +22,16 @@ BASIS = (T2, T3)
 
 def all_ones(n):
     return MomentTable.one_type(T2, [1] * (n + 1))
+
+
+def infeasible_table():
+    """A one-type h = 3 table as JSON to k = 400, moment k a random p/q with
+    p, q in 1..99, drawn in the order of k. No nonnegative measure has these
+    moments: the inversion bounds have crossed by r = 20."""
+    rng = random.Random(0)
+    return {"basis": [{"kind": "abelian", "h": 3}], "bound": [400],
+            "moments": [{"k": [k], "value": f"{rng.randint(1, 99)}/{rng.randint(1, 99)}"}
+                        for k in range(401)]}
 
 
 def partial_sums(moments, t, r_max):
@@ -267,6 +278,22 @@ def test_early_stop_matches_the_full_loop(t, head, trailing_zeros):
     else:
         br = _bracket_from_intervals(t, intervals)
         assert (br.lower, br.upper) == want
+
+
+def test_the_fold_stops_at_its_first_crossing(monkeypatch):
+    # the bounds meet at r = 1, which does not stop the sum, and cross at
+    # r = 3, which does: the six terms after it are never read
+    read = []
+
+    def counted(t):
+        for r, c in enumerate(inversion_coefficients(t)):
+            read.append(r)
+            yield c
+
+    monkeypatch.setattr(inversion, "inversion_coefficients", counted)
+    with pytest.raises(InfeasibleMomentsError):
+        _bracket_from_intervals(T2, _point(1, 0, 3, 5, 5, 5, 5, 5, 5, 5))
+    assert read == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.5, True, "1/2", None], ids=repr)

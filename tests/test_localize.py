@@ -27,7 +27,6 @@ from momentforge.localize import (
     Localization,
     ModuleMomentTable,
     localized_moments,
-    reconstruct_probability,
 )
 from momentforge.oracle import mu_local_direct, sur_bruteforce
 from momentforge.rationals import MAX_DIGITS, clip, parse_rational
@@ -122,12 +121,12 @@ class TestModuleMomentTable:
         }
         lost = {str(g) for g in drop & needed}
         if not lost:
-            assert reconstruct_probability(sparse, M, P23, r_max) == (
-                reconstruct_probability(FULL_23, M, P23, r_max)
+            assert Localization(M, P23, r_max).bracket(sparse) == (
+                Localization(M, P23, r_max).bracket(FULL_23)
             )
             return
         with pytest.raises(InputError, match="lacks middles") as info:
-            reconstruct_probability(sparse, M, P23, r_max)
+            Localization(M, P23, r_max).bracket(sparse)
         named = str(info.value).rsplit("): ", 1)[1].removesuffix("...").split(", ")
         assert named and set(named) <= lost
 
@@ -173,7 +172,7 @@ class TestTableIngest:
 
         monkeypatch.setattr(localize, "candidate_middles", counted_middles)
         groups_built[0] = 0
-        reconstruct_probability(table, M, P23, (8, 6))
+        Localization(M, P23, (8, 6)).bracket(table)
         # one group per middle read, one per target N_k (63 at depth (8, 6)), no more
         assert groups_built[0] <= len(middles) + 9 * 7 + 2
 
@@ -217,7 +216,7 @@ class TestTableIngest:
                   enumerate_groups([2, 3], 72)}
         values[triv] = 0
         table = ModuleMomentTable([3, 2], values)
-        again = ModuleMomentTable.from_json_obj(json.loads(table.dumps()))
+        again = ModuleMomentTable.from_json_obj(json.loads(json.dumps(table.to_json_obj())))
         assert again.primes == table.primes == (2, 3)
         assert again.values == table.values == values
         assert all(type(v) is Fraction for v in again.values.values())
@@ -314,7 +313,7 @@ def _mutated_tables(draw):
         group["4" if mutation == "non-prime-key" else "7"] = [1]
     elif mutation == "bad-exponent":
         # a last record of one prime key of a record, an exponent 1 replaced:
-        # True and 1.0 then hash as a pair an earlier slice has seen
+        # True and 1.0 then hash as a pair an earlier record has seen
         bad = draw(st.sampled_from([True, 1.0, 0, "1"]))
         spots = [(key, exps, i) for r in records for key, exps in r["group"].items()
                  for i, a in enumerate(exps) if a == 1]
@@ -365,36 +364,32 @@ def _table(*groups):
 
 
 class TestColumnPass:
-    @given(_mutated_tables(), st.sampled_from([1, 2, 3, 5, 4096]))
-    @example((_table({"2": [1]}, {"2": [True], "3": [1]}), "bad-exponent"), 4096)
-    # prime 2 spelled two ways, in one slice and across a slice boundary
-    @example((_table({"2": [1]}, {"02": [2]}), "bad-key"), 4096)
-    @example((_table({"2": [1]}, {"02": [2]}), "bad-key"), 1)
-    @example((_table({"2": [1], "02": [2]}), "bad-key"), 4096)
-    # equal tuples that hash alike under one key of one slice, in both orders
-    @example((_table({"2": [1]}, {"2": [True]}), "bad-exponent"), 4096)
-    @example((_table({"2": [True]}, {"2": [1]}), "bad-exponent"), 4096)
-    @example((_table({"2": [1]}, {"2": [1.0]}), "bad-exponent"), 4096)
-    @example((_table({"2": [1.0]}, {"2": [1]}), "bad-exponent"), 4096)
-    # one slice holding both key orders
-    @example((_table({"2": [1], "3": [1]}, {"3": [2], "2": [1]}, {"3": [1]}), "reversed-keys"),
-             4096)
+    @given(_mutated_tables())
+    @example((_table({"2": [1]}, {"2": [True], "3": [1]}), "bad-exponent"))
+    # prime 2 spelled two ways, across records and within one record
+    @example((_table({"2": [1]}, {"02": [2]}), "bad-key"))
+    @example((_table({"2": [1], "02": [2]}), "bad-key"))
+    # equal tuples that hash alike under one key, in both orders
+    @example((_table({"2": [1]}, {"2": [True]}), "bad-exponent"))
+    @example((_table({"2": [True]}, {"2": [1]}), "bad-exponent"))
+    @example((_table({"2": [1]}, {"2": [1.0]}), "bad-exponent"))
+    @example((_table({"2": [1.0]}, {"2": [1]}), "bad-exponent"))
+    # both key orders in one table
+    @example((_table({"2": [1], "3": [1]}, {"3": [2], "2": [1]}, {"3": [1]}), "reversed-keys"))
     # a group near the order bound, which the pass leaves to the loop: valid,
     # 1900 + 2 * 30 bits, and too large, 2008 + 2 * 30 > MAX_ORDER_BITS
-    @example((_table({"2": [1900], "3": [30]}), "too-large"), 4096)
-    @example((_table({"2": [2008], "3": [30]}), "too-large"), 4096)
+    @example((_table({"2": [1900], "3": [30]}), "too-large"))
+    @example((_table({"2": [2008], "3": [30]}), "too-large"))
     @settings(max_examples=300, deadline=None)
-    def test_column_pass_matches_the_record_loop(self, case, size):
-        # over slices of `size` records, from_json_obj either makes the store
-        # the record loop alone makes, or refuses with the same text
+    def test_column_pass_matches_the_record_loop(self, case):
+        # from_json_obj either makes the store the record loop alone makes,
+        # or refuses with the same text
         obj, mutation = case
-        with mock.patch.object(localize, "_SLICE", size):
-            got = _ingested(obj)
-            with mock.patch.object(localize, "_ingest_columns", _record_loop_only):
-                want = _ingested(obj)
-            if mutation in ("none", "reversed-keys"):  # proved without the loop
-                assert localize._ingest_columns(ModuleMomentTable(obj["primes"], {}),
-                                                obj["moments"])
+        got = _ingested(obj)
+        with mock.patch.object(localize, "_ingest_columns", _record_loop_only):
+            want = _ingested(obj)
+        if mutation in ("none", "reversed-keys"):  # proved without the loop
+            assert localize._ingest_columns(ModuleMomentTable(obj["primes"], {}), obj["moments"])
         assert got == want
 
     def test_records_share_their_components(self, wide_23):
@@ -611,9 +606,9 @@ def test_localized_moments_match_direct_definition():
 
 class TestReconstruct:
     def test_point_recovery(self, table_half):
-        br = reconstruct_probability(table_half, Z(2), P2, (3,))
+        br = Localization(Z(2), P2, (3,)).bracket(table_half)
         assert (br.lower, br.upper) == (HALF, HALF)
-        br = reconstruct_probability(table_half, Z(4), P2, (2,))
+        br = Localization(Z(4), P2, (2,)).bracket(table_half)
         assert (br.lower, br.upper) == (0, 0)
 
     def test_synthetic_end_to_end(self):
@@ -626,7 +621,7 @@ class TestReconstruct:
         bound = 12 * 2 ** r_max[0] * 3 ** r_max[1]
         table = empirical_moments(mu, enumerate_groups({2, 3}, bound))
         for M in enumerate_groups({2, 3}, 12):
-            br = reconstruct_probability(table, M, P23, r_max)
+            br = Localization(M, P23, r_max).bracket(table)
             assert (br.lower, br.upper) == (mu.mass(M), mu.mass(M)), M
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -636,7 +631,7 @@ class TestReconstruct:
         table = ModuleMomentTable([p], {g: 1 for g in enumerate_groups([p], bound)})
         tol = Fraction(1, 10**9)
         for M in (triv, Z(p), Z(p * p)):
-            br = reconstruct_probability(table, M, (p,), (12,))
+            br = Localization(M, (p,), (12,)).bracket(table)
             ref = reference_mass(p, 0, M)
             assert br.width < Fraction(1, 10**4)
             assert br.lower - tol <= ref <= br.upper + tol
