@@ -36,53 +36,66 @@ from .rationals import exact, format_rational, natural, parse_rational, quote
 from .surjcount import MultiIndex, check_index
 
 
+Row = tuple[tuple[int, ...], ...]  # a group's exponent partitions at a table's primes
+
+
 class ModuleMomentTable:
     """Moments of a measure at finite abelian targets: group -> integral of
     the surjection count onto it.
 
-    Records are keyed by canonical exponent data, FinAbGroup.components.
-    Every record is validated when the table is made; from JSON that costs one
-    check per distinct (prime key, exponents) pair and per distinct value, and
-    one ordering of the columns by prime per key signature, with the store
-    filled in record order. A group is built only for a record that is read,
-    and a value read from JSON as an int or plain digits becomes a Fraction only then.
-    The table promises exactly the groups it lists; localizing at M reads only
-    the middles of its Localization, and names any the table lacks. A record
-    whose group passes finab.MAX_ORDER_BITS (2048 bits of order, judged from
-    its exponents) is invalid: no middle comes near it. A legacy `order_bound`
-    field in JSON is type-checked and otherwise ignored.
+    Records are keyed by row: the tuple of a group's exponent partitions at
+    the table primes, () at a prime where it has none. Every record is
+    validated when the table is made; from JSON that costs one check per
+    distinct (prime key, exponents) pair and per distinct value, with the
+    store filled in record order. A group is built only for a record that is
+    read, and a value read from JSON as an int or plain digits becomes a
+    Fraction only then. The table promises exactly the groups it lists;
+    localizing at M reads only the middles of its Localization, and names any
+    the table lacks. A record whose group passes finab.MAX_ORDER_BITS (2048
+    bits of order, judged from its exponents) is invalid: no middle comes near
+    it. A legacy `order_bound` field in JSON is type-checked and otherwise
+    ignored.
     """
 
     def __init__(self, primes: Iterable[int], values: Mapping[FinAbGroup, Fraction | int]):
         self.primes = tuple(sorted(set(check_primes(primes))))
-        self._store: dict[Components, Fraction | int] = {}
+        self._store: dict[Row, Fraction | int] = {}
         for g, v in values.items():
             if not isinstance(g, FinAbGroup):
                 raise InputError(f"moment keys must be groups, got {quote(g)}")
             self._put(g.components, exact(v, "a moment"))
 
+    def _row(self, comps: Components) -> Row | None:
+        """The row of the group with these components, None if it has a prime
+        the table lacks."""
+        parts = dict(comps)
+        row = tuple(map(parts.pop, self.primes, itertools.repeat(())))
+        return None if parts else row
+
     def _put(self, comps: Components, value: Fraction | int) -> None:
-        for p, _ in comps:
-            if p not in self.primes:
-                g = FinAbGroup(comps)
-                raise InputError(f"group {g} is not supported on primes {self.primes}")
+        row = self._row(comps)
+        if row is None:
+            raise InputError(f"group {FinAbGroup(comps)} is not supported on primes {self.primes}")
         if value < 0:
             raise InputError(f"moment at {FinAbGroup(comps)} is negative")
-        self._store[comps] = value
+        self._store[row] = value
 
     def __contains__(self, g: FinAbGroup) -> bool:
-        return g.components in self._store
+        return self._row(g.components) in self._store
 
     def __call__(self, g: FinAbGroup) -> Fraction:
         try:
-            return Fraction(self._store[g.components])
+            return Fraction(self._store[self._row(g.components)])
         except KeyError:
             raise InputError(f"moment table has no entry for {g}") from None
 
     @property
     def values(self) -> dict[FinAbGroup, Fraction]:
         """Every record as group -> value; builds them all."""
-        return {FinAbGroup(comps): Fraction(v) for comps, v in self._store.items()}
+        return {
+            FinAbGroup(tuple((p, parts) for p, parts in zip(self.primes, row) if parts)): Fraction(v)
+            for row, v in self._store.items()
+        }
 
     def to_json_obj(self) -> dict:
         return {
@@ -99,45 +112,38 @@ class ModuleMomentTable:
         support on the table primes, duplicates after canonicalization, and
         its value, which must parse and be >= 0. _ingest_columns proves them
         all in one pass, at one json_component check per distinct (prime key,
-        exponents) pair and one parse per distinct value, orders the columns
-        by prime once per key signature and fills the store in record order.
-        Where it cannot, the record loop below runs from the first record: it
-        is the reference and the only code that words a refusal."""
-        with collector_paused():
-            try:
-                table = cls(obj["primes"], {})
-                if "order_bound" in obj:
-                    natural(obj["order_bound"], "order_bound", 1)
-                records = obj["moments"]
-                if not _ingest_columns(table, records):
-                    table._store.clear()
-                    for rec in records:
-                        comps = group_components(rec["group"])
-                        if comps in table._store:
-                            raise InputError(
-                                f"duplicate group {FinAbGroup(comps)} in module moment-table JSON"
-                            )
-                        table._put(comps, parse_rational(rec["value"]))
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"bad module moment-table JSON: {exc}") from exc
-        return table
+        exponents) pair and one parse per distinct value, and fills the store
+        in record order. Where it cannot, the record loop below runs from the
+        first record: it is the reference and the only code that words a
+        refusal.
 
-
-class collector_paused:
-    """Context manager: the cyclic garbage collector off for the block, and on
-    again after it only if it was on before. Parsed JSON and a table's store
-    hold no cycles, so a collection during ingest walks them and frees nothing.
-    Leaving the block allocates nothing, so no collection starts before the
-    caller's next allocation. ModuleMomentTable.from_json_obj relies on it for
-    library callers and perfbench's probe; cli.run() turns the collector off."""
-
-    def __enter__(self) -> None:
-        self.enabled = gc.isenabled()
+        The cyclic garbage collector is off meanwhile, and on again after only
+        if it was on before: parsed JSON and the store hold no cycles, so a
+        collection during ingest walks them and frees nothing. Turning it on
+        allocates nothing, so no collection starts before the caller's next
+        allocation. cli.run() turns the collector off for good."""
+        enabled = gc.isenabled()
         gc.disable()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.enabled:
-            gc.enable()
+        try:
+            table = cls(obj["primes"], {})
+            if "order_bound" in obj:
+                natural(obj["order_bound"], "order_bound", 1)
+            records = obj["moments"]
+            if not _ingest_columns(table, records):
+                table._store.clear()
+                for rec in records:
+                    comps = group_components(rec["group"])
+                    if table._row(comps) in table._store:
+                        raise InputError(
+                            f"duplicate group {FinAbGroup(comps)} in module moment-table JSON"
+                        )
+                    table._put(comps, parse_rational(rec["value"]))
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"bad module moment-table JSON: {exc}") from exc
+        finally:
+            if enabled:
+                gc.enable()
+        return table
 
 
 _GROUP, _VALUE = operator.itemgetter("group"), operator.itemgetter("value")
@@ -148,14 +154,13 @@ def _ingest_columns(table: ModuleMomentTable, records) -> bool:
     from_json_obj would, proving in one pass over them, with builtin passes,
     that the loop would accept them all: types first, each distinct value
     once by parse_rational, each distinct (prime key, exponents) pair once by
-    json_component, one key per prime, and no duplicate by the size of the
-    store. The groups are split by signature, the tuple of their keys; each
-    key gives a column of exponent lists, checked and made tuples a column at
-    a time, and each distinct pair one shared component. A signature's
-    columns are ordered by prime once, zip cuts them into keys, none sorted,
-    and the store is filled in record order. False at anything not proved,
-    rare valid shapes such as an empty exponent list too; the store is then
-    filled only if two records are one group."""
+    json_component, one key per table prime, and no duplicate by the size of
+    the store. Each key gives a column over all records, its exponent list
+    or () where a record lacks the key, made tuples and checked a column at
+    a time; one zip of the columns in prime order makes the rows, none
+    sorted, and fills the store in record order. False at anything not
+    proved, rare valid shapes such as an empty exponent list too; the store
+    is then filled only if two records are one group."""
     if type(records) is not list:
         return False
     try:  # whatever rec["group"] reads, as in the record loop
@@ -172,43 +177,32 @@ def _ingest_columns(table: ModuleMomentTable, records) -> bool:
             return False
         if parsed[v] < 0:
             return False
-    shared: dict[str, dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
-    key_of: dict[int, str] = {}  # prime -> the one key that names it
-    most_bits = 0  # order bits of the largest component
-    signatures = list(map(tuple, groups))
-    cuts = {(): itertools.repeat(())}
-    for sig in set(signatures).difference(cuts):
-        same = map(operator.eq, itertools.repeat(sig), signatures)
-        alike = list(itertools.compress(groups, same))
-        columns = {}  # prime -> the column of components
-        for key in sig:
-            exponents = list(map(operator.itemgetter(key), alike))
-            if set(map(type, exponents)) != {list}:
-                return False
-            exponents = list(map(tuple, exponents))
-            # types before hashing: True and 1.0 hash as 1 does
-            if not set(map(type, itertools.chain.from_iterable(exponents))) <= {int}:
-                return False
-            known = shared.setdefault(key, {})
-            new = set(exponents).difference(known)
-            for parts in new:
-                try:
-                    known[parts] = json_component(key, parts)
-                except InputError:
-                    return False
-            column = list(map(known.__getitem__, exponents))
-            p = column[0][0]
-            if () in known or p not in table.primes or key_of.setdefault(p, key) != key:
-                return False
-            if new:
-                most_bits = max(most_bits, order_bits(p, max(new, key=sum)))
-            columns[p] = column
-        if most_bits * len(sig) > MAX_ORDER_BITS:
+    columns = {}  # prime -> its column of exponent tuples, sorted decreasing
+    bits = 0  # order bits of each prime's largest component, summed
+    for key in set(itertools.chain.from_iterable(groups)):
+        raw = list(map(dict.get, groups, itertools.repeat(key), itertools.repeat(())))
+        if not set(map(type, raw)) <= {list, tuple} or [] in raw:
             return False
-        cuts[sig] = zip(*map(columns.__getitem__, sorted(columns)))
+        exponents = list(map(tuple, raw))
+        # types before hashing: True and 1.0 hash as 1 does
+        if not set(map(type, itertools.chain.from_iterable(exponents))) <= {int}:
+            return False
+        known = {(): ()}
+        new = set(exponents).difference(known)
+        for parts in new:
+            try:
+                p, known[parts] = json_component(key, parts)
+            except InputError:
+                return False
+        if not new or p not in table.primes or p in columns:
+            return False
+        bits += order_bits(p, max(new, key=sum))
+        columns[p] = map(known.__getitem__, exponents)
+    if bits > MAX_ORDER_BITS:
+        return False
+    rows = zip(*(columns.get(p, itertools.repeat(())) for p in table.primes))
     store = table._store
-    keys = map(next, map(cuts.__getitem__, signatures))
-    store.update(zip(keys, map(parsed.__getitem__, values)))
+    store.update(zip(rows, map(parsed.__getitem__, values)))
     return len(store) == len(records)  # else two records are one group
 
 

@@ -962,6 +962,11 @@ _FAULTS = {
     "off-table-prime": ([{"5": [1]}], "1", "group Z/5 is not supported on primes (2, 3)"),
     "reordered-duplicate": ([{"2": [1, 2]}], "1",
                             "duplicate group Z/4 x Z/2 in module moment-table JSON"),
+    # a duplicate is named before its value is parsed
+    "duplicate-not-a-number": ([{"2": [1, 2]}], "x",
+                               "duplicate group Z/4 x Z/2 in module moment-table JSON"),
+    "duplicate-negative": ([{"2": [1, 2]}], "-1",
+                           "duplicate group Z/4 x Z/2 in module moment-table JSON"),
     "negative": ([{"3": [9]}], "-1", "moment at Z/19683 is negative"),
     "not-a-number": ([{"3": [9]}], "x", "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
     "zero-denominator": ([{"3": [9]}], "1/0", "cannot parse rational '1/0': Fraction(1, 0)"),

@@ -67,6 +67,15 @@ def commands(tmp_path: Path) -> list[list[str]]:
     module.write_text(json.dumps(empirical_moments(mu, enumerate_groups([2], 16)).to_json_obj()))
     infeasible = tmp_path / "infeasible.json"
     infeasible.write_text(json.dumps(infeasible_table()))
+    # a {2,3} table whose records lack a prime or put "3" before "2"
+    mixed = tmp_path / "mixed.json"
+    records = [{"group": dict(reversed(g.to_json_obj().items())), "value": "1"}
+               for g in enumerate_groups([2, 3], 24)]
+    mixed.write_text(json.dumps({"primes": [2, 3], "moments": records}))
+    # one group twice, its second value unparsable: refused as a duplicate
+    duplicate = tmp_path / "duplicate.json"
+    duplicate.write_text(json.dumps({"primes": [2], "moments": [
+        {"group": {"2": [1]}, "value": "1"}, {"group": {"2": [1]}, "value": "x"}]}))
     basis = '[{"kind":"abelian","h":3},{"kind":"abelian","h":3}]'
     return [
         ["coeffs", "--abelian", "9", "--k", "4"],
@@ -78,11 +87,13 @@ def commands(tmp_path: Path) -> list[list[str]]:
         ["invert", "--file", str(one), "--rmax", "3", "--pretty"],
         ["localize", "--file", str(module), "--group", '{"2":[1]}', "--kbound", "2"],
         ["reconstruct", "--file", str(module), "--group", '{"2":[1]}', "--rmax", "3", "--pretty"],
+        ["reconstruct", "--file", str(mixed), "--group", '{"2":[1]}', "--rmax", "2,1"],
         ["coeffs", "--abelian", str(2**82), "--k", "2"],  # exact roots past the primality limit
         ["coeffs", "--abelian", "6", "--k", "1"],
         ["sur", "--abelian", "4", "--e", "2", "--k", "1", "--basis", '[{"kind":"abelian","h":3}]'],
         ["coeffs", "--abelian", "2", "--k", "5000"],
         ["invert", "--file", str(infeasible), "--rmax", "400"],  # refused at r <= 20
+        ["reconstruct", "--file", str(duplicate), "--group", "{}", "--rmax", "1"],
     ]
 
 
@@ -108,6 +119,6 @@ def test_every_interpreter_prints_the_same_bytes(tmp_path):
             child.kill()
             child.wait()
     want = reports.pop("running")
-    assert [code for code, _, _ in want] == [0] * 10 + [1, 1, 3, 1]
+    assert [code for code, _, _ in want] == [0] * 11 + [1, 1, 3, 1, 1]
     for version, got in reports.items():
         assert got == want, version

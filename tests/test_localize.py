@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -30,7 +31,7 @@ from momentforge.localize import (
 )
 from momentforge.oracle import mu_local_direct, sur_bruteforce
 from momentforge.rationals import MAX_DIGITS, clip, parse_rational
-from momentforge.sampler import empirical_moments, reference_mass
+from momentforge.sampler import empirical_moments
 from momentforge.verify import synthetic_measure
 
 from groups import Z, elementary
@@ -98,10 +99,14 @@ class TestModuleMomentTable:
             ModuleMomentTable.from_json_obj({**obj, field: value})
 
     def test_duplicate_json_group_rejected(self):
-        obj = {"primes": [2], "order_bound": 1, "moments": [
-            {"group": {}, "value": "1"}, {"group": {}, "value": "2"}]}
-        with pytest.raises(InputError, match="duplicate"):
-            ModuleMomentTable.from_json_obj(obj)
+        # a duplicate is named before its value is parsed; the trivial group's
+        # row has no column and comes only from the zip's filler
+        for group, name in (({}, "0"), ({"2": [1]}, "Z/2")):
+            for value in ("2", "x", "-1"):
+                obj = {"primes": [2], "order_bound": 1, "moments": [
+                    {"group": group, "value": "1"}, {"group": group, "value": value}]}
+                with pytest.raises(InputError, match=f"^duplicate group {name} in module moment-table JSON$"):
+                    ModuleMomentTable.from_json_obj(obj)
 
     @given(
         st.sets(st.sampled_from(enumerate_groups([2, 3], 72)), max_size=4),
@@ -376,8 +381,8 @@ class TestColumnPass:
     @example((_table({"2": [1.0]}, {"2": [1]}), "bad-exponent"))
     # both key orders in one table
     @example((_table({"2": [1], "3": [1]}, {"3": [2], "2": [1]}, {"3": [1]}), "reversed-keys"))
-    # a group near the order bound, which the pass leaves to the loop: valid,
-    # 1900 + 2 * 30 bits, and too large, 2008 + 2 * 30 > MAX_ORDER_BITS
+    # a group near the order bound: the pass proves the valid one, 1900 + 2 * 30
+    # bits, and leaves the too large one, 2008 + 2 * 30 > MAX_ORDER_BITS, to the loop
     @example((_table({"2": [1900], "3": [30]}), "too-large"))
     @example((_table({"2": [2008], "3": [30]}), "too-large"))
     @settings(max_examples=300, deadline=None)
@@ -394,8 +399,9 @@ class TestColumnPass:
 
     def test_records_share_their_components(self, wide_23):
         table = ModuleMomentTable.from_json_obj(wide_23)
-        components = {id(c) for comps in table._store for c in comps}
-        assert len(table._store) == 17_388 and len(components) == 2_984
+        # one exponent tuple object per distinct (prime, exponents) pair
+        exponents = {id(parts) for row in table._store for parts in row if parts}
+        assert len(table._store) == 17_388 and len(exponents) == 2_984
 
     def test_each_distinct_pair_is_checked_once(self, wide_23):
         # the cost model: every record proved by the column pass, with no
@@ -626,12 +632,16 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_cohen_lenstra_fixed_point(self, p):
-        # all moments equal to 1: the mass of M is prod(1 - p**-k) / |Aut M|
+        # all moments equal to 1: the mass of M is prod_{k>=1} (1 - p**-k) / |Aut M|,
+        # which lies between P_N (1 - p**-N / (p - 1)) and P_N, P_N the product
+        # up to k = N; both bounds must lie inside the bracket
         bound = p**14
         table = ModuleMomentTable([p], {g: 1 for g in enumerate_groups([p], bound)})
-        tol = Fraction(1, 10**9)
+        N = 200
+        P_N = math.prod(1 - Fraction(1, p**k) for k in range(1, N + 1))
+        product = (P_N * (1 - Fraction(1, p**N * (p - 1))), P_N)
         for M in (triv, Z(p), Z(p * p)):
             br = Localization(M, (p,), (12,)).bracket(table)
-            ref = reference_mass(p, 0, M)
+            low, high = (x / aut_count(M) for x in product)
             assert br.width < Fraction(1, 10**4)
-            assert br.lower - tol <= ref <= br.upper + tol
+            assert br.lower <= low <= high <= br.upper

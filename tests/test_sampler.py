@@ -455,11 +455,13 @@ def test_unit_entry_probability():
 
 
 def test_trivial_frequency_near_limit():
-    # statistical: at n=8, cap=3 the trivial cokernel shows up with the
-    # limiting frequency 0.2888 well within a 0.015 band at t=10**4
+    # statistical: at n=8, cap=3 the trivial cokernel shows up with the exact
+    # chance that an 8 x 8 matrix over F_2 is invertible, prod (1 - 2**-i)
+    # for i <= 8 = 0.289919..., well within a 0.015 band at t=10**4
+    exact = math.prod(1 - Fraction(1, 2**i) for i in range(1, 9))
     cfg = SamplerConfig(p=2, cap=3, n=8, seed=20260810, count=10_000)
     freq = sample_measure(cfg).mass(triv)
-    assert abs(float(freq) - 0.2888) < 0.015
+    assert abs(freq - exact) < Fraction(15, 1000)
 
 
 class TestEmpiricalMoments:
