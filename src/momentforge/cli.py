@@ -48,7 +48,7 @@ def _add_type_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _simple_type(args) -> SimpleType:
-    if (args.abelian is None) == (getattr(args, "nonabelian_aut", None) is None):
+    if (args.abelian is None) == (args.nonabelian_aut is None):
         raise InputError("pass exactly one of --abelian H or --nonabelian-aut A")
     if args.abelian is not None:
         return SimpleType.abelian(args.abelian)

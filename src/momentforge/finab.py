@@ -40,10 +40,6 @@ from .rationals import MAX_DIGITS, clip_int, exact, format_rational, natural, qu
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n as weakly decreasing tuples; () for n = 0."""
-    if n == 0:
-        yield ()
-        return
-
     def rec(remaining: int, largest: int):
         if remaining == 0:
             yield ()
@@ -245,12 +241,9 @@ def _enumerate_cached(ps: tuple[int, ...], order_bound: int) -> tuple[FinAbGroup
             return
         p = ps[i]
         a, pa = 0, 1
-        while pa <= bound:
-            if a == 0:
-                rec(i + 1, bound, chosen)
-            else:
-                for parts in partitions(a):
-                    rec(i + 1, bound // pa, chosen + [(p, parts)])
+        while pa <= bound:  # the empty partition of 0 adds no component
+            for parts in partitions(a):
+                rec(i + 1, bound // pa, chosen + [(p, parts)] if parts else chosen)
             a += 1
             pa *= p
 
@@ -261,12 +254,9 @@ def _enumerate_cached(ps: tuple[int, ...], order_bound: int) -> tuple[FinAbGroup
 
 def hom_count(A: FinAbGroup, B: FinAbGroup) -> int:
     """|Hom(A, B)| = prod_p prod_{i,j} p**min(lambda_i(A), lambda_j(B))."""
-    return prod(p ** _hom_exponent(parts, B.partition(p)) for p, parts in A.components)
-
-
-def _hom_exponent(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
-    """log_p |Hom(A, B)| for p-groups A, B of types alpha, beta."""
-    return sum(min(i, j) for i in alpha for j in beta)
+    return prod(
+        p ** sum(min(i, j) for i in parts for j in B.partition(p)) for p, parts in A.components
+    )
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:

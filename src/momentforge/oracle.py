@@ -18,6 +18,7 @@ and kernel ranks and of Frattini rows phi(e) mod p in B/pB for surjectivity.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -217,15 +218,12 @@ def _kernel_profile(X: FinAbGroup, M: FinAbGroup, budget: Budget) -> tuple:
         onto = _onto(X, M, choices, block)
         ranks = top - _span_ranks(X, M, choices, block, X.primes, socle=True)[onto]
         counts += np.bincount(ranks @ place, minlength=len(counts))
-    profile = []
-    for code, n in enumerate(counts.tolist()):
-        if n:
-            comps = []
-            for p, d in zip(reversed(X.primes), reversed(dims)):
-                code, r = divmod(code, d)
-                if r:
-                    comps.append((p, (1,) * r))
-            profile.append((FinAbGroup(tuple(reversed(comps))), n))
+    codes = itertools.product(*map(range, dims))  # digits of code 0, 1, ...: last one fastest
+    profile = [
+        (FinAbGroup(tuple((p, (1,) * r) for p, r in zip(X.primes, digits) if r)), n)
+        for digits, n in zip(codes, counts.tolist())
+        if n
+    ]
     return tuple(sorted(profile, key=lambda kv: kv[0].sort_key()))
 
 
@@ -296,23 +294,22 @@ def surjective_matrix_counts(h: int, e: int, k: int) -> list[int]:
     mult = np.ones(1, dtype=np.int64)  # prefixes with each span
     counts = [1]
     for level in range(k):
+        if level:  # grow the spans of the (level-1)-prefixes into those of the level-prefixes
+            budget.check_candidates(counts[-1], f"matrix oracle level {level}")
+            parent, vec = np.nonzero(valid)
+            children, flat = spans[parent], spans.ravel()
+            chunk = _BLOCK // n + 1  # children whose gather indices make about _BLOCK entries
+            for lo in range(0, len(parent), chunk):
+                part = slice(lo, lo + chunk)
+                base = (parent[part] * n)[:, None]
+                for c in range(1, h):  # spans are symmetric, so c*v - x serves for x - c*v
+                    children[part] |= flat[sub[mul[c, vec[part]]] + base]
+            spans, inverse = _distinct_rows(children)
+            weights, mult = mult[parent], np.zeros(len(spans), dtype=np.int64)
+            np.add.at(mult, inverse, weights)
         valid = ~spans
         counts.append(sum(m * o for m, o in zip(mult.tolist(), valid.sum(axis=1).tolist())))
-        if level == k - 1:
-            return counts
-        budget.check_candidates(counts[-1], f"matrix oracle level {level + 1}")
-        parent, vec = np.nonzero(valid)
-        children, flat = spans[parent], spans.ravel()
-        chunk = _BLOCK // n + 1  # children whose gather indices make about _BLOCK entries
-        for lo in range(0, len(parent), chunk):
-            part = slice(lo, lo + chunk)
-            base = (parent[part] * n)[:, None]
-            for c in range(1, h):  # spans are symmetric, so c*v - x serves for x - c*v
-                children[part] |= flat[sub[mul[c, vec[part]]] + base]
-        spans, inverse = _distinct_rows(children)
-        weights, mult = mult[parent], np.zeros(len(spans), dtype=np.int64)
-        np.add.at(mult, inverse, weights)
-    raise AssertionError("unreachable")
+    return counts
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

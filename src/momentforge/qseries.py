@@ -39,8 +39,6 @@ def is_prime(n: int) -> bool:
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
-    if n < 43 * 43:
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -167,7 +165,7 @@ def frames(h: int, dims: Iterable[int]) -> int:
             n_last, h_n = n, h**n
         out.append(h_n - h_i)
         h_i *= h
-    return prod(out) if len(out) <= 8 else _product(out)
+    return _product(out)
 
 
 def q_pochhammer(h: int, k: int) -> int:

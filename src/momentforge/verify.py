@@ -342,8 +342,8 @@ def check_list(seed: int, quick: bool = False) -> list[Check]:
 # check_list indices in the order run_all hands them to its workers: heaviest
 # first, so no heavy check starts last. By verify --quick times (fresh
 # process, medians of 9 over seeds 0-8 and 9-17, 2 vCPUs): extension-sum
-# 35-38 ms, smart surjection 30, hom/aut 17-19, bracketing 15-18, A5 6.5-6.8,
-# matrix 5.8-6.9, end-to-end 4.2, product 1.6-2.0, q-binomial 0.9, Euler 0.4.
+# 65-67 ms, smart surjection 50-51, hom/aut 33-34, bracketing 24, A5 11-12,
+# matrix 10-17, end-to-end 7.5, product 2.8-3.0, q-binomial 2.4, Euler 0.6.
 DISPATCH_ORDER = (8, 7, 6, 4, 2, 0, 9, 1, 3, 5)
 
 

@@ -108,11 +108,14 @@ def _sampler_run(seed):
     moment = sum((mass * sur_count(X, z2) for X, mass in mu.items()), Fraction(0))
     second = sum((mass * sur_count(X, z2) ** 2 for X, mass in mu.items()), Fraction(0))
     sigma = math.sqrt(float(second - moment * moment) / config.count)
-    zscore = abs(float(moment) - 1.0) / sigma
+    # exact at n = 8: a square matrix over F_2 has 1 - 2**-n nonzero kernel
+    # vectors on average, and is invertible with chance prod_{i<=n} (1 - 2**-i)
+    zscore = abs(float(moment - 1 + Fraction(1, 2**config.n))) / sigma
+    invertible = math.prod(1 - Fraction(1, 2**i) for i in range(1, config.n + 1))
 
     table = empirical_moments(mu, enumerate_groups([2], 2**10))
     bracket = Localization(FinAbGroup.trivial(), (2,), (10,)).bracket(table)
-    mid_error = abs(float((bracket.lower + bracket.upper) / 2) - 0.288788)
+    mid_error = abs(float((bracket.lower + bracket.upper) / 2 - invertible))
     assert bracket.contains(mu.mass(FinAbGroup.trivial()))
     return zscore, mid_error
 

@@ -307,6 +307,16 @@ class TestSpanOraclesAgainstElementTables:
     every element instead. Both must agree, refusals included."""
 
     GROUPS = enumerate_groups({2, 3}, 32)
+    # {2, 3, 5} pairs, so a kernel's rank code has three digits, each zero in some
+    THREE_PRIMES = [
+        (Z(60, 2), Z(2)),
+        (Z(30, 6), Z(6)),
+        (Z(30, 2), Z()),
+        (Z(30, 2), Z(10)),
+        (Z(60), Z(6)),
+        (Z(30, 3), Z(6)),
+        (Z(150, 5), Z(5)),
+    ]
 
     @pytest.fixture
     def small_budget(self, monkeypatch):
@@ -329,9 +339,9 @@ class TestSpanOraclesAgainstElementTables:
         ids=["sur", "kernel_profile"],
     )
     def test_pairs(self, oracle, reference, small_budget):
-        for A in self.GROUPS:
-            for B in self.GROUPS:
-                assert self.outcome(oracle, A, B) == self.outcome(reference, A, B), (A, B)
+        pairs = [*itertools.product(self.GROUPS, repeat=2), *self.THREE_PRIMES]
+        for A, B in pairs:
+            assert self.outcome(oracle, A, B) == self.outcome(reference, A, B), (A, B)
 
     def test_refusal_messages(self, monkeypatch):
         monkeypatch.delenv(budget.ENV_VAR, raising=False)
@@ -544,11 +554,14 @@ class TestSurjectionOracles:
 
     def test_matrix_oracle_refuses_a_huge_space_before_forming_its_order(self):
         # e >= 17 = bit length of the default max_order 65536 puts h**e past it:
-        # 3**(10**7) took 3 s to form, and 2**(10**5000) never ends
+        # 3**(10**7) took 3 s to form, and 2**(10**5000) never ends. Below that
+        # length 3**11 is past the order cap, and the 2**11 points of F_2^11
+        # fit it but their 2**22-entry difference table does not; k = 0 forms nothing
         script = (
             "from momentforge.errors import BudgetExceededError\n"
             "from momentforge.oracle import surjective_matrix_counts\n"
-            "for h, e in ((3, 10**7), (2, 10**5000)):\n"
+            "print(surjective_matrix_counts(3, 10**7, 0))\n"
+            "for h, e in ((3, 10**7), (2, 10**5000), (2, 17), (3, 11), (2, 11)):\n"
             "    try:\n"
             "        surjective_matrix_counts(h, e, 1)\n"
             "    except BudgetExceededError as exc:\n"
@@ -561,9 +574,14 @@ class TestSurjectionOracles:
         assert proc.returncode == 0, proc.stderr[-2000:]
         cap = "exceeds the element-table cap of 65536 (override with MOMENTFORGE_BUDGET)"
         assert proc.stdout.splitlines() == [
+            "[1]",
             f"matrix oracle over F_3^10000000: group order 3**10000000 {cap}",
             f"matrix oracle over F_2^<a 16610-bit integer>: group order "
             f"2**<a 16610-bit integer> {cap}",
+            f"matrix oracle over F_2^17: group order 2**17 {cap}",
+            f"matrix oracle over F_3^11: group order 177147 {cap}",
+            "matrix oracle difference table over F_2^11: 4194304 candidate tuples exceed the "
+            "budget of 4000000 (override with MOMENTFORGE_BUDGET)",
         ]
 
     def test_matrix_oracle_matches_elementary_bruteforce(self):

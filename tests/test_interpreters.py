@@ -79,6 +79,7 @@ def commands(tmp_path: Path) -> list[list[str]]:
     basis = '[{"kind":"abelian","h":3},{"kind":"abelian","h":3}]'
     return [
         ["coeffs", "--abelian", "9", "--k", "4"],
+        ["coeffs", "--abelian", "1849", "--k", "2"],  # 43**2: Miller-Rabin finds 43 prime
         ["coeffs", "--nonabelian-aut", "60", "--k", "3", "--pretty"],
         ["sur", "--abelian", "4", "--e", "6", "--k", "3"],
         ["sur", "--nonabelian-aut", "120", "--e", "7", "--k", "3"],
@@ -119,6 +120,6 @@ def test_every_interpreter_prints_the_same_bytes(tmp_path):
             child.kill()
             child.wait()
     want = reports.pop("running")
-    assert [code for code, _, _ in want] == [0] * 11 + [1, 1, 3, 1, 1]
+    assert [code for code, _, _ in want] == [0] * 12 + [1, 1, 3, 1, 1]
     for version, got in reports.items():
         assert got == want, version

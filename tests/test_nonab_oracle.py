@@ -47,6 +47,8 @@ def test_negative_powers_are_refused():
         sur_a5_bruteforce(-1, 0)
     with pytest.raises(InputError, match="^matrix oracle needs a prime field size, got h=4$"):
         surjective_matrix_counts(4, 2, 1)
+    with pytest.raises(InputError, match="^h must be an integer >= 2, got 1$"):
+        surjective_matrix_counts(1, 2, 1)
     with pytest.raises(InputError, match="^e must be an integer >= 0, got -1$"):
         surjective_matrix_counts(2, -1, 1)
 
