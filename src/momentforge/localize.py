@@ -115,7 +115,9 @@ class ModuleMomentTable:
         exponents) pair and one parse per distinct value, and fills the store
         in record order. Where it cannot, the record loop below runs from the
         first record: it is the reference and the only code that words a
-        refusal.
+        refusal. A valid table reaches it only when one prime is spelled two
+        ways across records ("3" and "03"), or when the primes' largest
+        components pass MAX_ORDER_BITS only in sum.
 
         The cyclic garbage collector is off meanwhile, and on again after only
         if it was on before: parsed JSON and the store hold no cycles, so a
@@ -154,13 +156,15 @@ def _ingest_columns(table: ModuleMomentTable, records) -> bool:
     from_json_obj would, proving in one pass over them, with builtin passes,
     that the loop would accept them all: types first, each distinct value
     once by parse_rational, each distinct (prime key, exponents) pair once by
-    json_component, one key per table prime, and no duplicate by the size of
-    the store. Each key gives a column over all records, its exponent list
-    or () where a record lacks the key, made tuples and checked a column at
-    a time; one zip of the columns in prime order makes the rows, none
-    sorted, and fills the store in record order. False at anything not
-    proved, rare valid shapes such as an empty exponent list too; the store
-    is then filled only if two records are one group."""
+    json_component, a key with no component by its spelling alone, one key
+    per prime, and no duplicate by the size of the store. Each key gives a
+    column over all records, its exponent list or () where a record lacks
+    the key, () for [] too, checked a column at a time; one zip of the
+    columns in prime order makes the rows, none sorted, and fills the store
+    in record order. False at anything not proved; a valid table only where
+    one prime is spelled two ways across records, or where the primes'
+    largest components pass MAX_ORDER_BITS only in sum. The store is then
+    filled only if two records are one group."""
     if type(records) is not list:
         return False
     try:  # whatever rec["group"] reads, as in the record loop
@@ -181,23 +185,22 @@ def _ingest_columns(table: ModuleMomentTable, records) -> bool:
     bits = 0  # order bits of each prime's largest component, summed
     for key in set(itertools.chain.from_iterable(groups)):
         raw = list(map(dict.get, groups, itertools.repeat(key), itertools.repeat(())))
-        if not set(map(type, raw)) <= {list, tuple} or [] in raw:
+        if not set(map(type, raw)) <= {list, tuple}:
             return False
-        exponents = list(map(tuple, raw))
         # types before hashing: True and 1.0 hash as 1 does
-        if not set(map(type, itertools.chain.from_iterable(exponents))) <= {int}:
+        if not set(map(type, itertools.chain.from_iterable(raw))) <= {int}:
             return False
-        known = {(): ()}
-        new = set(exponents).difference(known)
-        for parts in new:
-            try:
+        known = {(): ()}  # [] and an absent key alike: no component
+        new = set(map(tuple, raw)).difference(known)
+        try:  # a key with no component is proved by its spelling alone
+            for parts in new or [()]:
                 p, known[parts] = json_component(key, parts)
-            except InputError:
-                return False
-        if not new or p not in table.primes or p in columns:
+        except InputError:
             return False
-        bits += order_bits(p, max(new, key=sum))
-        columns[p] = map(known.__getitem__, exponents)
+        if new and p not in table.primes or p in columns:
+            return False
+        bits += order_bits(p, max(new, key=sum, default=()))
+        columns[p] = map(known.__getitem__, map(tuple, raw))
     if bits > MAX_ORDER_BITS:
         return False
     rows = zip(*(columns.get(p, itertools.repeat(())) for p in table.primes))
@@ -258,11 +261,6 @@ def localized_moments(table: ModuleMomentTable, loc: Localization) -> MomentTabl
             N, named = loc.kernel(k), ", ".join(map(str, missing[:8]))
             raise InputError(f"moment table lacks middles for N={N}, M={M} (order "
                              f"{N.order * M.order}): {named}{'...' * (len(missing) > 8)}")
-        total = Fraction(0)
-        for mid, n in step:
-            v = table(mid)
-            if v:
-                total += n * v
-        values[k] = total / sum(n for _, n in step) if total else total
+        values[k] = sum(n * table(mid) for mid, n in step) / sum(n for _, n in step)
     return MomentTable(loc.basis, loc.k_bound, values)
 

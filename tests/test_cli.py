@@ -383,11 +383,17 @@ def test_explicit_table_primes_match_the_default(command, depth, tmp_path, capsy
     from momentforge.sampler import empirical_moments
 
     path = tmp_path / "table.json"
-    path.write_text(json.dumps(empirical_moments(mu, enumerate_groups([2, 3], 72)).to_json_obj()))
+    obj = empirical_moments(mu, enumerate_groups([2, 3], 72)).to_json_obj()
+    path.write_text(json.dumps(obj))
     argv = (command, "--file", str(path), "--group", '{"2":[1]}', depth, "2,1")
     code, plain, _ = run(capsys, *argv)
     assert code == 0
     assert run(capsys, *argv, "--primes", "2,3") == (0, plain, "")
+    # the same table with [] written for every absent prime
+    for rec in obj["moments"]:
+        rec["group"] = {"2": [], "3": [], **rec["group"]}
+    path.write_text(json.dumps(obj))
+    assert run(capsys, *argv) == (0, plain, "")
 
 
 @pytest.mark.parametrize("command, depth", [("localize", "--kbound"), ("reconstruct", "--rmax")])
